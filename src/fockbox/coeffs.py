@@ -29,7 +29,7 @@ from .displace import DisplacementParams, ResidualCheck, displacement, require_a
 from .errors import ConfigError, GeometryError
 from .fockspace import FockLayout, LadderId, StateVector, basis_state, expectation, vacuum
 from .ladderalg import LadderPolynomial
-from .model import ModelConfig, build_H, build_layout, shift_profiles
+from .model import ModelConfig, build_H, build_layout, field_algebra, shift_profiles
 
 CENTRAL_IDENTITY_TOL = 1e-6
 CENTRAL_F_VALUES = (-0.5, -0.25, 0.0, 0.25, 0.5)
@@ -81,10 +81,9 @@ def _band_bound(config: ModelConfig) -> int:
     )
 
 
-def build_quadrature_grid(config: ModelConfig, n_points: int | None = None) -> QuadratureGrid:
+def build_quadrature_grid(config: ModelConfig) -> QuadratureGrid:
     L = config.box_length
-    if n_points is None:
-        n_points = 2 * _band_bound(config) + 2
+    n_points = 2 * _band_bound(config) + 2
     points = np.array([-0.5 * L + j * L / n_points for j in range(n_points)])
     return QuadratureGrid(points, L / n_points)
 
@@ -128,16 +127,6 @@ def reference_state(config: ModelConfig, selector: str, layout: FockLayout | Non
 
 # ---------------------------------------------------------------------------
 # expectation profiles
-
-
-def polynomial_expectation(poly: LadderPolynomial, layout: FockLayout, state: StateVector) -> complex:
-    """<psi| poly |psi> with plane-wave phases ignored (x = 0 / integrated form)."""
-    amps = state.amplitudes
-    total = 0.0 + 0.0j
-    for t in poly.terms:
-        mat = ladderalg._monomial_matrix(layout, t.symbols)
-        total += t.coefficient * complex(np.vdot(amps, mat @ amps))
-    return total
 
 
 def polynomial_profile(
@@ -195,50 +184,34 @@ def expectations(
 ) -> StateExpectations:
     layout = layout or build_layout(config)
     grid = grid or build_quadrature_grid(config)
-    points = grid.points
-
-    phihat = ladderalg.field_polynomial("neutral", config)
-    phi = ladderalg.field_polynomial("charged", config)
-    phi_dag = ladderalg.field_polynomial("charged_dagger", config)
-    density = ladderalg.normal_order(ladderalg.multiply(phi_dag, phi))
-    charged_sum = phi_dag + phi
-
-    profiles = {
-        "phi": phihat,
-        "phi_sq": ladderalg.power(phihat, 2),
-        "phi_sq_ordered": ladderalg.normal_order(ladderalg.power(phihat, 2)),
-        "phi_cube": ladderalg.power(phihat, 3),
-        "phi_cube_ordered": ladderalg.normal_order(ladderalg.power(phihat, 3)),
-        "charged_density": density,
-        "charged_sum": charged_sum,
-        "charged_sum_neutral": ladderalg.multiply(charged_sum, phihat),
-    }
-    values = {
-        name: polynomial_profile(poly, layout, state, points, config.box_length)
-        for name, poly in profiles.items()
-    }
-
+    fa = field_algebra(config)
     a_k = LadderId("a", config.k_index)
     b_q, d_q = LadderId("b", config.q_index), LadderId("d", config.q_index)
-    neutral_ladder = polynomial_expectation(
-        ladderalg.ladder_sum([(a_k, True), (a_k, False)]), layout, state
-    )
-    charged_ladder = polynomial_expectation(
-        ladderalg.ladder_sum([(b_q, True), (b_q, False), (d_q, True), (d_q, False)]),
-        layout,
-        state,
-    )
 
-    max_imag = max(
-        [float(np.max(np.abs(v.imag))) for v in values.values()]
-        + [abs(neutral_ladder.imag), abs(charged_ladder.imag)]
-    )
+    profiles = {
+        "phi": fa.phihat,
+        "phi_sq": ladderalg.power(fa.phihat, 2),
+        "phi_sq_ordered": fa.ordered_powers[2],
+        "phi_cube": ladderalg.power(fa.phihat, 3),
+        "phi_cube_ordered": fa.ordered_powers[3],
+        "charged_density": fa.density,
+        "charged_sum": fa.charged_sum,
+        "charged_sum_neutral": fa.charged_sum_neutral,
+        # phase-free ladder sums: constant over the nodes
+        "neutral_ladder": ladderalg.ladder_sum([(a_k, True), (a_k, False)]),
+        "charged_ladder": ladderalg.ladder_sum([(b_q, True), (b_q, False), (d_q, True), (d_q, False)]),
+    }
+    values = {
+        name: polynomial_profile(poly, layout, state, grid.points, config.box_length)
+        for name, poly in profiles.items()
+    }
+    real = {name: v.real for name, v in values.items()}
     return StateExpectations(
         grid=grid,
-        neutral_ladder=neutral_ladder.real,
-        charged_ladder=charged_ladder.real,
-        max_imag=max_imag,
-        **{name: v.real for name, v in values.items()},
+        neutral_ladder=float(real.pop("neutral_ladder")[0]),
+        charged_ladder=float(real.pop("charged_ladder")[0]),
+        max_imag=max(float(np.max(np.abs(v.imag))) for v in values.values()),
+        **real,
     )
 
 
@@ -329,21 +302,6 @@ def energy_polynomial(
     )
 
 
-def energy_polynomial_literal(cs: CoefficientSet, f1: float, f2: float) -> float:
-    """Variant built from the bare moments and the four-fold quartic weight,
-    kept for side-by-side comparison with energy_polynomial."""
-    return (
-        cs.E_ref
-        + f1 * cs.A1
-        + f2 * (cs.A2 + cs.B2)
-        + f1 * f2 * cs.A3
-        + f2 * f2 * (cs.omega_k + cs.B1)
-        + f2 ** 3 * cs.B3
-        + f2 ** 4 * cs.B4
-        + f1 * f1 * (cs.A4 + f2 * cs.A5)
-    )
-
-
 def descent_threshold(cs: CoefficientSet) -> float:
     """A4 / A5: the |f2| beyond which the quadratic f1 coefficient of the
     vacuum energy turns negative (for f2 < 0)."""
@@ -397,7 +355,6 @@ def central_identity_checks(
     layout: FockLayout | None = None,
     f_values: Sequence[float] | None = None,
     state_selectors: Sequence[str] | None = None,
-    tolerance: float = CENTRAL_IDENTITY_TOL,
 ) -> list[ResidualCheck]:
     """Polynomial energy vs direct displaced expectation, per state and
     amplitude pair, plus one summary row naming which quartic weight
@@ -427,7 +384,7 @@ def central_identity_checks(
                 max_unit = max(max_unit, r_unit)
                 max_times4 = max(max_times4, r_times4)
                 checks.append(
-                    ResidualCheck(f"central_identity[{selector}]", f1, f2, r_unit, tolerance)
+                    ResidualCheck(f"central_identity[{selector}]", f1, f2, r_unit, CENTRAL_IDENTITY_TOL)
                 )
     if config.lambda2 == 0.0 or max_unit == max_times4:
         winner = "both"
@@ -441,7 +398,7 @@ def central_identity_checks(
             None,
             None,
             min(max_unit, max_times4),
-            tolerance,
+            CENTRAL_IDENTITY_TOL,
         )
     )
     return checks

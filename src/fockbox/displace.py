@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import ladderalg
 from .errors import LayoutError, LeakageError
 from .fockspace import (
     FockLayout,
@@ -47,12 +46,13 @@ from .fockspace import (
     poisson_tail,
     raising_block,
 )
-from .model import ModelConfig, build_layout, shift_profiles
+from .model import ModelConfig, build_layout, field_algebra, shift_profiles
 
 MATERIALIZE_NNZ_CAP = 30_000_000
 
 WORK_TAIL_BOUND = 1e-20
 WORK_BAND_MARGIN = 4
+X_SAMPLE_COUNT = 8
 
 LADDER_SHIFT_TOL = 1e-8
 FREE_SHIFT_TOL = 1e-8
@@ -111,15 +111,6 @@ class Displacement:
     params: DisplacementParams
     factors: Mapping[LadderId, np.ndarray]
 
-    def factor(self, ladder: LadderId) -> np.ndarray | None:
-        return self.factors.get(ladder)
-
-    def sandwich(self, ladder: LadderId, block: np.ndarray) -> np.ndarray:
-        u = self.factors.get(ladder)
-        if u is None:
-            return block
-        return u.conj().T @ block @ u
-
     def apply(self, state: StateVector) -> StateVector:
         if state.layout != self.layout:
             raise LayoutError("state lives on a different layout")
@@ -129,28 +120,16 @@ class Displacement:
             tensor = np.moveaxis(np.tensordot(u, tensor, axes=(1, axis)), 0, axis)
         return StateVector(self.layout, np.ascontiguousarray(tensor).reshape(-1))
 
-    def _materialize(self, ladders: Iterable[LadderId]) -> OperatorMatrix:
-        chosen = {lad: self.factors[lad] for lad in ladders if lad in self.factors}
+    def as_operator(self) -> OperatorMatrix:
         nnz = 1
         for lad, dim in zip(self.layout.ladders, self.layout.dims):
-            nnz *= dim * dim if lad in chosen else dim
+            nnz *= dim * dim if lad in self.factors else dim
         if nnz > MATERIALIZE_NNZ_CAP:
             raise LayoutError(
                 f"materializing this displacement needs ~{nnz} nonzeros"
-                f" (cap {MATERIALIZE_NNZ_CAP}); use apply/sandwich instead"
+                f" (cap {MATERIALIZE_NNZ_CAP}); use apply instead"
             )
-        return OperatorMatrix(self.layout, embed(self.layout, chosen))
-
-    def as_operator(self) -> OperatorMatrix:
-        return self._materialize(self.factors.keys())
-
-    def charged_operator(self) -> OperatorMatrix:
-        """The b/d factors alone (displaces only the charged-pair ladders)."""
-        return self._materialize([l for l in self.factors if l.family in ("b", "d")])
-
-    def neutral_operator(self) -> OperatorMatrix:
-        """The a factor alone."""
-        return self._materialize([l for l in self.factors if l.family == "a"])
+        return OperatorMatrix(self.layout, embed(self.layout, self.factors))
 
 
 def displacement(config: ModelConfig, params: DisplacementParams, layout: FockLayout | None = None) -> Displacement:
@@ -166,18 +145,14 @@ def build_U(config: ModelConfig, params: DisplacementParams, layout: FockLayout 
     return displacement(config, params, layout).as_operator()
 
 
-def apply_displacement(config: ModelConfig, params: DisplacementParams, state: StateVector) -> StateVector:
-    return displacement(config, params, state.layout).apply(state)
-
-
 # ---------------------------------------------------------------------------
 # working spaces and projected-residual helpers
 
 
-def working_headroom(amplitude: float, tail_bound: float = WORK_TAIL_BOUND) -> int:
+def working_headroom(amplitude: float) -> int:
     """Levels above the window needed before the cutoff wall is invisible."""
     head = 1
-    while poisson_tail(amplitude, head) >= tail_bound:
+    while poisson_tail(amplitude, head) >= WORK_TAIL_BOUND:
         head += 1
     return head
 
@@ -249,9 +224,9 @@ def _window_sum_max(blocks: Mapping[LadderId, np.ndarray], scalar: complex, fram
     return max(off_max, float(np.max(np.abs(diag_total))))
 
 
-def _default_x_samples(config: ModelConfig, count: int = 8) -> np.ndarray:
+def _default_x_samples(config: ModelConfig) -> np.ndarray:
     L = config.box_length
-    return np.array([-0.5 * L + j * L / count for j in range(count)])
+    return np.array([-0.5 * L + j * L / X_SAMPLE_COUNT for j in range(X_SAMPLE_COUNT)])
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +366,13 @@ def check_field_shift(
         block = frame.raising if dagger else frame.lowering
         return frame.conjugate(block) - block
 
+    fa = field_algebra(config)
     checks = []
-    for field_kind, shift_of_x in (
-        ("neutral", lambda x: params.f2 * n2(x)),
-        ("charged", lambda x: params.f1 * n1(x)),
-        ("charged_dagger", lambda x: params.f1 * n1(x)),
+    for field_kind, poly, shift_of_x in (
+        ("neutral", fa.phihat, lambda x: params.f2 * n2(x)),
+        ("charged", fa.phi, lambda x: params.f1 * n1(x)),
+        ("charged_dagger", fa.phi_dag, lambda x: params.f1 * n1(x)),
     ):
-        poly = ladderalg.field_polynomial(field_kind, config)
         diffs = {
             (s.ladder, s.dagger): ladder_diff(s.ladder, s.dagger)
             for t in poly.terms
@@ -430,8 +405,8 @@ class _InterchangeTerm:
 
     The x-coefficient is base(x) * (f1 n1(x))^n1_power * (f2 n2(x))^n2_power,
     with sign, monomial coefficient, binomial weight, and plane-wave phase all
-    folded into base.  Conjugated terms get the displacement sandwich on every
-    per-ladder factor; static terms are the expansion side, entering with
+    folded into base.  Conjugated terms are conjugated by the displacement on
+    every per-ladder factor; static terms are the expansion side, entering with
     negative weight.
     """
 
@@ -474,31 +449,21 @@ class InterchangeChecker:
         self._n2x = n2(xs)
         self._wave_base = 2.0 * math.pi / config.box_length
 
-        phihat = ladderalg.field_polynomial("neutral", config)
-        phi = ladderalg.field_polynomial("charged", config)
-        phi_dag = ladderalg.field_polynomial("charged_dagger", config)
-        density = ladderalg.normal_order(ladderalg.multiply(phi_dag, phi))
-        charged_sum = phi_dag + phi
-
-        quartic_lhs = ladderalg.normal_order(ladderalg.power(phihat, 4))
-        quartic_static = []
-        for j in range(5):
-            poly_j = ladderalg.normal_order(ladderalg.power(phihat, j)) if j else ladderalg.constant(1.0)
-            quartic_static.append((poly_j, -float(math.comb(4, j)), 0, 4 - j))
-
-        cubic_lhs = ladderalg.multiply(density, phihat)
+        fa = field_algebra(config)
+        powers = fa.ordered_powers
+        quartic_static = [(powers[j], -float(math.comb(4, j)), 0, 4 - j) for j in range(5)]
         cubic_static = [
-            (cubic_lhs, -1.0, 0, 0),
-            (ladderalg.multiply(charged_sum, phihat), -1.0, 1, 0),
-            (phihat, -1.0, 2, 0),
-            (density, -1.0, 0, 1),
-            (charged_sum, -1.0, 1, 1),
-            (ladderalg.constant(1.0), -1.0, 2, 1),
+            (fa.cubic, -1.0, 0, 0),
+            (fa.charged_sum_neutral, -1.0, 1, 0),
+            (fa.phihat, -1.0, 2, 0),
+            (fa.density, -1.0, 0, 1),
+            (fa.charged_sum, -1.0, 1, 1),
+            (powers[0], -1.0, 2, 1),
         ]
 
         self._systems = [
-            ("quartic", self._terms(quartic_lhs, quartic_static)),
-            ("cubic", self._terms(cubic_lhs, cubic_static)),
+            ("quartic", self._terms(powers[4], quartic_static)),
+            ("cubic", self._terms(fa.cubic, cubic_static)),
         ]
 
     def _terms(self, lhs_poly, static_groups) -> list[_InterchangeTerm]:
@@ -598,15 +563,6 @@ class InterchangeChecker:
         return checks
 
 
-def check_normal_order_interchange(
-    config: ModelConfig,
-    params: DisplacementParams,
-    layout: FockLayout | None = None,
-    x_samples: Sequence[float] | None = None,
-) -> list[ResidualCheck]:
-    return InterchangeChecker(config, layout, x_samples).run(params)
-
-
 # ---------------------------------------------------------------------------
 # structural checks
 
@@ -629,8 +585,8 @@ def check_composition(config: ModelConfig, params: DisplacementParams, layout: F
     forward = displacement(config, params, layout)
     backward = displacement(config, DisplacementParams(-params.f1, -params.f2), layout)
     total = 0.0
-    for lad in forward.factors:
-        u, v = forward.factor(lad), backward.factor(lad)
+    for lad, u in forward.factors.items():
+        v = backward.factors[lad]
         eye = np.eye(u.shape[0])
         total += float(np.max(np.abs(u @ v - eye)))
     return ResidualCheck("composition", params.f1, params.f2, total, COMPOSITION_TOL)

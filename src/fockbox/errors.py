@@ -19,10 +19,6 @@ class LayoutError(FockboxError):
     """Unknown ladder, mismatched layouts, or a layout too large to build."""
 
 
-class ContractViolationError(FockboxError):
-    """An operator handed to a routine violates that routine's precondition."""
-
-
 class LeakageError(FockboxError):
     """A displacement amplitude too large for the configured cutoff."""
 

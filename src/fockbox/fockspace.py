@@ -28,14 +28,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import ContractViolationError, LayoutError
+from .errors import LayoutError
 
 FAMILIES = ("a", "b", "d")
 
 DIMENSION_CAP = 2_000_000
-DENSE_EXP_CAP = 4096
 LEAKAGE_TAIL_BOUND = 1e-12
-ANTIHERMITIAN_RTOL = 1e-10
 
 
 @dataclass(frozen=True, order=True)
@@ -70,7 +68,6 @@ class FockLayout:
 
     ladders: tuple[LadderId, ...]
     cutoffs: tuple[int, ...]
-    dimension_cap: int = DIMENSION_CAP
 
     def __post_init__(self):
         if len(self.ladders) != len(self.cutoffs):
@@ -84,10 +81,8 @@ class FockLayout:
         dim = 1
         for c in self.cutoffs:
             dim *= c + 1
-            if dim > self.dimension_cap:
-                raise LayoutError(
-                    f"layout dimension exceeds cap {self.dimension_cap}"
-                )
+            if dim > DIMENSION_CAP:
+                raise LayoutError(f"layout dimension exceeds cap {DIMENSION_CAP}")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -290,29 +285,6 @@ def expectation(op: OperatorMatrix, state: StateVector) -> complex:
 
 # ---------------------------------------------------------------------------
 # matrix exponential
-
-
-def exp_antihermitian(generator: OperatorMatrix) -> OperatorMatrix:
-    """Unitary exp(G) of an anti-Hermitian G via scaling-and-squaring.
-
-    Dense under the hood, so refuses layouts above DENSE_EXP_CAP; displacement
-    unitaries on large layouts factorize per ladder instead (see displace).
-    """
-    dim = generator.layout.dimension
-    if dim > DENSE_EXP_CAP:
-        raise LayoutError(
-            f"dimension {dim} too large for dense exponentiation"
-            f" (cap {DENSE_EXP_CAP}); use per-ladder factors"
-        )
-    norm = generator.max_abs()
-    defect = (generator + generator.adjoint()).max_abs()
-    if norm > 0.0 and defect > ANTIHERMITIAN_RTOL * norm:
-        raise ContractViolationError(
-            f"generator is not anti-Hermitian: |G + G+| = {defect:.3e}"
-            f" exceeds {ANTIHERMITIAN_RTOL} * |G| = {ANTIHERMITIAN_RTOL * norm:.3e}"
-        )
-    u = scipy.linalg.expm(generator.to_dense())
-    return OperatorMatrix(generator.layout, sp.csr_matrix(u))
 
 
 def displacement_block(cutoff: int, amplitude: float) -> np.ndarray:

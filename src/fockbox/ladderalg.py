@@ -216,16 +216,6 @@ def _monomial_matrix(layout: FockLayout, symbols: tuple[LadderSymbol, ...]) -> s
     return embed(layout, blocks)
 
 
-def monomial_ladder_blocks(layout: FockLayout, symbols: tuple[LadderSymbol, ...]) -> dict[LadderId, np.ndarray]:
-    """Per-ladder ordered dense products for one monomial (exact regrouping)."""
-    blocks: dict[LadderId, np.ndarray] = {}
-    for s in symbols:
-        cutoff = layout.cutoff(s.ladder)
-        m = raising_block(cutoff) if s.dagger else lowering_block(cutoff)
-        blocks[s.ladder] = blocks[s.ladder] @ m if s.ladder in blocks else m
-    return blocks
-
-
 def realize(p: LadderPolynomial, layout: FockLayout) -> OperatorMatrix:
     """Sum of coefficient times ordered matrix product, phases ignored.
 

@@ -17,7 +17,8 @@ for the symbolic assembly; both must agree to 1e-9 in max norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -26,6 +27,8 @@ from . import ladderalg
 from .errors import ConfigError
 from .fockspace import FockLayout, LadderId, OperatorMatrix, number_operator
 from .ladderalg import LadderPolynomial, mode_energy
+
+FIELD_ALGEBRA_CACHE = 8
 
 
 def _normalize_modes(values) -> tuple[int, ...]:
@@ -64,6 +67,9 @@ class ModelConfig:
         object.__setattr__(self, "neutral_modes", _normalize_modes(self.neutral_modes))
         object.__setattr__(self, "charged_modes", _normalize_modes(self.charged_modes))
         object.__setattr__(self, "cutoff_overrides", _normalize_overrides(self.cutoff_overrides))
+        for name in ("box_length", "mass_neutral", "mass_charged", "lambda1", "lambda2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.box_length <= 0.0:
             raise ConfigError("box_length must be positive")
         if self.mass_neutral < 0.0 or self.mass_charged < 0.0:
@@ -160,25 +166,52 @@ def shift_profiles(config: ModelConfig) -> tuple[ShiftProfile, ShiftProfile]:
 # Hamiltonian assembly
 
 
-def charged_density_polynomial(config: ModelConfig) -> LadderPolynomial:
-    """:phi+ phi: at a point x (normal ordered, no commutator terms)."""
-    phi_dag = ladderalg.field_polynomial("charged_dagger", config)
+@dataclass(frozen=True)
+class FieldAlgebra:
+    """The field polynomials at a point x that every identity is built from.
+
+    ordered_powers[j] is :phihat^j: for j = 0..4 (j = 0 is the constant 1).
+    """
+
+    phihat: LadderPolynomial
+    phi: LadderPolynomial
+    phi_dag: LadderPolynomial
+    density: LadderPolynomial
+    charged_sum: LadderPolynomial
+    charged_sum_neutral: LadderPolynomial
+    cubic: LadderPolynomial
+    ordered_powers: tuple[LadderPolynomial, ...]
+
+
+@lru_cache(maxsize=FIELD_ALGEBRA_CACHE)
+def field_algebra(config: ModelConfig) -> FieldAlgebra:
+    """phihat, phi, phi+, :phi+ phi:, phi+ + phi, (phi+ + phi) phihat,
+    :phi+ phi: phihat and :phihat^j:."""
+    phihat = ladderalg.field_polynomial("neutral", config)
     phi = ladderalg.field_polynomial("charged", config)
-    return ladderalg.normal_order(ladderalg.multiply(phi_dag, phi))
+    phi_dag = ladderalg.field_polynomial("charged_dagger", config)
+    density = ladderalg.normal_order(ladderalg.multiply(phi_dag, phi))
+    charged_sum = phi_dag + phi
+    return FieldAlgebra(
+        phihat=phihat,
+        phi=phi,
+        phi_dag=phi_dag,
+        density=density,
+        charged_sum=charged_sum,
+        charged_sum_neutral=ladderalg.multiply(charged_sum, phihat),
+        cubic=ladderalg.multiply(density, phihat),
+        ordered_powers=tuple(ladderalg.normal_order(ladderalg.power(phihat, j)) for j in range(5)),
+    )
 
 
 def cubic_interaction_polynomial(config: ModelConfig) -> LadderPolynomial:
     """Int :phi+ phi: phihat dx, box-integrated, coupling not included."""
-    density = charged_density_polynomial(config)
-    phihat = ladderalg.field_polynomial("neutral", config)
-    return ladderalg.integrate_box(ladderalg.multiply(density, phihat), config.box_length)
+    return ladderalg.integrate_box(field_algebra(config).cubic, config.box_length)
 
 
 def quartic_interaction_polynomial(config: ModelConfig) -> LadderPolynomial:
     """Int :phihat^4: dx, box-integrated, coupling not included."""
-    phihat = ladderalg.field_polynomial("neutral", config)
-    quartic = ladderalg.normal_order(ladderalg.power(phihat, 4))
-    return ladderalg.integrate_box(quartic, config.box_length)
+    return ladderalg.integrate_box(field_algebra(config).ordered_powers[4], config.box_length)
 
 
 def build_H0(config: ModelConfig, layout: FockLayout | None = None) -> OperatorMatrix:
@@ -216,19 +249,15 @@ def charge_operator(config: ModelConfig, layout: FockLayout | None = None) -> Op
 
 def interaction_density_polynomial(config: ModelConfig) -> LadderPolynomial:
     """lambda1 :phi+ phi: phihat + lambda2 :phihat^4: at a point x."""
-    density = charged_density_polynomial(config)
-    phihat = ladderalg.field_polynomial("neutral", config)
-    cubic = ladderalg.multiply(density, phihat)
-    quartic = ladderalg.normal_order(ladderalg.power(phihat, 4))
-    return config.lambda1 * cubic + config.lambda2 * quartic
+    fa = field_algebra(config)
+    return config.lambda1 * fa.cubic + config.lambda2 * fa.ordered_powers[4]
 
 
-def interaction_quadrature(config: ModelConfig, layout: FockLayout | None = None, n_x: int | None = None) -> OperatorMatrix:
+def interaction_quadrature(config: ModelConfig, layout: FockLayout | None = None) -> OperatorMatrix:
     """Riemann-quadrature oracle for the interaction part of build_H."""
     layout = layout or build_layout(config)
-    if n_x is None:
-        indices = [abs(n) for n in config.neutral_modes + config.charged_modes]
-        n_x = 4 * max(indices) + 5
+    indices = [abs(n) for n in config.neutral_modes + config.charged_modes]
+    n_x = 4 * max(indices) + 5
     density = interaction_density_polynomial(config)
     return ladderalg.quadrature_realize(density, layout, config.box_length, n_x)
 

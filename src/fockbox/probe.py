@@ -66,6 +66,7 @@ CHARGE_COMMUTATOR_TOL = 1e-10
 DEMO_F1_START = 0.0
 DEMO_F1_STOP = 10.0
 DEMO_F1_STEP = 0.5
+MAX_SWEEP_ROWS = 10_000
 
 
 def format_float(value: float) -> str:
@@ -195,12 +196,11 @@ def direct_check_limit(config: ModelConfig, layout: FockLayout | None = None) ->
 @dataclass(frozen=True)
 class SweepSpec:
     """One descent scan: energies along f1 at fixed f2 for one reference
-    state.  A None direct_check_limit derives it from the leakage policy."""
+    state."""
 
     f1_values: tuple[float, ...]
     f2: float
     state_selector: str = "vacuum"
-    direct_check_limit: float | None = None
 
 
 def run_sweep(
@@ -218,13 +218,15 @@ def run_sweep(
     precomputed coefficient set may be passed; it must belong to the same
     reference state the sweep selects.
     """
+    if not all(math.isfinite(f) for f in (*spec.f1_values, spec.f2)):
+        raise ConfigError("sweep amplitudes must be finite")
+    if len(set(spec.f1_values)) < 3:
+        raise ConfigError("a sweep needs at least 3 distinct f1 values for its quadratic fit")
     layout = layout or build_layout(config)
     state = reference_state(config, spec.state_selector, layout)
     if cs is None:
         cs = coefficients(config, state, layout)
-    limit = spec.direct_check_limit
-    if limit is None:
-        limit = direct_check_limit(config, layout)
+    limit = direct_check_limit(config, layout)
 
     H = None
     rows = []
@@ -278,11 +280,16 @@ def parse_f1_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--f1 must be numeric START:STOP:STEP, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"--f1 values must be finite, got {text!r}")
     if step <= 0.0:
         raise ConfigError("--f1 step must be positive")
     if stop < start:
         raise ConfigError("--f1 stop must not be below start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9  # inf when the quotient overflows
+    if span >= MAX_SWEEP_ROWS:
+        raise ConfigError(f"--f1 gives more than {MAX_SWEEP_ROWS} rows")
+    count = int(math.floor(span)) + 1
     return [start + i * step for i in range(count)]
 
 

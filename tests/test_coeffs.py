@@ -9,7 +9,6 @@ from fockbox.coeffs import (
     coefficients,
     descent_threshold,
     energy_polynomial,
-    energy_polynomial_literal,
     expectations,
     reference_state,
     vacuum_closed_forms,
@@ -144,22 +143,6 @@ def test_energy_polynomial_shapes():
     # explicit quartic weight override replaces the f2^4 term only
     delta = energy_polynomial(cs, 0.0, f2, quartic_coefficient=cs.quartic_self_coefficient + 1.0)
     assert delta - energy_polynomial(cs, 0.0, f2) == pytest.approx(f2 ** 4, rel=1e-12)
-
-
-def test_literal_variant_differs_only_through_bare_moments():
-    config = default_config().with_cutoff(6)
-    layout = build_layout(config)
-    cs = coefficients(config, reference_state(config, "vacuum", layout), layout)
-    assert energy_polynomial_literal(cs, 0.7, 0.0) == pytest.approx(energy_polynomial(cs, 0.7, 0.0), rel=1e-14)
-    f2 = 0.5
-    expected_gap = (
-        f2 * (cs.B2 - cs.B2_ordered)
-        + f2 * f2 * (cs.B1 - cs.B1_ordered)
-        + f2 ** 4 * (cs.B4 - cs.quartic_self_coefficient)
-    )
-    gap = energy_polynomial_literal(cs, 0.0, f2) - energy_polynomial(cs, 0.0, f2)
-    assert gap == pytest.approx(expected_gap, rel=1e-12)
-    assert abs(gap) > 1e-4  # the two conventions genuinely disagree
 
 
 def test_central_identity_small_grid():

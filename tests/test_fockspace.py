@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fockbox.errors import ContractViolationError, LayoutError
+from fockbox.errors import LayoutError
 from fockbox.fockspace import (
-    DENSE_EXP_CAP,
     FockLayout,
     LadderId,
     OperatorMatrix,
@@ -16,7 +15,6 @@ from fockbox.fockspace import (
     creator,
     displacement_block,
     embed,
-    exp_antihermitian,
     expectation,
     identity,
     leakage_admissible,
@@ -175,20 +173,6 @@ def test_displacement_block_orthogonal():
     for f in (0.0, 0.3, -1.0):
         u = displacement_block(12, f)
         np.testing.assert_allclose(u.T @ u, np.eye(13), atol=1e-13)
-
-
-def test_exp_antihermitian_contract():
-    layout = FockLayout((B1,), (4,))
-    herm = creator(layout, B1) + annihilator(layout, B1)
-    with pytest.raises(ContractViolationError):
-        exp_antihermitian(herm)
-    gen = 0.4 * (creator(layout, B1) - annihilator(layout, B1))
-    u = exp_antihermitian(gen).to_dense()
-    np.testing.assert_allclose(u, displacement_block(4, 0.4), atol=1e-13)
-    big = FockLayout((A2, B1, D1), (16, 16, 16))
-    assert big.dimension > DENSE_EXP_CAP
-    with pytest.raises(LayoutError):
-        exp_antihermitian(identity(big) - identity(big))
 
 
 def test_poisson_tail_values():

@@ -16,7 +16,6 @@ from fockbox.ladderalg import (
     integrate_box,
     ladder_sum,
     mode_energy,
-    monomial_ladder_blocks,
     multiply,
     normal_order,
     power,
@@ -161,9 +160,6 @@ def test_realize_cross_ladder_is_kron():
     p = LadderPolynomial.from_terms([mono(2.0, sym(B1, False), sym(A2, True))])
     expected = 2.0 * np.kron(raising_block(2), lowering_block(2))
     np.testing.assert_allclose(realize(p, layout).to_dense(), expected)
-    blocks = monomial_ladder_blocks(layout, (sym(B1, False), sym(A2, True), sym(B1, False)))
-    np.testing.assert_allclose(blocks[B1], lowering_block(2) @ lowering_block(2))
-    np.testing.assert_allclose(blocks[A2], raising_block(2))
 
 
 def test_realize_at_carries_plane_wave_phase():

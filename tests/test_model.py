@@ -13,6 +13,8 @@ from fockbox.model import (
     charge_operator,
     cubic_interaction_polynomial,
     default_config,
+    field_algebra,
+    interaction_density_polynomial,
     interaction_quadrature,
     load_config,
     parse_config,
@@ -84,6 +86,10 @@ def test_config_validation():
         ModelConfig(cutoff_overrides={LadderId("a", 2): 0})
     with pytest.raises(ConfigError):
         ModelConfig(neutral_modes=(0, 2), mass_neutral=0.0)
+    for name in ("box_length", "mass_neutral", "mass_charged", "lambda1", "lambda2"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                ModelConfig(**{name: value})
 
 
 def test_build_layout_and_overrides():
@@ -126,6 +132,9 @@ def test_parse_config_roundtrip():
         ("cutoff_overrides = a2=8, b1=5", "cutoff_overrides = z2=8"),  # bad ladder
         ("q_index = 1", "q_index = 2"),  # q not among charged modes
         ("k_index = 2", "k_index = 9"),  # k not among neutral modes
+        ("lambda2 = 0.5", "lambda2 = nan"),  # non-finite coupling
+        ("box_length = 6.283185307179586", "box_length = inf"),  # non-finite box
+        ("mass_charged = 1.0", "mass_charged = inf"),  # non-finite mass
     ],
 )
 def test_parse_config_rejects(mutation):
@@ -211,10 +220,19 @@ def test_cubic_interaction_vanishes_unless_k_is_2q():
 def test_interaction_quadrature_matches_symbolic():
     config = parse_config(GOOD_CONFIG).with_cutoff(3)
     layout = build_layout(config)
-    from fockbox.model import interaction_density_polynomial
-
     symbolic = ladderalg.realize(
         ladderalg.integrate_box(interaction_density_polynomial(config), config.box_length), layout
     )
     quad = interaction_quadrature(config, layout)
     assert (symbolic - quad).max_abs() <= 1e-12
+
+
+def test_field_algebra_bundle():
+    config = parse_config(GOOD_CONFIG)
+    fa = field_algebra(config)
+    assert field_algebra(parse_config(GOOD_CONFIG)) is fa
+    assert fa.ordered_powers[0] == ladderalg.constant(1.0)
+    assert len(fa.ordered_powers) == 5
+    assert interaction_density_polynomial(config) == (
+        config.lambda1 * fa.cubic + config.lambda2 * fa.ordered_powers[4]
+    )

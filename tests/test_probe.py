@@ -1,14 +1,17 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from fockbox.coeffs import coefficients, descent_threshold, reference_state, vacuum_closed_forms
-from fockbox.displace import ResidualCheck
+from fockbox.displace import DisplacementParams, ResidualCheck, require_admissible
 from fockbox.errors import ConfigError
 from fockbox.fockspace import LadderId, max_admissible_amplitude
-from fockbox.model import ModelConfig, build_layout, default_config
+from fockbox.model import ModelConfig, build_layout, default_config, parse_config
 from fockbox.probe import (
+    VERIFY_GRID,
     SweepSpec,
     direct_check_limit,
     format_float,
@@ -57,7 +60,10 @@ def test_parse_f1_range():
     assert parse_f1_range("2:2:1") == [2.0]
 
 
-@pytest.mark.parametrize("text", ["0:10", "a:b:c", "0:10:0", "0:10:-1", "5:4:1"])
+@pytest.mark.parametrize(
+    "text",
+    ["0:10", "a:b:c", "0:10:0", "0:10:-1", "5:4:1", "nan:1:0.5", "0:1:nan", "0:inf:1", "0:10000:1"],
+)
 def test_parse_f1_range_rejects(text):
     with pytest.raises(ConfigError):
         parse_f1_range(text)
@@ -152,16 +158,6 @@ def test_run_sweep_certifies_descent_past_threshold():
     assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
-def test_run_sweep_explicit_limit_overrides_policy():
-    config = default_config()
-    layout = build_layout(config)
-    spec = SweepSpec(f1_values=(0.0, 0.25, 0.5), f2=0.0, direct_check_limit=0.25)
-    result = run_sweep(config, spec, layout)
-    assert result.rows[0].energy_direct is not None
-    assert result.rows[1].energy_direct is not None
-    assert result.rows[2].energy_direct is None
-
-
 def test_run_verification_covers_reference_state_set():
     config = ModelConfig(lambda1=0.0, lambda2=0.0)
     layout = build_layout(config)
@@ -224,6 +220,34 @@ def test_cli_sweep_writes_rows(tmp_path, capsys):
     lines = (tmp_path / "out" / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 4
     assert lines[0] == "f1,f2,E_polynomial,E_direct,residual"
+
+
+@pytest.mark.parametrize(
+    "f1, f2",
+    [
+        ("0:1:0.5", "nan"),
+        ("0:1:0.5", "inf"),
+        ("nan:1:0.5", "0.25"),
+        ("0:1:nan", "0.25"),
+        ("0:inf:1", "0.25"),
+        ("0:0:1", "0.25"),
+        ("0:0.5:0.5", "0.25"),
+    ],
+)
+def test_cli_sweep_rejects_unusable_amplitudes(tmp_path, capsys, f1, f2):
+    out = tmp_path / "out"
+    assert main(["sweep", "--f1", f1, "--f2", f2, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (out / "sweep.csv").exists()
+
+
+def test_readme_config_example_is_admissible():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    config = parse_config(block)
+    extreme = max(abs(f) for f in VERIFY_GRID)
+    require_admissible(config, DisplacementParams(extreme, extreme), build_layout(config))
 
 
 def test_cli_coeffs_prints_closed_forms(tmp_path, capsys):
