@@ -34,6 +34,10 @@ FAMILIES = ("a", "b", "d")
 
 DIMENSION_CAP = 2_000_000
 LEAKAGE_TAIL_BOUND = 1e-12
+# A verify run needs 12 distinct displacement blocks.
+DISPLACEMENT_BLOCK_CACHE = 32
+# Two entries (a, a+) per ladder and layout.
+EMBEDDED_LADDER_CACHE = 32
 
 
 @dataclass(frozen=True, order=True)
@@ -215,7 +219,7 @@ def embed(layout: FockLayout, blocks: Mapping[LadderId, np.ndarray]) -> sp.csr_m
     return result.tocsr()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=EMBEDDED_LADDER_CACHE)
 def _embedded_ladder(layout: FockLayout, ladder: LadderId, dagger: bool) -> sp.csr_matrix:
     cutoff = layout.cutoff(ladder)
     block = raising_block(cutoff) if dagger else lowering_block(cutoff)
@@ -288,9 +292,21 @@ def expectation(op: OperatorMatrix, state: StateVector) -> complex:
 
 
 def displacement_block(cutoff: int, amplitude: float) -> np.ndarray:
-    """Dense single-ladder exp(f (a+ - a)); real orthogonal."""
+    """Dense single-ladder exp(f (a+ - a)); real orthogonal and read-only.
+
+    Blocks are memoized on (cutoff, amplitude): a verification grid asks for
+    the same few blocks at every point, and expm is deterministic, so the
+    cached block is bitwise the one a fresh call would build.
+    """
+    return _displacement_block(int(cutoff), float(amplitude))
+
+
+@lru_cache(maxsize=DISPLACEMENT_BLOCK_CACHE)
+def _displacement_block(cutoff: int, amplitude: float) -> np.ndarray:
     gen = amplitude * (raising_block(cutoff) - lowering_block(cutoff))
-    return scipy.linalg.expm(gen)
+    block = scipy.linalg.expm(gen)
+    block.setflags(write=False)
+    return block
 
 
 # ---------------------------------------------------------------------------

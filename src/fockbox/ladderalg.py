@@ -40,6 +40,9 @@ from .fockspace import (
 )
 
 PRUNE_TOL = 1e-14
+# One verify run realizes 49 distinct monomials on the default layout and 165
+# on the README's two-mode layout; the bound holds either without eviction.
+MONOMIAL_MATRIX_CACHE = 256
 
 
 def mode_energy(momentum: float, mass: float) -> float:
@@ -203,7 +206,7 @@ def field_polynomial(field: str, config) -> LadderPolynomial:
 # realization on a truncated layout
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MONOMIAL_MATRIX_CACHE)
 def _monomial_matrix(layout: FockLayout, symbols: tuple[LadderSymbol, ...]) -> sp.csr_matrix:
     blocks: dict[LadderId, np.ndarray] = {}
     for s in symbols:

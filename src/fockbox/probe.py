@@ -232,7 +232,12 @@ def run_sweep(
     rows = []
     for f1 in spec.f1_values:
         f2 = spec.f2
-        e_poly = energy_polynomial(cs, f1, f2)
+        try:
+            e_poly = energy_polynomial(cs, f1, f2)
+        except OverflowError:
+            e_poly = math.inf
+        if not math.isfinite(e_poly):
+            raise ConfigError(f"the energy polynomial overflows float64 at f1 = {f1!r}, f2 = {f2!r}")
         if max(abs(f1), abs(f2)) <= limit:
             if H is None:
                 H = build_H(config, layout)
@@ -246,9 +251,13 @@ def run_sweep(
 
     f1_arr = np.array([r.f1 for r in rows])
     e_arr = np.array([r.energy_polynomial for r in rows])
-    fit = np.polyfit(f1_arr, e_arr, 2)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            fit = np.polyfit(f1_arr, e_arr, 2)
+            fit_residual = float(np.max(np.abs(np.polyval(fit, f1_arr) - e_arr)) / (1.0 + np.max(np.abs(e_arr))))
+    except FloatingPointError as exc:
+        raise ConfigError("the quadratic fit of this sweep overflows float64") from exc
     c2 = float(fit[0])
-    fit_residual = float(np.max(np.abs(np.polyval(fit, f1_arr) - e_arr)) / (1.0 + np.max(np.abs(e_arr))))
     expected_c2 = cs.A4 + spec.f2 * cs.A5
     certified = (
         c2 < 0.0

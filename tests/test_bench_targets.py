@@ -5,6 +5,10 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import sys
+
+import fockbox.displace
+import fockbox.fockspace
 
 SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -40,3 +44,12 @@ def test_observed_argument_names_exist():
     assert len(writers) == 3
     for module_name, attr in writers:
         assert "path" in inspect.signature(resolve(module_name, attr)).parameters, attr
+
+
+def test_siblings_call_the_public_block_provider():
+    """The traced block counts see a request only through the public name."""
+    assert fockbox.displace.displacement_block is fockbox.fockspace.displacement_block
+    private = fockbox.fockspace._displacement_block
+    for name, module in sys.modules.items():
+        if name.startswith("fockbox.") and module is not fockbox.fockspace:
+            assert all(value is not private for value in vars(module).values()), name

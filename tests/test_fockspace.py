@@ -1,8 +1,13 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import fockbox
+from fockbox import fockspace
 from fockbox.errors import LayoutError
 from fockbox.fockspace import (
     FockLayout,
@@ -27,6 +32,8 @@ from fockbox.fockspace import (
     raising_block,
     vacuum,
 )
+from fockbox.model import default_config
+from fockbox.probe import run_verification
 
 A2 = LadderId("a", 2)
 B1 = LadderId("b", 1)
@@ -173,6 +180,56 @@ def test_displacement_block_orthogonal():
     for f in (0.0, 0.3, -1.0):
         u = displacement_block(12, f)
         np.testing.assert_allclose(u.T @ u, np.eye(13), atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "cutoff, amplitude",
+    # the last two amplitudes are one ulp apart: a lossy cache key would
+    # hand the second the first one's block
+    [(12, 0.3), (30, np.float64(0.8)), (130, 3.7), (16, -1.0 / 3.0), (16, math.nextafter(-1.0 / 3.0, 0.0))],
+)
+def test_displacement_block_is_bitwise_fresh_expm(cutoff, amplitude):
+    fresh = scipy.linalg.expm(amplitude * (raising_block(cutoff) - lowering_block(cutoff)))
+    for _ in range(2):  # the first call may build the block, the second is a cache hit
+        u = displacement_block(cutoff, amplitude)
+        assert u.dtype == fresh.dtype and u.shape == fresh.shape
+        assert u.tobytes() == fresh.tobytes()
+
+
+def test_displacement_block_is_read_only():
+    u = displacement_block(12, 0.3)
+    with pytest.raises(ValueError):
+        u[0, 0] = 1.0
+    assert displacement_block(12, 0.3)[0, 0] == u[0, 0]
+
+
+def test_run_verification_is_identical_on_cold_and_warm_block_cache():
+    def summary():
+        return [(c.name, c.f1, c.f2, c.residual) for c in run_verification(default_config())]
+
+    fockspace._displacement_block.cache_clear()
+    cold = summary()
+    assert fockspace._displacement_block.cache_info().hits > 0
+    assert summary() == cold
+
+
+def test_every_lru_cache_is_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(fockbox.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"fockbox.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_parameters"):
+                caches[f"{value.__module__}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
+    assert {
+        "fockbox.fockspace._displacement_block",
+        "fockbox.fockspace._embedded_ladder",
+        "fockbox.ladderalg._monomial_matrix",
+        "fockbox.model.field_algebra",
+    } <= set(caches)
+    assert all(size is not None for size in caches.values()), caches
+    assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE
 
 
 def test_poisson_tail_values():

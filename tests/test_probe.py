@@ -232,6 +232,10 @@ def test_cli_sweep_writes_rows(tmp_path, capsys):
         ("0:inf:1", "0.25"),
         ("0:0:1", "0.25"),
         ("0:0.5:0.5", "0.25"),
+        ("0:2:1", "1e200"),
+        ("0:2:1", "1e100"),
+        ("0:1e200:1e199", "0.25"),
+        ("0:1e153:1e152", "0.25"),
     ],
 )
 def test_cli_sweep_rejects_unusable_amplitudes(tmp_path, capsys, f1, f2):
