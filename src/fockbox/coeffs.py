@@ -73,11 +73,12 @@ class QuadratureGrid:
 
 
 def _band_bound(config: ModelConfig) -> int:
+    """Largest |wave index| an integrand can carry; mode indices may be negative."""
     return 4 * (
-        config.k_index
-        + max(config.neutral_modes)
-        + config.q_index
-        + max(config.charged_modes)
+        abs(config.k_index)
+        + max(abs(n) for n in config.neutral_modes)
+        + abs(config.q_index)
+        + max(abs(n) for n in config.charged_modes)
     )
 
 
@@ -264,7 +265,7 @@ def coefficients(
     e_ref = expectation(build_H(config, layout), state)
     max_imag = max(ex.max_imag, abs(complex(e_ref).imag))
 
-    return CoefficientSet(
+    cs = CoefficientSet(
         A1=e_q * ex.charged_ladder + l1 * grid.integrate(ex.charged_sum_neutral * n1x),
         A2=w_k * ex.neutral_ladder + l1 * grid.integrate(ex.charged_density * n2x),
         A3=l1 * grid.integrate(ex.charged_sum * n1x * n2x),
@@ -282,6 +283,9 @@ def coefficients(
         energy_q=e_q,
         max_imag=max_imag,
     )
+    if not all(math.isfinite(v) for v in vars(cs).values()):
+        raise ConfigError("the displaced-energy coefficients of this configuration are not finite in float64")
+    return cs
 
 
 def energy_polynomial(

@@ -74,10 +74,13 @@ def format_float(value: float) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_report_csv(path: str, checks: list[ResidualCheck]) -> None:
@@ -120,6 +123,8 @@ def run_verification(
     layout = layout or build_layout(config)
     extreme = max(abs(f) for f in VERIFY_GRID)
     require_admissible(config, DisplacementParams(extreme, extreme), layout)
+    if extra_state is not None:
+        reference_state(config, extra_state, layout)  # a bad selector fails before the grid
 
     checker = InterchangeChecker(config, layout)
     checks: list[ResidualCheck] = []
@@ -310,9 +315,14 @@ def _resolve_config(args) -> ModelConfig:
     return load_config(args.config) if args.config else default_config()
 
 
-def _out_path(args, filename: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, filename)
+def _out_dir(args) -> str:
+    """Create the --out directory up front, so an unusable one fails before
+    any computation."""
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {args.out!r}: {exc.strerror or exc}") from exc
+    return args.out
 
 
 def _print_check_summary(checks: list[ResidualCheck]) -> list[ResidualCheck]:
@@ -328,9 +338,10 @@ def _print_check_summary(checks: list[ResidualCheck]) -> list[ResidualCheck]:
 
 def cmd_verify(args) -> int:
     config = _resolve_config(args)
+    out = _out_dir(args)
     layout = build_layout(config)
     checks = run_verification(config, layout, args.state)
-    path = _out_path(args, "report.csv")
+    path = os.path.join(out, "report.csv")
     write_report_csv(path, checks)
     failures = _print_check_summary(checks)
     adjudication = next(c for c in checks if c.name.startswith("quartic_coefficient["))
@@ -341,11 +352,12 @@ def cmd_verify(args) -> int:
 
 def cmd_coeffs(args) -> int:
     config = _resolve_config(args)
+    out = _out_dir(args)
     layout = build_layout(config)
     state = reference_state(config, args.state, layout)
     cs = coefficients(config, state, layout)
     closed = vacuum_closed_forms(config) if args.state == "vacuum" else None
-    path = _out_path(args, "coefficients.csv")
+    path = os.path.join(out, "coefficients.csv")
     write_coefficients_csv(path, cs, closed)
     for name in COEFFICIENT_NAMES:
         line = f"{name} = {format_float(getattr(cs, name))}"
@@ -359,10 +371,11 @@ def cmd_coeffs(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
+    out = _out_dir(args)
     layout = build_layout(config)
     spec = SweepSpec(tuple(parse_f1_range(args.f1)), args.f2, args.state)
     result = run_sweep(config, spec, layout)
-    path = _out_path(args, "sweep.csv")
+    path = os.path.join(out, "sweep.csv")
     write_sweep_csv(path, result)
     direct_rows = sum(1 for r in result.rows if r.energy_direct is not None)
     print(f"rows: {len(result.rows)}  with direct comparison: {direct_rows}")
@@ -386,6 +399,7 @@ def cmd_demo(args) -> int:
             "the descent demo needs the neutral displacement mode at twice the"
             " charged mode (k = 2q), or the cubic overlap integral vanishes"
         )
+    out = _out_dir(args)
     layout = build_layout(config)
     state = reference_state(config, "vacuum", layout)
     cs = coefficients(config, state, layout)
@@ -396,9 +410,9 @@ def cmd_demo(args) -> int:
     result = run_sweep(config, SweepSpec(tuple(f1_values), f2), layout, cs=cs)
     checks = run_verification(config, layout)
 
-    write_report_csv(_out_path(args, "report.csv"), checks)
-    write_coefficients_csv(_out_path(args, "coefficients.csv"), cs, vacuum_closed_forms(config))
-    write_sweep_csv(_out_path(args, "sweep.csv"), result)
+    write_report_csv(os.path.join(out, "report.csv"), checks)
+    write_coefficients_csv(os.path.join(out, "coefficients.csv"), cs, vacuum_closed_forms(config))
+    write_sweep_csv(os.path.join(out, "sweep.csv"), result)
 
     first, last = result.rows[0], result.rows[-1]
     print(f"threshold |f2| for descent: {format_float(threshold)}")

@@ -176,3 +176,25 @@ def test_one_particle_states_shift_reference_energy():
     assert cs_b.E_ref == pytest.approx(config.energy_q, rel=1e-12)
     # A4 = 2 E_q + lambda1 <phi> n1^2 is state independent only through <phi>
     assert cs_b.A4 == pytest.approx(2.0 * config.energy_q, rel=1e-12)
+
+
+@pytest.mark.parametrize("neutral, k", [((2,), 2), ((3, 1), 3)])
+def test_mirrored_mode_indices_give_the_same_coefficients(neutral, k):
+    # p -> -p mirrors x -> -x; every box integral of the even cos profiles is
+    # unchanged, so a negative-index model needs the same quadrature band
+    positive = ModelConfig(neutral_modes=neutral, k_index=k, cutoff_default=4)
+    mirrored = ModelConfig(
+        neutral_modes=tuple(-n for n in neutral), k_index=-k, charged_modes=(-1,), q_index=-1, cutoff_default=4
+    )
+    for selector in ("vacuum", "one_a", "one_b"):
+        want = coefficients(positive, reference_state(positive, selector, build_layout(positive)))
+        got = coefficients(mirrored, reference_state(mirrored, selector, build_layout(mirrored)))
+        for name in COEFFICIENT_NAMES:
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-14), (selector, name)
+
+
+def test_coefficients_reject_a_box_that_overflows():
+    config = ModelConfig(box_length=1.7976931348623157e308, cutoff_default=3)
+    with pytest.raises(ConfigError):
+        with np.errstate(all="ignore"):
+            coefficients(config, reference_state(config, "vacuum", build_layout(config)))

@@ -13,6 +13,7 @@ from fockbox.fockspace import (
     vacuum,
 )
 from fockbox.displace import (
+    WINDOW_TILE_ENTRIES,
     WORK_TAIL_BOUND,
     DisplacementParams,
     InterchangeChecker,
@@ -27,8 +28,10 @@ from fockbox.displace import (
     displacement,
     require_admissible,
     working_headroom,
+    _window_max,
+    _work_frames,
 )
-from fockbox.model import default_config, build_layout
+from fockbox.model import default_config, build_layout, shift_profiles
 
 A2 = LadderId("a", 2)
 B1 = LadderId("b", 1)
@@ -253,3 +256,138 @@ def test_unitarity_and_composition(params):
     c_check = check_composition(config, params, layout)
     assert c_check.name == "composition"
     assert c_check.residual <= 1e-12
+
+
+def _frame_block(frame, symbols, conjugated):
+    """Windowed ordered product of one ladder's symbols on its work frame;
+    a ladder without symbols carries the identity, conjugated or not."""
+    if not symbols:
+        return np.eye(frame.window)
+    mat = np.eye(frame.dim)
+    for s in symbols:
+        mat = mat @ (frame.raising if s.dagger else frame.lowering)
+    if conjugated:
+        mat = frame.conjugate(mat)
+    return mat[: frame.window, : frame.window]
+
+
+def _term_blocks(system, frames, term, conjugated):
+    return [
+        _frame_block(frames[lad], [s for s in term.symbols if s.ladder == lad], conjugated)
+        for lad in system.ladders
+    ]
+
+
+def _dense_interchange_residuals(checker, params):
+    """Every interchange residual from the full dense window, term by term.
+
+    Terms sharing a last-ladder block are summed on the leading ladders
+    first; each group then enters through one np.kron in the standard
+    Kronecker layout, with complex coefficients throughout.
+    """
+    frames = _work_frames(checker.config, params, checker.layout)
+    n1, n2 = shift_profiles(checker.config)
+    xs = checker.x_samples
+    residuals = []
+    for system in checker._systems:
+        groups = []  # (last-ladder block, [(coefficients over x, leading kron)])
+        for conjugated, terms in ((True, system.conjugated), (False, system.static)):
+            for t in terms:
+                *leading, last = _term_blocks(system, frames, t, conjugated)
+                lead = np.ones((1, 1))
+                for block in leading:
+                    lead = np.kron(lead, block)
+                coeff = t.base * (params.f1 * n1(xs)) ** t.n1_power * (params.f2 * n2(xs)) ** t.n2_power
+                for block, members in groups:
+                    if np.array_equal(block, last):
+                        members.append((coeff, lead))
+                        break
+                else:
+                    groups.append((last, [(coeff, lead)]))
+        size = groups[0][0].shape[0] * groups[0][1][0][1].shape[0]
+        for j in range(len(xs)):
+            total = np.zeros((size, size), dtype=np.complex128)
+            for last, members in groups:
+                total += np.kron(sum(coeff[j] * lead for coeff, lead in members), last)
+            residuals.append(float(np.abs(total).max()))
+    return residuals
+
+
+@pytest.mark.parametrize(
+    "cutoff, params",
+    [
+        (16, DisplacementParams(1.0, -1.0)),
+        (16, DisplacementParams(0.25, 0.5)),
+        (16, DisplacementParams(0.0, 0.0)),
+        (24, DisplacementParams(1.0, -1.0)),
+    ],
+)
+def test_interchange_matches_dense_oracle(cutoff, params):
+    checker = InterchangeChecker(default_config().with_cutoff(cutoff))
+    checks = checker.run(params)
+    expected = _dense_interchange_residuals(checker, params)
+    assert len(checks) == len(expected) == 16
+    for c, want in zip(checks, expected):
+        assert abs(c.residual - want) <= 4e-16, (c.name, c.residual, want)
+
+
+def _tiled_case(rng, rows, cols, support):
+    grouped_re = rng.normal(size=(rows, 3))
+    grouped_im = rng.normal(size=(rows, 3))
+    class_blocks = rng.normal(size=(3, cols))
+    static_re = rng.normal(size=support.size)
+    static_im = rng.normal(size=support.size)
+    return grouped_re, grouped_im, class_blocks, support, static_re, static_im
+
+
+def test_window_max_matches_dense_window_across_tiles():
+    rng = np.random.default_rng(5)
+    cols = 81
+    step = WINDOW_TILE_ENTRIES // cols
+    rows = 3 * step + 7  # a partial last tile
+    support = np.sort(rng.choice(rows * cols, size=500, replace=False))
+    args = _tiled_case(rng, rows, cols, support)
+    grouped_re, grouped_im, class_blocks, _, static_re, static_im = args
+    dense = ((grouped_re + 1j * grouped_im) @ class_blocks).ravel()
+    dense[support] += static_re + 1j * static_im
+    assert _window_max(*args) == pytest.approx(np.abs(dense).max(), rel=1e-15)
+
+
+@pytest.mark.parametrize("rows", [2 * (WINDOW_TILE_ENTRIES // 81), 2 * (WINDOW_TILE_ENTRIES // 81) + 3])
+def test_window_max_finds_a_lone_static_entry_in_the_last_tile(rows):
+    cols = 81
+    support = np.array([0, (rows - 1) * cols + 40, rows * cols - 1])
+    zeros = np.zeros((rows, 2))
+    static_re = np.array([0.0, 0.0, 3e-15])
+    static_im = np.array([0.0, 0.0, -4e-15])
+    residual = _window_max(zeros, zeros, np.ones((2, cols)), support, static_re, static_im)
+    assert residual == pytest.approx(5e-15, rel=1e-15)
+
+
+def test_window_max_propagates_nan():
+    rng = np.random.default_rng(6)
+    cols = 81
+    rows = 2 * (WINDOW_TILE_ENTRIES // cols)
+    args = list(_tiled_case(rng, rows, cols, np.array([5, rows * cols - 2])))
+    args[4] = np.array([0.0, np.nan])
+    assert math.isnan(_window_max(*args))
+
+
+@pytest.mark.parametrize("cutoff", [16, 24])
+def test_static_rows_do_not_depend_on_the_amplitudes(cutoff):
+    checker = InterchangeChecker(default_config().with_cutoff(cutoff))
+    for params in (DisplacementParams(f1, f2) for f1 in (1.0, -1.0) for f2 in (1.0, -1.0)):
+        frames = _work_frames(checker.config, params, checker.layout)
+        for system in checker._systems:
+            nonzero = None
+            rows = []
+            for t in system.static:
+                *leading, last = _term_blocks(system, frames, t, conjugated=False)
+                lead = np.ones((1, 1))
+                for block in leading:
+                    lead = np.kron(lead, block)
+                row = np.kron(lead.ravel(), last.ravel())
+                nonzero = (row != 0.0) if nonzero is None else nonzero | (row != 0.0)
+                rows.append(row[system.support])
+            assert np.array_equal(np.flatnonzero(nonzero), system.support), system.name
+            assert np.array_equal(np.array(rows), system.static_rows), system.name

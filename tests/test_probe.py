@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fockbox.coeffs import coefficients, descent_threshold, reference_state, vacuum_closed_forms
-from fockbox.displace import DisplacementParams, ResidualCheck, require_admissible
+from fockbox.displace import DisplacementParams, InterchangeChecker, ResidualCheck, require_admissible
 from fockbox.errors import ConfigError
 from fockbox.fockspace import LadderId, max_admissible_amplitude
 from fockbox.model import ModelConfig, build_layout, default_config, parse_config
@@ -220,6 +220,44 @@ def test_cli_sweep_writes_rows(tmp_path, capsys):
     lines = (tmp_path / "out" / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 4
     assert lines[0] == "f1,f2,E_polynomial,E_direct,residual"
+
+
+def _grid_must_not_run(self, params):
+    raise AssertionError("the verification grid ran")
+
+
+def test_cli_verify_rejects_bad_state_before_the_grid(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(InterchangeChecker, "run", _grid_must_not_run)
+    assert main(["verify", "--state", "bogus", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "state selector" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["coeffs"], ["sweep", "--f1", "0:1:0.5", "--f2", "0.25"], ["demo"]],
+    ids=["verify", "coeffs", "sweep", "demo"],
+)
+@pytest.mark.parametrize("below_file", [False, True], ids=["file", "below_file"])
+def test_cli_rejects_unusable_out(tmp_path, capsys, monkeypatch, argv, below_file):
+    monkeypatch.setattr(InterchangeChecker, "run", _grid_must_not_run)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    out = taken / "out" if below_file else taken
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--out" in err
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_cli_reports_a_csv_it_cannot_write(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "coefficients.csv").mkdir(parents=True)
+    assert main(["coeffs", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
