@@ -14,19 +14,13 @@ from .fockspace import (
     LadderId,
     OperatorMatrix,
     StateVector,
-    annihilator,
-    apply,
     basis_state,
-    creator,
     displacement_block,
     expectation,
-    identity,
     leakage_admissible,
     max_admissible_amplitude,
-    min_admissible_cutoff,
     number_operator,
     poisson_tail,
-    projector,
     vacuum,
 )
 from .ladderalg import (
@@ -34,7 +28,6 @@ from .ladderalg import (
     LadderPolynomial,
     LadderSymbol,
     field_polynomial,
-    format_polynomial,
     integrate_box,
     mode_energy,
     multiply,

@@ -85,8 +85,7 @@ def _band_bound(config: ModelConfig) -> int:
 def build_quadrature_grid(config: ModelConfig) -> QuadratureGrid:
     L = config.box_length
     n_points = 2 * _band_bound(config) + 2
-    points = np.array([-0.5 * L + j * L / n_points for j in range(n_points)])
-    return QuadratureGrid(points, L / n_points)
+    return QuadratureGrid(ladderalg.box_points(L, n_points), L / n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +141,13 @@ def polynomial_profile(
     Each monomial's matrix element is evaluated once; the x dependence is the
     monomial's plane-wave phase, summed over nodes afterwards.
     """
-    base = 2.0 * math.pi / box_length
     values = np.zeros(len(points), dtype=np.complex128)
     amps = state.amplitudes
     for t in poly.terms:
         mat = ladderalg._monomial_matrix(layout, t.symbols)
         element = complex(np.vdot(amps, mat @ amps))
         if element != 0.0:
-            values += (t.coefficient * element) * np.exp(1j * base * t.wave_index * points)
+            values += (t.coefficient * element) * t.phase(points, box_length)
     return values
 
 
@@ -357,14 +355,12 @@ def vacuum_closed_forms(config: ModelConfig) -> dict[str, float]:
 def central_identity_checks(
     config: ModelConfig,
     layout: FockLayout | None = None,
-    f_values: Sequence[float] | None = None,
     state_selectors: Sequence[str] | None = None,
 ) -> list[ResidualCheck]:
     """Polynomial energy vs direct displaced expectation, per state and
     amplitude pair, plus one summary row naming which quartic weight
     (unit / times4 / both) actually matches the direct values."""
     layout = layout or build_layout(config)
-    f_values = CENTRAL_F_VALUES if f_values is None else tuple(f_values)
     if state_selectors is None:
         state_selectors = ("vacuum", "one_a", "one_b", f"seeded:{DEFAULT_SEED}")
     H = build_H(config, layout)
@@ -376,8 +372,8 @@ def central_identity_checks(
     for selector in state_selectors:
         state = reference_state(config, selector, layout)
         cs = coefficients(config, state, layout, grid)
-        for f1 in f_values:
-            for f2 in f_values:
+        for f1 in CENTRAL_F_VALUES:
+            for f2 in CENTRAL_F_VALUES:
                 params = DisplacementParams(f1, f2)
                 require_admissible(config, params, layout)
                 displaced = displacement(config, params, layout).apply(state)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,11 +42,13 @@ from .fockspace import (
     StateVector,
     displacement_block,
     embed,
+    ladder_product,
     leakage_admissible,
     lowering_block,
     poisson_tail,
     raising_block,
 )
+from .ladderalg import box_points
 from .model import ModelConfig, build_layout, field_algebra, shift_profiles
 
 MATERIALIZE_NNZ_CAP = 30_000_000
@@ -233,11 +235,6 @@ def _window_sum_max(blocks: Mapping[LadderId, np.ndarray], scalar: complex, fram
     return max(off_max, float(np.max(np.abs(diag_total))))
 
 
-def _default_x_samples(config: ModelConfig) -> np.ndarray:
-    L = config.box_length
-    return np.array([-0.5 * L + j * L / X_SAMPLE_COUNT for j in range(X_SAMPLE_COUNT)])
-
-
 # ---------------------------------------------------------------------------
 # ladder and free-Hamiltonian shifts
 
@@ -357,18 +354,14 @@ def check_free_hamiltonian_shift(
 
 
 def check_field_shift(
-    config: ModelConfig,
-    params: DisplacementParams,
-    layout: FockLayout | None = None,
-    x_samples: Sequence[float] | None = None,
+    config: ModelConfig, params: DisplacementParams, layout: FockLayout | None = None
 ) -> list[ResidualCheck]:
     """U+ field(x) U = field(x) + shift profile, at sampled x values."""
     layout = layout or build_layout(config)
     require_admissible(config, params, layout)
     frames = _work_frames(config, params, layout)
-    xs = _default_x_samples(config) if x_samples is None else np.asarray(x_samples, dtype=float)
+    xs = box_points(config.box_length, X_SAMPLE_COUNT)
     n1, n2 = shift_profiles(config)
-    L = config.box_length
 
     def ladder_diff(lad: LadderId, dagger: bool) -> np.ndarray:
         frame = frames[lad]
@@ -391,8 +384,7 @@ def check_field_shift(
             blocks: dict[LadderId, np.ndarray] = {}
             for t in poly.terms:
                 (sym,) = t.symbols
-                phase = np.exp(1j * (2.0 * math.pi / L) * t.wave_index * x)
-                contrib = (t.coefficient * phase) * diffs[(sym.ladder, sym.dagger)]
+                contrib = (t.coefficient * t.phase(x, config.box_length)) * diffs[(sym.ladder, sym.dagger)]
                 if sym.ladder in blocks:
                     blocks[sym.ladder] = blocks[sym.ladder] + contrib
                 else:
@@ -442,14 +434,6 @@ class _InterchangeSystem:
     static: tuple[_InterchangeTerm, ...]
     support: np.ndarray
     static_rows: np.ndarray
-
-
-def _product_block(lowering: np.ndarray, raising: np.ndarray, symbols) -> np.ndarray:
-    """Ordered product of one ladder's symbols (identity when there are none)."""
-    mat = np.eye(lowering.shape[0])
-    for s in symbols:
-        mat = mat @ (raising if s.dagger else lowering)
-    return mat
 
 
 def _window_max(
@@ -508,20 +492,13 @@ class InterchangeChecker:
     x-coefficients enter as two real GEMMs per x, evaluated in row tiles.
     """
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        layout: FockLayout | None = None,
-        x_samples: Sequence[float] | None = None,
-    ):
+    def __init__(self, config: ModelConfig, layout: FockLayout | None = None):
         self.config = config
         self.layout = layout or build_layout(config)
-        xs = _default_x_samples(config) if x_samples is None else np.asarray(x_samples, dtype=float)
-        self.x_samples = xs
+        self.x_samples = box_points(config.box_length, X_SAMPLE_COUNT)
         n1, n2 = shift_profiles(config)
-        self._n1x = n1(xs)
-        self._n2x = n2(xs)
-        self._wave_base = 2.0 * math.pi / config.box_length
+        self._n1x = n1(self.x_samples)
+        self._n2x = n2(self.x_samples)
 
         fa = field_algebra(config)
         powers = fa.ordered_powers
@@ -547,8 +524,7 @@ class InterchangeChecker:
 
         def block(term: _InterchangeTerm, lad: LadderId) -> sp.csr_matrix:
             m = _window(self.layout.cutoff(lad))
-            top = m - 1 + WORK_BAND_MARGIN
-            mat = _product_block(lowering_block(top), raising_block(top), [s for s in term.symbols if s.ladder == lad])
+            mat = ladder_product(m - 1 + WORK_BAND_MARGIN, [s.dagger for s in term.symbols if s.ladder == lad])
             return sp.csr_matrix(mat[:m, :m])
 
         vectors = []
@@ -568,7 +544,7 @@ class InterchangeChecker:
     def _poly_terms(self, poly, weight, a, b) -> list[_InterchangeTerm]:
         out = []
         for mono in poly.terms:
-            phase = np.exp(1j * self._wave_base * mono.wave_index * self.x_samples)
+            phase = mono.phase(self.x_samples, self.config.box_length)
             out.append(_InterchangeTerm(weight * complex(mono.coefficient) * phase, a, b, mono.symbols))
         return out
 
@@ -591,10 +567,10 @@ class InterchangeChecker:
 
         def block(term: _InterchangeTerm, lad: LadderId) -> np.ndarray:
             frame = frames[lad]
-            symbols = [s for s in term.symbols if s.ladder == lad]
-            if not symbols:
+            daggers = [s.dagger for s in term.symbols if s.ladder == lad]
+            if not daggers:
                 return np.eye(frame.window)
-            mat = frame.conjugate(_product_block(frame.lowering, frame.raising, symbols))
+            mat = frame.conjugate(ladder_product(frame.dim - 1, daggers))
             return mat[: frame.window, : frame.window]
 
         terms = system.conjugated

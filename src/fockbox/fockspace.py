@@ -8,7 +8,7 @@ ladder varying fastest, so basis index i maps to occupations
 
 Ladder operators use a hard cutoff: the raising operator annihilates the top
 level.  Consequently ``[a, a+] = 1`` holds exactly only on the subspace that
-excludes the top level; ``P ([a, a+] - 1) P = 0`` for the projector P onto
+excludes the top level; ``P ([a, a+] - 1) P = 0`` for P the projection onto
 occupations <= cutoff - 1, and tests pin that equality exactly.
 
 The module also owns the coherent-leakage policy: a displacement of amplitude
@@ -36,8 +36,6 @@ DIMENSION_CAP = 2_000_000
 LEAKAGE_TAIL_BOUND = 1e-12
 # A verify run needs 12 distinct displacement blocks.
 DISPLACEMENT_BLOCK_CACHE = 32
-# Two entries (a, a+) per ladder and layout.
-EMBEDDED_LADDER_CACHE = 32
 
 
 @dataclass(frozen=True, order=True)
@@ -113,16 +111,6 @@ class FockLayout:
         grids = np.indices(self.dims).reshape(len(self.dims), -1)
         return grids.T
 
-    def projection_mask(self, levels) -> np.ndarray:
-        """Boolean basis mask for occupations <= levels (int or per-ladder)."""
-        if isinstance(levels, int):
-            levels = {lad: levels for lad in self.ladders}
-        occ = self.occupations()
-        mask = np.ones(self.dimension, dtype=bool)
-        for lad, lvl in levels.items():
-            mask &= occ[:, self.position(lad)] <= lvl
-        return mask
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
@@ -193,13 +181,23 @@ class StateVector:
 
 
 def lowering_block(cutoff: int) -> np.ndarray:
-    """Dense single-ladder annihilator: <n-1|a|n> = sqrt(n), top row kept."""
+    """Dense single-ladder lowering block: <n-1|a|n> = sqrt(n), top row kept."""
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
 
 
 def raising_block(cutoff: int) -> np.ndarray:
     """Exact transpose of the lowering block (real entries)."""
     return lowering_block(cutoff).T.copy()
+
+
+def ladder_product(cutoff: int, daggers: Iterable[bool]) -> np.ndarray:
+    """Ordered product of raising (True) and lowering (False) blocks on one
+    ladder; the identity for an empty word."""
+    lower, upper = lowering_block(cutoff), raising_block(cutoff)
+    mat = np.eye(cutoff + 1)
+    for dagger in daggers:
+        mat = mat @ (upper if dagger else lower)
+    return mat
 
 
 def embed(layout: FockLayout, blocks: Mapping[LadderId, np.ndarray]) -> sp.csr_matrix:
@@ -219,35 +217,9 @@ def embed(layout: FockLayout, blocks: Mapping[LadderId, np.ndarray]) -> sp.csr_m
     return result.tocsr()
 
 
-@lru_cache(maxsize=EMBEDDED_LADDER_CACHE)
-def _embedded_ladder(layout: FockLayout, ladder: LadderId, dagger: bool) -> sp.csr_matrix:
-    cutoff = layout.cutoff(ladder)
-    block = raising_block(cutoff) if dagger else lowering_block(cutoff)
-    return embed(layout, {ladder: block})
-
-
-def annihilator(layout: FockLayout, ladder: LadderId) -> OperatorMatrix:
-    return OperatorMatrix(layout, _embedded_ladder(layout, ladder, False))
-
-
-def creator(layout: FockLayout, ladder: LadderId) -> OperatorMatrix:
-    return OperatorMatrix(layout, _embedded_ladder(layout, ladder, True))
-
-
 def number_operator(layout: FockLayout, ladder: LadderId) -> OperatorMatrix:
     occ = layout.occupations()[:, layout.position(ladder)].astype(np.complex128)
     return OperatorMatrix(layout, sp.diags(occ, format="csr"))
-
-
-def identity(layout: FockLayout) -> OperatorMatrix:
-    return OperatorMatrix(
-        layout, sp.identity(layout.dimension, dtype=np.complex128, format="csr")
-    )
-
-
-def projector(layout: FockLayout, levels) -> OperatorMatrix:
-    mask = layout.projection_mask(levels).astype(np.complex128)
-    return OperatorMatrix(layout, sp.diags(mask, format="csr"))
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +245,6 @@ def basis_state(layout: FockLayout, occupations: Mapping[LadderId, int] | Sequen
     amps = np.zeros(layout.dimension, dtype=np.complex128)
     amps[layout.basis_index(occs)] = 1.0
     return StateVector(layout, amps)
-
-
-def apply(op: OperatorMatrix, state: StateVector) -> StateVector:
-    if op.layout != state.layout:
-        raise LayoutError("operator and state live on different layouts")
-    return StateVector(state.layout, op.matrix @ state.amplitudes)
 
 
 def expectation(op: OperatorMatrix, state: StateVector) -> complex:
@@ -323,15 +289,6 @@ def poisson_tail(amplitude: float, cutoff: int) -> float:
 
 def leakage_admissible(amplitude: float, cutoff: int) -> bool:
     return poisson_tail(amplitude, cutoff) < LEAKAGE_TAIL_BOUND
-
-
-def min_admissible_cutoff(amplitude: float) -> int:
-    cutoff = 1
-    while not leakage_admissible(amplitude, cutoff):
-        cutoff += 1
-        if cutoff > 10_000:
-            raise ValueError(f"no practical cutoff admits amplitude {amplitude}")
-    return cutoff
 
 
 def max_admissible_amplitude(cutoff: int) -> float:

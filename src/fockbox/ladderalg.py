@@ -29,15 +29,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GridError, LayoutError
-from .fockspace import (
-    FockLayout,
-    LadderId,
-    OperatorMatrix,
-    embed,
-    lowering_block,
-    raising_block,
-)
+from .errors import ConfigError, GridError
+from .fockspace import FockLayout, LadderId, OperatorMatrix, embed, ladder_product
 
 PRUNE_TOL = 1e-14
 # One verify run realizes 49 distinct monomials on the default layout and 165
@@ -77,6 +70,10 @@ class LadderMonomial:
     def wave_index(self) -> int:
         """Net wavenumber in units of 2 pi / L, recomputed from the symbols."""
         return sum(s.wave_index for s in self.symbols)
+
+    def phase(self, x, box_length: float):
+        """The plane-wave factor exp(i 2 pi wave_index x / L) at x."""
+        return np.exp(1j * (2.0 * math.pi / box_length) * self.wave_index * x)
 
     def scaled(self, factor: complex) -> "LadderMonomial":
         return LadderMonomial(self.coefficient * factor, self.symbols)
@@ -157,6 +154,14 @@ def normal_order(p: LadderPolynomial) -> LadderPolynomial:
     return LadderPolynomial.from_terms(out)
 
 
+def box_points(box_length: float, n: int) -> np.ndarray:
+    """The n equal-spaced points -L/2 + j L / n of one box period."""
+    points = np.array([-0.5 * box_length + j * box_length / n for j in range(n)])
+    if not np.all(np.isfinite(points)):
+        raise ConfigError(f"{n} points over box_length = {box_length!r} overflow float64")
+    return points
+
+
 def integrate_box(p: LadderPolynomial, box_length: float) -> LadderPolynomial:
     """Integrate exp(i K x) over the box: only K == 0 survives, times L."""
     return LadderPolynomial.from_terms(
@@ -208,14 +213,10 @@ def field_polynomial(field: str, config) -> LadderPolynomial:
 
 @lru_cache(maxsize=MONOMIAL_MATRIX_CACHE)
 def _monomial_matrix(layout: FockLayout, symbols: tuple[LadderSymbol, ...]) -> sp.csr_matrix:
-    blocks: dict[LadderId, np.ndarray] = {}
-    for s in symbols:
-        cutoff = layout.cutoff(s.ladder)
-        m = raising_block(cutoff) if s.dagger else lowering_block(cutoff)
-        if s.ladder in blocks:
-            blocks[s.ladder] = blocks[s.ladder] @ m
-        else:
-            blocks[s.ladder] = m
+    blocks = {
+        lad: ladder_product(layout.cutoff(lad), [s.dagger for s in symbols if s.ladder == lad])
+        for lad in {s.ladder for s in symbols}
+    }
     return embed(layout, blocks)
 
 
@@ -235,11 +236,9 @@ def realize(p: LadderPolynomial, layout: FockLayout) -> OperatorMatrix:
 def realize_at(p: LadderPolynomial, layout: FockLayout, x: float, box_length: float) -> OperatorMatrix:
     """Realization with each monomial weighted by exp(i 2pi wave_index x / L)."""
     dim = layout.dimension
-    base = 2.0 * math.pi / box_length
     acc = sp.csr_matrix((dim, dim), dtype=np.complex128)
     for t in p.terms:
-        phase = np.exp(1j * base * t.wave_index * x)
-        acc = acc + (t.coefficient * phase) * _monomial_matrix(layout, t.symbols)
+        acc = acc + (t.coefficient * t.phase(x, box_length)) * _monomial_matrix(layout, t.symbols)
     return OperatorMatrix(layout, acc.tocsr())
 
 
@@ -256,39 +255,7 @@ def quadrature_realize(p: LadderPolynomial, layout: FockLayout, box_length: floa
         raise GridError(f"n_x = {n_x} at or under band limit {band}")
     dim = layout.dimension
     acc = sp.csr_matrix((dim, dim), dtype=np.complex128)
-    for j in range(n_x):
-        x = -0.5 * box_length + j * box_length / n_x
+    for x in box_points(box_length, n_x):
         acc = acc + realize_at(p, layout, x, box_length).matrix
     return OperatorMatrix(layout, (acc * (box_length / n_x)).tocsr())
 
-
-# ---------------------------------------------------------------------------
-# pretty printing
-
-
-def _format_coefficient(c: complex) -> str:
-    re, im = c.real, c.imag
-    if abs(im) <= 1e-12 * max(1.0, abs(re)):
-        return f"{re:+.6g}"
-    return f"{re:+.6g}{im:+.6g}i"
-
-
-def format_polynomial(p: LadderPolynomial) -> str:
-    """Render terms as e.g. "(+0.0666972) b[1] d[1] a†[2]".
-
-    Coefficients print as %+.6g (imaginary part appended when it matters);
-    symbols as family, dagger mark, [mode index]; terms join with " + " in the
-    polynomial's canonical order.  Phases are implied by the symbols and not
-    printed.  The zero polynomial prints as "0".
-    """
-    if not p.terms:
-        return "0"
-    rendered = []
-    for t in p.terms:
-        head = f"({_format_coefficient(t.coefficient)})"
-        syms = " ".join(
-            f"{s.ladder.family}{'†' if s.dagger else ''}[{s.ladder.mode_index}]"
-            for s in t.symbols
-        )
-        rendered.append(f"{head} {syms}" if syms else head)
-    return " + ".join(rendered)

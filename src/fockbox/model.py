@@ -189,6 +189,14 @@ def field_algebra(config: ModelConfig) -> FieldAlgebra:
     :phi+ phi: phihat and :phihat^j:."""
     phihat = ladderalg.field_polynomial("neutral", config)
     phi = ladderalg.field_polynomial("charged", config)
+    # The bundle's terms are products of up to four field amplitudes; pruning
+    # would silently drop every product at or under PRUNE_TOL.
+    weakest = min(min((abs(t.coefficient) for t in p.terms), default=0.0) for p in (phihat, phi))
+    if weakest <= ladderalg.PRUNE_TOL ** 0.25:
+        raise ConfigError(
+            f"field amplitudes down to {weakest:.3g} (box_length = {config.box_length!r}) put their"
+            f" fourth powers under the pruning tolerance {ladderalg.PRUNE_TOL}"
+        )
     phi_dag = ladderalg.field_polynomial("charged_dagger", config)
     density = ladderalg.normal_order(ladderalg.multiply(phi_dag, phi))
     charged_sum = phi_dag + phi

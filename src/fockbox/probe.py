@@ -207,6 +207,12 @@ class SweepSpec:
     f2: float
     state_selector: str = "vacuum"
 
+    def __post_init__(self):
+        if not all(math.isfinite(f) for f in (*self.f1_values, self.f2)):
+            raise ConfigError("sweep amplitudes must be finite")
+        if len(set(self.f1_values)) < 3:
+            raise ConfigError("a sweep needs at least 3 distinct f1 values for its quadratic fit")
+
 
 def run_sweep(
     config: ModelConfig,
@@ -223,10 +229,6 @@ def run_sweep(
     precomputed coefficient set may be passed; it must belong to the same
     reference state the sweep selects.
     """
-    if not all(math.isfinite(f) for f in (*spec.f1_values, spec.f2)):
-        raise ConfigError("sweep amplitudes must be finite")
-    if len(set(spec.f1_values)) < 3:
-        raise ConfigError("a sweep needs at least 3 distinct f1 values for its quadratic fit")
     layout = layout or build_layout(config)
     state = reference_state(config, spec.state_selector, layout)
     if cs is None:
@@ -316,8 +318,8 @@ def _resolve_config(args) -> ModelConfig:
 
 
 def _out_dir(args) -> str:
-    """Create the --out directory up front, so an unusable one fails before
-    any computation."""
+    """Create the --out directory once the arguments are known to be valid,
+    but before any computation, so an unusable one fails early."""
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -338,8 +340,9 @@ def _print_check_summary(checks: list[ResidualCheck]) -> list[ResidualCheck]:
 
 def cmd_verify(args) -> int:
     config = _resolve_config(args)
-    out = _out_dir(args)
     layout = build_layout(config)
+    reference_state(config, args.state, layout)
+    out = _out_dir(args)
     checks = run_verification(config, layout, args.state)
     path = os.path.join(out, "report.csv")
     write_report_csv(path, checks)
@@ -352,9 +355,9 @@ def cmd_verify(args) -> int:
 
 def cmd_coeffs(args) -> int:
     config = _resolve_config(args)
-    out = _out_dir(args)
     layout = build_layout(config)
     state = reference_state(config, args.state, layout)
+    out = _out_dir(args)
     cs = coefficients(config, state, layout)
     closed = vacuum_closed_forms(config) if args.state == "vacuum" else None
     path = os.path.join(out, "coefficients.csv")
@@ -371,9 +374,10 @@ def cmd_coeffs(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    out = _out_dir(args)
     layout = build_layout(config)
     spec = SweepSpec(tuple(parse_f1_range(args.f1)), args.f2, args.state)
+    reference_state(config, args.state, layout)
+    out = _out_dir(args)
     result = run_sweep(config, spec, layout)
     path = os.path.join(out, "sweep.csv")
     write_sweep_csv(path, result)
@@ -399,8 +403,8 @@ def cmd_demo(args) -> int:
             "the descent demo needs the neutral displacement mode at twice the"
             " charged mode (k = 2q), or the cubic overlap integral vanishes"
         )
-    out = _out_dir(args)
     layout = build_layout(config)
+    out = _out_dir(args)
     state = reference_state(config, "vacuum", layout)
     cs = coefficients(config, state, layout)
     threshold = descent_threshold(cs)

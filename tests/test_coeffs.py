@@ -148,11 +148,9 @@ def test_energy_polynomial_shapes():
 def test_central_identity_small_grid():
     config = default_config()
     layout = build_layout(config)
-    checks = central_identity_checks(
-        config, layout, f_values=(0.0, 0.25), state_selectors=("vacuum", "one_b")
-    )
+    checks = central_identity_checks(config, layout, state_selectors=("vacuum", "one_b"))
     rows = [c for c in checks if c.name.startswith("central_identity")]
-    assert len(rows) == 2 * 4
+    assert len(rows) == 2 * 25
     assert all(c.passed for c in rows)
     (adjudication,) = [c for c in checks if c.name.startswith("quartic_coefficient")]
     assert adjudication.name == "quartic_coefficient[unit]"
@@ -162,7 +160,7 @@ def test_central_identity_small_grid():
 def test_central_identity_adjudicates_both_for_free_quartic():
     config = ModelConfig(lambda2=0.0)
     layout = build_layout(config)
-    checks = central_identity_checks(config, layout, f_values=(0.25,), state_selectors=("vacuum",))
+    checks = central_identity_checks(config, layout, state_selectors=("vacuum",))
     (adjudication,) = [c for c in checks if c.name.startswith("quartic_coefficient")]
     assert adjudication.name == "quartic_coefficient[both]"
 
@@ -196,5 +194,4 @@ def test_mirrored_mode_indices_give_the_same_coefficients(neutral, k):
 def test_coefficients_reject_a_box_that_overflows():
     config = ModelConfig(box_length=1.7976931348623157e308, cutoff_default=3)
     with pytest.raises(ConfigError):
-        with np.errstate(all="ignore"):
-            coefficients(config, reference_state(config, "vacuum", build_layout(config)))
+        coefficients(config, reference_state(config, "vacuum", build_layout(config)))

@@ -1,4 +1,6 @@
+import functools
 import importlib
+import itertools
 import math
 import pkgutil
 
@@ -14,21 +16,16 @@ from fockbox.fockspace import (
     LadderId,
     OperatorMatrix,
     StateVector,
-    annihilator,
-    apply,
     basis_state,
-    creator,
     displacement_block,
     embed,
     expectation,
-    identity,
+    ladder_product,
     leakage_admissible,
     lowering_block,
     max_admissible_amplitude,
-    min_admissible_cutoff,
     number_operator,
     poisson_tail,
-    projector,
     raising_block,
     vacuum,
 )
@@ -114,10 +111,12 @@ def test_number_operator_and_projector():
     n_b = number_operator(layout, B1).to_dense()
     occ = layout.occupations()[:, 1]
     assert np.array_equal(np.diag(n_b).real, occ)
-    p = projector(layout, 1).to_dense()
+    # the projection onto occupations <= 1 on every ladder is a Kronecker product
+    low = np.diag([1.0, 1.0, 0.0, 0.0])
+    p = embed(layout, {A2: low, B1: low, D1: low}).toarray()
     expected = (layout.occupations() <= 1).all(axis=1)
-    assert np.array_equal(np.diag(p).real.astype(bool), expected)
-    p_one = projector(layout, {A2: 2}).to_dense()
+    assert np.array_equal(p, np.diag(expected).astype(complex))
+    p_one = embed(layout, {A2: np.diag([1.0, 1.0, 1.0, 0.0])}).toarray()
     assert np.array_equal(np.diag(p_one).real.astype(bool), layout.occupations()[:, 0] <= 2)
 
 
@@ -133,23 +132,36 @@ def test_embed_matches_explicit_kron():
         embed(layout, {LadderId("b", 7): x})
 
 
+@pytest.mark.parametrize("cutoff", [1, 5, 16])
+def test_ladder_product_is_the_explicit_chain(cutoff):
+    for length in range(5):
+        for word in itertools.product((False, True), repeat=length):
+            blocks = [raising_block(cutoff) if dagger else lowering_block(cutoff) for dagger in word]
+            chain = functools.reduce(np.matmul, blocks) if blocks else np.eye(cutoff + 1)
+            got = ladder_product(cutoff, word)
+            assert got.dtype == chain.dtype and got.shape == chain.shape
+            assert got.tobytes() == chain.tobytes(), word
+
+
 def test_creator_annihilator_matrix_elements():
     layout = small_layout()
     state = basis_state(layout, {B1: 1})
-    raised = apply(creator(layout, B1), state)
+    raised = embed(layout, {B1: ladder_product(3, [True])}) @ state.amplitudes
     target = basis_state(layout, {B1: 2})
-    assert np.vdot(target.amplitudes, raised.amplitudes) == pytest.approx(math.sqrt(2))
-    lowered = apply(annihilator(layout, B1), state)
-    assert np.vdot(vacuum(layout).amplitudes, lowered.amplitudes) == pytest.approx(1.0)
+    assert np.vdot(target.amplitudes, raised) == pytest.approx(math.sqrt(2))
+    lowered = embed(layout, {B1: ladder_product(3, [False])}) @ state.amplitudes
+    assert np.vdot(vacuum(layout).amplitudes, lowered) == pytest.approx(1.0)
+    # b+ b counts the quantum, b b+ counts it plus one
+    for word, count in (([True, False], 1.0), ([False, True], 2.0)):
+        op = OperatorMatrix(layout, embed(layout, {B1: ladder_product(3, word)}))
+        assert expectation(op, state) == pytest.approx(count, rel=1e-15)
 
 
 def test_operator_layout_mismatch():
-    op = identity(small_layout())
-    other = identity(small_layout(4))
+    op = OperatorMatrix(small_layout(), embed(small_layout(), {}))
+    other = OperatorMatrix(small_layout(4), embed(small_layout(4), {}))
     with pytest.raises(LayoutError):
         op + other
-    with pytest.raises(LayoutError):
-        apply(op, vacuum(small_layout(4)))
     with pytest.raises(LayoutError):
         expectation(op, vacuum(small_layout(4)))
 
@@ -224,7 +236,6 @@ def test_every_lru_cache_is_bounded():
                 caches[f"{value.__module__}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
     assert {
         "fockbox.fockspace._displacement_block",
-        "fockbox.fockspace._embedded_ladder",
         "fockbox.ladderalg._monomial_matrix",
         "fockbox.model.field_algebra",
     } <= set(caches)
@@ -237,10 +248,10 @@ def test_poisson_tail_values():
     # exp(-1) / 14! straddles the 1e-12 policy bound, exp(-1) / 15! is under it
     assert poisson_tail(1.0, 14) == pytest.approx(4.2199e-12, rel=1e-3)
     assert poisson_tail(1.0, 15) == pytest.approx(2.8133e-13, rel=1e-3)
-    assert not leakage_admissible(1.0, 14)
+    # unit amplitude needs cutoff 15: the tail falls with the cutoff once N > f^2
+    assert not any(leakage_admissible(1.0, cutoff) for cutoff in range(1, 15))
     assert leakage_admissible(1.0, 15)
-    assert min_admissible_cutoff(1.0) == 15
-    assert min_admissible_cutoff(0.0) == 1
+    assert all(leakage_admissible(0.0, cutoff) for cutoff in (1, 2, 40))
 
 
 def test_poisson_tail_matches_direct_formula():
@@ -255,12 +266,11 @@ def test_max_admissible_amplitude_is_boundary():
         limit = max_admissible_amplitude(cutoff)
         assert leakage_admissible(limit, cutoff)
         assert not leakage_admissible(limit * 1.001, cutoff)
-        assert min_admissible_cutoff(limit) <= cutoff
 
 
 def test_max_abs_and_hermiticity_residual():
     layout = small_layout()
-    op = creator(layout, A2)
+    op = OperatorMatrix(layout, embed(layout, {A2: raising_block(3)}))
     zero = op - op
     assert zero.max_abs() == 0.0
     assert (op + op.adjoint()).hermiticity_residual() == 0.0

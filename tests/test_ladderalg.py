@@ -12,7 +12,6 @@ from fockbox.ladderalg import (
     LadderSymbol,
     constant,
     field_polynomial,
-    format_polynomial,
     integrate_box,
     ladder_sum,
     mode_energy,
@@ -124,26 +123,22 @@ def test_field_polynomial_amplitudes_and_phases():
         field_polynomial("scalar", config)
 
 
-def test_integrated_interaction_golden_string():
+def test_integrated_interaction_terms():
     config = default_config()
     density = interaction_density_polynomial(config)
     integrated = integrate_box(density, config.box_length)
-    assert format_polynomial(integrated) == (
-        "(+0.0666972) b[1] d[1] a†[2] + (+0.0666972) b†[1] d†[1] a[2]"
-        " + (+0.0477465) a†[2] a†[2] a[2] a[2]"
-    )
+    words = [tuple((s.ladder.family, s.ladder.mode_index, s.dagger) for s in t.symbols) for t in integrated.terms]
+    assert words == [
+        (("b", 1, False), ("d", 1, False), ("a", 2, True)),
+        (("b", 1, True), ("d", 1, True), ("a", 2, False)),
+        (("a", 2, True), ("a", 2, True), ("a", 2, False), ("a", 2, False)),
+    ]
     # closed forms: 1 / (2 E_q sqrt(2 w_k L)) and 6 L / (2 w_k L)^2
     cubic = 1.0 / (2.0 * config.energy_q * math.sqrt(2.0 * config.omega_k * config.box_length))
     quartic = 6.0 * config.box_length / (2.0 * config.omega_k * config.box_length) ** 2
+    assert all(t.coefficient.imag == 0.0 for t in integrated.terms)
     coeffs = [t.coefficient.real for t in integrated.terms]
     np.testing.assert_allclose(coeffs, [cubic, cubic, quartic], rtol=1e-13)
-
-
-def test_format_polynomial_edges():
-    assert format_polynomial(LadderPolynomial(())) == "0"
-    assert format_polynomial(constant(2.0)) == "(+2)"
-    imag = LadderPolynomial.from_terms([mono(1.0 + 0.5j, sym(B1, True))])
-    assert format_polynomial(imag) == "(+1+0.5i) b†[1]"
 
 
 def test_realize_monomial_order_within_ladder():

@@ -236,3 +236,11 @@ def test_field_algebra_bundle():
     assert interaction_density_polynomial(config) == (
         config.lambda1 * fa.cubic + config.lambda2 * fa.ordered_powers[4]
     )
+
+
+def test_field_algebra_rejects_a_box_whose_quartic_terms_would_be_pruned():
+    # unit masses: the fourth power of 1 / sqrt(2 L) reaches PRUNE_TOL at L = 5e6
+    fa = field_algebra(ModelConfig(box_length=4.9e6))
+    assert [len(p.terms) for p in fa.ordered_powers] == [1, 2, 3, 4, 5]
+    with pytest.raises(ConfigError, match="pruning tolerance"):
+        field_algebra(ModelConfig(box_length=5e6))

@@ -252,6 +252,40 @@ def test_cli_rejects_unusable_out(tmp_path, capsys, monkeypatch, argv, below_fil
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--state", "bogus"],
+        ["coeffs", "--state", "bogus"],
+        ["sweep", "--f1", "0:1:0.5", "--f2", "0.25", "--state", "bogus"],
+        ["sweep", "--f1", "0:1", "--f2", "0.25"],
+    ],
+    ids=["verify-state", "coeffs-state", "sweep-state", "sweep-f1"],
+)
+def test_cli_bad_argument_leaves_no_out_directory(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(InterchangeChecker, "run", _grid_must_not_run)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("box_length", ["1e7", "1.7976931348623157e308"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["coeffs"], ["sweep", "--f1", "0:1:0.5", "--f2", "0.25"], ["demo"]],
+    ids=["verify", "coeffs", "sweep", "demo"],
+)
+def test_cli_rejects_a_box_too_large_for_its_fields(tmp_path, capsys, monkeypatch, argv, box_length):
+    monkeypatch.setattr(InterchangeChecker, "run", _grid_must_not_run)
+    text = FREE_CONFIG_TEXT.replace("6.283185307179586", box_length).replace("lambda1 = 0.0", "lambda1 = 1.0")
+    config = write_config(tmp_path, text)
+    assert main(argv + ["--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cli_reports_a_csv_it_cannot_write(tmp_path, capsys):
     out = tmp_path / "out"
     (out / "coefficients.csv").mkdir(parents=True)
