@@ -4,9 +4,10 @@ U = U_cs * U_s with U_cs = exp(f1 ((b+_q + d+_q) - (b_q + d_q))) and
 U_s = exp(f2 (a+_k - a_k)).  The generator is a sum of commuting single-ladder
 blocks, so exp factorizes *exactly* into a Kronecker product of per-ladder
 unitaries, truncation included.  Every check below conjugates operators
-through those factors ladder by ladder; the reported residuals are exactly
-the projected max norms of the full-space residual operators, at a cost that
-stays polynomial in single-ladder cutoffs instead of the joint dimension.
+through those factors ladder by ladder; the reported residuals are the
+projected max norms of the full-space residual operators (the interchange
+checks report an upper bound on them), at a cost that stays polynomial in
+single-ladder cutoffs instead of the joint dimension.
 
 The checks window each residual to occupations <= cutoff/2, and the windowed
 identities are statements about the untruncated algebra, so each conjugation
@@ -27,12 +28,12 @@ tail at the requested amplitude is below 1e-12, else LeakageError.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import LayoutError, LeakageError
 from .fockspace import (
@@ -56,9 +57,6 @@ MATERIALIZE_NNZ_CAP = 30_000_000
 WORK_TAIL_BOUND = 1e-20
 WORK_BAND_MARGIN = 4
 X_SAMPLE_COUNT = 8
-# entries per residual-window tile: its real and imaginary parts, 512 KB
-# each in float64, stay in a core's L2 cache while they are reduced
-WINDOW_TILE_ENTRIES = 1 << 16
 
 LADDER_SHIFT_TOL = 1e-8
 FREE_SHIFT_TOL = 1e-8
@@ -400,75 +398,52 @@ def check_field_shift(
 # normal-ordering interchange
 
 
-@dataclass(frozen=True)
-class _InterchangeTerm:
-    """One Kronecker term c(x; f1, f2) * K of an interchange residual.
+_Word = tuple[tuple[bool, ...], ...]
 
-    The x-coefficient is base(x) * (f1 n1(x))^n1_power * (f2 n2(x))^n2_power,
-    with sign, monomial coefficient, binomial weight, and plane-wave phase all
-    folded into base.
-    """
 
-    base: np.ndarray
-    n1_power: int
-    n2_power: int
-    symbols: tuple
+def _subwords(daggers: tuple[bool, ...]) -> list[tuple[tuple[bool, ...], int]]:
+    """Every ordered sub-product of one ladder's word, with the number of
+    symbols it drops: prod_i (x_i + f) = sum of f^dropped * kept over them."""
+    k = len(daggers)
+    return [
+        (tuple(d for i, d in enumerate(daggers) if mask >> i & 1), k - bin(mask).count("1"))
+        for mask in range(1 << k)
+    ]
+
+
+def _telescoped(maxima: list[tuple[float, float, float]]) -> float:
+    """Bound on max|(x)_l c_l - (x)_l e_l| from each ladder's (max|e_l|,
+    max|c_l - e_l|, max|c_l|), by the telescoping sum
+    sum_l (x)_{j<l} e_j (x) (c_l - e_l) (x) (x)_{j>l} c_j: the largest entry
+    of a Kronecker product is the product of its factors' largest entries."""
+    total, lead = 0.0, 1.0
+    for k, (e_max, gap, _) in enumerate(maxima):
+        total += lead * gap * math.prod(c_max for _, _, c_max in maxima[k + 1 :])
+        lead *= e_max
+    return total
 
 
 @dataclass(frozen=True, eq=False)
 class _InterchangeSystem:
-    """One identity laid out as a real rows x cols residual window.
+    """One identity over the ladders its terms touch.
 
-    Rows run over the raveled Kronecker product of the leading ladders'
-    windowed blocks, cols over the raveled block of the last ladder, so a
-    full-space entry sits at flat index row * cols + col.  Conjugated terms
-    (the U+ ... U side) are rebuilt at every grid point; static terms (the
-    shifted expansion, entering with negative weight) are stored once as
-    static_rows over the ascending flat indices in support, their union
-    sparsity pattern.
+    A word gives, per ladder, the daggers of an ordered product on it;
+    moduli and lhs_words describe the left-hand monomials.  Row r of the
+    expansion sum_m kappa_m(x) (x)_l e_{m,l} - S(x) over words has the
+    x-coefficient base[:, r] * prod(factors(x) ** exponents[r]), where the
+    factors are the ladder amplitudes followed by f1 n1(x) and f2 n2(x), and
+    the one-hot row words[r] names its word, whose largest windowed entry
+    is word_norms[w].
     """
 
     name: str
     ladders: tuple[LadderId, ...]
-    conjugated: tuple[_InterchangeTerm, ...]
-    static: tuple[_InterchangeTerm, ...]
-    support: np.ndarray
-    static_rows: np.ndarray
-
-
-def _window_max(
-    grouped_re: np.ndarray,
-    grouped_im: np.ndarray,
-    class_blocks: np.ndarray,
-    support: np.ndarray,
-    static_re: np.ndarray,
-    static_im: np.ndarray,
-) -> float:
-    """Largest |entry| of (grouped_re + i grouped_im) @ class_blocks + static.
-
-    The static values sit at the ascending flat indices support and are zero
-    elsewhere.  The window is formed WINDOW_TILE_ENTRIES at a time, in whole
-    rows, so each tile is written and reduced while it is still in cache; a
-    NaN anywhere makes the result NaN.
-    """
-    rows = grouped_re.shape[0]
-    cols = class_blocks.shape[1]
-    step = max(1, WINDOW_TILE_ENTRIES // cols)
-    starts = np.arange(0, rows, step)
-    bounds = np.searchsorted(support, np.append(starts, rows) * cols)
-    peaks = np.empty(len(starts))
-    for k, r0 in enumerate(starts):
-        re = grouped_re[r0 : r0 + step] @ class_blocks
-        im = grouped_im[r0 : r0 + step] @ class_blocks
-        lo, hi = bounds[k], bounds[k + 1]
-        local = support[lo:hi] - r0 * cols
-        re.ravel()[local] += static_re[lo:hi]
-        im.ravel()[local] += static_im[lo:hi]
-        np.multiply(re, re, out=re)
-        np.multiply(im, im, out=im)
-        re += im
-        peaks[k] = re.max()
-    return math.sqrt(peaks.max())
+    moduli: np.ndarray
+    lhs_words: tuple[_Word, ...]
+    base: np.ndarray
+    exponents: np.ndarray
+    words: np.ndarray
+    word_norms: np.ndarray
 
 
 class InterchangeChecker:
@@ -480,16 +455,24 @@ class InterchangeChecker:
              + f1 n1 (phi+ + phi) phihat + f1^2 n1^2 phihat
              + f2 n2 :phi+ phi: + f1 f2 n1 n2 (phi+ + phi) + f1^2 f2 n1^2 n2
 
-    Both sides are sums of Kronecker-product terms whose per-ladder blocks do
-    not depend on x.  The expansion side does not depend on the amplitudes
-    either: its windowed blocks are plain products of ladder matrices, exact
-    on window + WORK_BAND_MARGIN levels because no monomial carries more
-    than WORK_BAND_MARGIN symbols on one ladder.  So it is built once, as
-    sparse Kronecker rows on its union support.  Each run conjugates only
-    the left-hand terms on the working spaces, where the windows are clean
-    of cutoff reflections at any admissible amplitude, and folds them into
-    a two-stage contraction.  All blocks are real, so the complex
-    x-coefficients enter as two real GEMMs per x, evaluated in row tiles.
+    Each residual reported is an upper bound on the windowed max norm of
+    R(x) = sum_m kappa_m(x) (x)_l c_{m,l} - S(x), built from single-ladder
+    blocks only.  Here m runs over the left-hand monomials, kappa_m is a
+    monomial's coefficient times its phase, c_{m,l} is the windowed
+    U_l+ word U_l on ladder l's working space, and S(x) is the expansion.
+    With e_{m,l} the windowed shift prod_i (x_i + f_l) of the same word,
+
+        R(x) = sum_m kappa_m(x) [(x)_l c_{m,l} - (x)_l e_{m,l}]
+               + [sum_m kappa_m(x) (x)_l e_{m,l} - S(x)].
+
+    The first part is bounded by sum_m |kappa_m| times the telescoped
+    per-ladder gaps, which does not depend on x.  The second expands every
+    shift into words, each weighted by the amplitudes of the symbols it
+    drops, subtracts S(x) word by word, and is bounded by
+    sum_W |Delta_W(x)| prod_l max|W_l|.  Words and their windowed blocks do
+    not depend on the amplitudes, so they are built once; the blocks are
+    exact on window + WORK_BAND_MARGIN levels because no monomial carries
+    more than WORK_BAND_MARGIN symbols on one ladder.
     """
 
     def __init__(self, config: ModelConfig, layout: FockLayout | None = None):
@@ -499,121 +482,114 @@ class InterchangeChecker:
         n1, n2 = shift_profiles(config)
         self._n1x = n1(self.x_samples)
         self._n2x = n2(self.x_samples)
+        self._blocks: dict[tuple[LadderId, tuple[bool, ...]], np.ndarray] = {}
 
         fa = field_algebra(config)
         powers = fa.ordered_powers
-        quartic_static = [(powers[j], -float(math.comb(4, j)), 0, 4 - j) for j in range(5)]
-        cubic_static = [
-            (fa.cubic, -1.0, 0, 0),
-            (fa.charged_sum_neutral, -1.0, 1, 0),
-            (fa.phihat, -1.0, 2, 0),
-            (fa.density, -1.0, 0, 1),
-            (fa.charged_sum, -1.0, 1, 1),
-            (powers[0], -1.0, 2, 1),
+        quartic = [(powers[j], float(math.comb(4, j)), 0, 4 - j) for j in range(5)]
+        cubic = [
+            (fa.cubic, 1.0, 0, 0),
+            (fa.charged_sum_neutral, 1.0, 1, 0),
+            (fa.phihat, 1.0, 2, 0),
+            (fa.density, 1.0, 0, 1),
+            (fa.charged_sum, 1.0, 1, 1),
+            (powers[0], 1.0, 2, 1),
         ]
         self._systems = [
-            self._system("quartic", powers[4], quartic_static),
-            self._system("cubic", fa.cubic, cubic_static),
+            self._system("quartic", powers[4], quartic),
+            self._system("cubic", fa.cubic, cubic),
         ]
 
-    def _system(self, name, lhs_poly, static_groups) -> _InterchangeSystem:
-        conjugated = self._poly_terms(lhs_poly, +1.0, 0, 0)
-        static = [t for poly, weight, a, b in static_groups for t in self._poly_terms(poly, weight, a, b)]
-        used = {s.ladder for t in conjugated + static for s in t.symbols}
+    def _block(self, lad: LadderId, daggers: tuple[bool, ...]) -> np.ndarray:
+        """Windowed ordered product of one ladder's symbols, exact on the window."""
+        key = (lad, daggers)
+        if key not in self._blocks:
+            m = _window(self.layout.cutoff(lad))
+            self._blocks[key] = ladder_product(m - 1 + WORK_BAND_MARGIN, daggers)[:m, :m]
+        return self._blocks[key]
+
+    def _system(self, name, lhs_poly, expansion) -> _InterchangeSystem:
+        """expansion lists (polynomial, weight, power of f1 n1, power of f2 n2)."""
+        expanded = [(mono, weight, a, b) for poly, weight, a, b in expansion for mono in poly.terms]
+        used = {s.ladder for mono in lhs_poly.terms + tuple(t[0] for t in expanded) for s in mono.symbols}
         ladders = tuple(lad for lad in self.layout.ladders if lad in used)
 
-        def block(term: _InterchangeTerm, lad: LadderId) -> sp.csr_matrix:
-            m = _window(self.layout.cutoff(lad))
-            mat = ladder_product(m - 1 + WORK_BAND_MARGIN, [s.dagger for s in term.symbols if s.ladder == lad])
-            return sp.csr_matrix(mat[:m, :m])
+        def word(symbols) -> _Word:
+            return tuple(tuple(s.dagger for s in symbols if s.ladder == lad) for lad in ladders)
 
-        vectors = []
-        for t in static:
-            *leading, last = (block(t, lad) for lad in ladders)
-            lead = sp.csr_matrix(np.ones((1, 1)))
-            for part in leading:
-                lead = sp.kron(lead, part)
-            vectors.append(sp.kron(lead.reshape(1, -1), last.reshape(1, -1)))
-        stacked = sp.vstack(vectors, format="csr")
-        stacked.eliminate_zeros()
-        support = np.unique(stacked.indices)
+        def phased(mono) -> np.ndarray:
+            return complex(mono.coefficient) * mono.phase(self.x_samples, self.config.box_length)
+
+        lhs_words = tuple(word(mono.symbols) for mono in lhs_poly.terms)
+        rows = []  # (base, exponents, word)
+        for mono, w in zip(lhs_poly.terms, lhs_words):
+            kappa = phased(mono)
+            for choice in itertools.product(*(_subwords(daggers) for daggers in w)):
+                dropped = [k for _, k in choice]
+                rows.append((kappa, dropped + [0, 0], tuple(kept for kept, _ in choice)))
+        for mono, weight, a, b in expanded:
+            rows.append((-weight * phased(mono), [0] * len(ladders) + [a, b], word(mono.symbols)))
+        columns: dict[_Word, int] = {}
+        for _, _, w in rows:
+            columns.setdefault(w, len(columns))
+        norms = [
+            math.prod(float(np.max(np.abs(self._block(lad, daggers)))) for lad, daggers in zip(ladders, w))
+            for w in columns
+        ]
         return _InterchangeSystem(
-            name, ladders, tuple(conjugated), tuple(static), support, stacked[:, support].toarray()
+            name=name,
+            ladders=ladders,
+            moduli=np.array([abs(mono.coefficient) for mono in lhs_poly.terms]),
+            lhs_words=lhs_words,
+            base=np.stack([base for base, _, _ in rows], axis=1),
+            exponents=np.array([exponents for _, exponents, _ in rows]),
+            words=np.eye(len(columns))[[columns[w] for _, _, w in rows]],
+            word_norms=np.array(norms),
         )
 
-    def _poly_terms(self, poly, weight, a, b) -> list[_InterchangeTerm]:
-        out = []
-        for mono in poly.terms:
-            phase = mono.phase(self.x_samples, self.config.box_length)
-            out.append(_InterchangeTerm(weight * complex(mono.coefficient) * phase, a, b, mono.symbols))
-        return out
-
-    def _coefficients(self, terms, params: DisplacementParams) -> np.ndarray:
-        return np.stack(
-            [
-                t.base * (params.f1 * self._n1x) ** t.n1_power * (params.f2 * self._n2x) ** t.n2_power
-                for t in terms
-            ],
-            axis=1,
-        )
-
-    def _folded_terms(self, system: _InterchangeSystem, frames):
-        """Conjugated Kronecker rows, grouped for a two-stage contraction.
-
-        All but the last ladder fold into per-term raveled rows; the last
-        ladder usually carries only a handful of distinct blocks (the field
-        factor), so its blocks are deduplicated into classes.
-        """
-
-        def block(term: _InterchangeTerm, lad: LadderId) -> np.ndarray:
-            frame = frames[lad]
-            daggers = [s.dagger for s in term.symbols if s.ladder == lad]
-            if not daggers:
-                return np.eye(frame.window)
-            mat = frame.conjugate(ladder_product(frame.dim - 1, daggers))
-            return mat[: frame.window, : frame.window]
-
-        terms = system.conjugated
-        *leading, last = system.ladders
-        lead = np.ones((len(terms), 1, 1))
-        for lad in leading:
-            part = np.stack([block(t, lad) for t in terms])
-            rows = lead.shape[1] * part.shape[1]
-            lead = np.einsum("tab,tcd->tacbd", lead, part).reshape(len(terms), rows, rows)
-        class_of = []
-        class_blocks: list[np.ndarray] = []
-        signatures: dict = {}
-        for t in terms:
-            sig = tuple(s.dagger for s in t.symbols if s.ladder == last)
-            if sig not in signatures:
-                signatures[sig] = len(class_blocks)
-                class_blocks.append(block(t, last).ravel())
-            class_of.append(signatures[sig])
-        membership = np.eye(len(class_blocks))[class_of]
-        return lead.reshape(len(terms), -1), np.stack(class_blocks), membership
+    def _ladder_maxima(self, frame: _WorkFrame, lad: LadderId, daggers: tuple[bool, ...]) -> tuple[float, float, float]:
+        """(max|e|, max|c - e|, max|c|) on the window, for c = U+ word U on
+        the working space and e = prod_i (x_i + f) = sum_k f^k e_k, with e_k
+        the sub-products that drop k symbols.  c - e is formed as
+        (((c - e_0) - f e_1) - f^2 e_2) ..., so each subtraction cancels
+        the leading part of what is left and the gap keeps its own
+        relative precision, even where it is far below the rounding of c."""
+        layers = [np.zeros((frame.window, frame.window)) for _ in range(len(daggers) + 1)]
+        for kept, dropped in _subwords(daggers):
+            layers[dropped] = layers[dropped] + self._block(lad, kept)
+        c = frame.conjugate(ladder_product(frame.dim - 1, daggers))[: frame.window, : frame.window]
+        e, gap = 0.0, c
+        for k, layer in enumerate(layers):
+            e = e + frame.amplitude**k * layer
+            gap = gap - frame.amplitude**k * layer
+        return float(np.max(np.abs(e))), float(np.max(np.abs(gap))), float(np.max(np.abs(c)))
 
     def run(self, params: DisplacementParams) -> list[ResidualCheck]:
         require_admissible(self.config, params, self.layout)
         frames = _work_frames(self.config, params, self.layout)
+        maxima: dict[tuple[LadderId, tuple[bool, ...]], tuple[float, float, float]] = {}
         checks = []
         for system in self._systems:
-            lead, class_blocks, membership = self._folded_terms(system, frames)
-            coeff = self._coefficients(system.conjugated, params)
-            static_coeff = self._coefficients(system.static, params)
-            static_re = static_coeff.real @ system.static_rows
-            static_im = static_coeff.imag @ system.static_rows
-            for j in range(len(self.x_samples)):
-                weights = coeff[j][:, None] * membership
-                residual = _window_max(
-                    lead.T @ weights.real,
-                    lead.T @ weights.imag,
-                    class_blocks,
-                    system.support,
-                    static_re[j],
-                    static_im[j],
-                )
+            conjugation_gap = 0.0
+            for modulus, w in zip(system.moduli, system.lhs_words):
+                per_ladder = []
+                for lad, daggers in zip(system.ladders, w):
+                    if daggers:
+                        if (lad, daggers) not in maxima:
+                            maxima[lad, daggers] = self._ladder_maxima(frames[lad], lad, daggers)
+                        per_ladder.append(maxima[lad, daggers])
+                conjugation_gap += modulus * _telescoped(per_ladder)
+            amplitudes = [frames[lad].amplitude for lad in system.ladders]
+            factors = np.column_stack(
+                [np.tile(amplitudes, (len(self.x_samples), 1)), params.f1 * self._n1x, params.f2 * self._n2x]
+            )
+            coefficients = system.base * np.prod(factors[:, None, :] ** system.exponents, axis=2)
+            residuals = conjugation_gap + np.abs(coefficients @ system.words) @ system.word_norms
+            for j, residual in enumerate(residuals):
                 checks.append(
-                    ResidualCheck(f"interchange[{system.name}][x{j}]", params.f1, params.f2, residual, INTERCHANGE_TOL)
+                    ResidualCheck(
+                        f"interchange[{system.name}][x{j}]", params.f1, params.f2, float(residual), INTERCHANGE_TOL
+                    )
                 )
         return checks
 

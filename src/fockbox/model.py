@@ -80,6 +80,12 @@ class ModelConfig:
             raise ConfigError("zero neutral mode requires mass_neutral > 0")
         if 0 in self.charged_modes and self.mass_charged == 0.0:
             raise ConfigError("zero charged mode requires mass_charged > 0")
+        energies = [self.omega(n) for n in self.neutral_modes] + [self.charged_energy(n) for n in self.charged_modes]
+        if any(2.0 * e * self.box_length == 0.0 for e in energies):
+            raise ConfigError(
+                f"2 * energy * box_length underflows to 0 at box_length = {self.box_length!r}, so the"
+                " field amplitudes 1 / sqrt(2 E L) are undefined"
+            )
         if self.q_index not in self.charged_modes:
             raise ConfigError(f"q_index {self.q_index} not among charged_modes")
         if self.k_index not in self.neutral_modes:

@@ -317,6 +317,16 @@ def _resolve_config(args) -> ModelConfig:
     return load_config(args.config) if args.config else default_config()
 
 
+def _missing_dirs(path: str) -> list[str]:
+    """The directories creating path would add, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def _out_dir(args) -> str:
     """Create the --out directory once the arguments are known to be valid,
     but before any computation, so an unusable one fails early."""
@@ -476,9 +486,16 @@ def main(argv=None) -> int:
     p_demo.set_defaults(func=cmd_demo)
 
     args = parser.parse_args(argv)
+    new_dirs = _missing_dirs(args.out)
     try:
         return args.func(args)
     except (ConfigError, GeometryError, GridError, LayoutError, LeakageError) as exc:
+        # a failed run leaves behind no --out it created, unless it wrote there
+        for path in new_dirs:
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

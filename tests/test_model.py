@@ -86,6 +86,8 @@ def test_config_validation():
         ModelConfig(cutoff_overrides={LadderId("a", 2): 0})
     with pytest.raises(ConfigError):
         ModelConfig(neutral_modes=(0, 2), mass_neutral=0.0)
+    with pytest.raises(ConfigError, match="underflows"):
+        ModelConfig(box_length=1e-200, mass_neutral=1e-200, neutral_modes=(0,), k_index=0)
     for name in ("box_length", "mass_neutral", "mass_charged", "lambda1", "lambda2"):
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError):

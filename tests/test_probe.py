@@ -286,6 +286,48 @@ def test_cli_rejects_a_box_too_large_for_its_fields(tmp_path, capsys, monkeypatc
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["coeffs"], ["sweep", "--f1", "0:1:0.5", "--f2", "0.25"], ["demo"]],
+    ids=["verify", "coeffs", "sweep", "demo"],
+)
+def test_cli_rejects_a_field_normalization_that_underflows(tmp_path, capsys, argv):
+    text = (
+        FREE_CONFIG_TEXT.replace("6.283185307179586", "1e-200")
+        .replace("mass_neutral = 1.0", "mass_neutral = 1e-200")
+        .replace("neutral_modes = 2", "neutral_modes = 0")
+        .replace("k_index = 2", "k_index = 0")
+    )
+    out = tmp_path / "out"
+    assert main(argv + ["--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "underflows" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, out_parts, existing",
+    [
+        (["coeffs", "--config", "box-1e7"], ("out",), False),
+        (["sweep", "--f1", "0:2:1", "--f2", "1e200"], ("new", "out"), False),
+        (["coeffs", "--config", "box-1e7"], ("out",), True),
+    ],
+    ids=["coeffs-box", "sweep-overflow-nested", "coeffs-box-existing-out"],
+)
+def test_cli_failed_computation_leaves_no_out_it_created(tmp_path, capsys, argv, out_parts, existing):
+    text = FREE_CONFIG_TEXT.replace("6.283185307179586", "1e7").replace("lambda1 = 0.0", "lambda1 = 1.0")
+    argv = [write_config(tmp_path, text) if a == "box-1e7" else a for a in argv]
+    out = tmp_path.joinpath(*out_parts)
+    if existing:
+        out.mkdir()
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out.is_dir() == existing
+    assert (tmp_path / out_parts[0]).exists() == existing
+
+
 def test_cli_reports_a_csv_it_cannot_write(tmp_path, capsys):
     out = tmp_path / "out"
     (out / "coefficients.csv").mkdir(parents=True)

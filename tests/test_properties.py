@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockbox.coeffs import COEFFICIENT_NAMES, coefficients, reference_state
+from fockbox.displace import DisplacementParams, InterchangeChecker
 from fockbox.errors import ConfigError
 from fockbox.fockspace import displacement_block, leakage_admissible, max_admissible_amplitude
-from fockbox.model import ModelConfig, build_layout
+from fockbox.model import ModelConfig, build_layout, default_config
+from test_displace import dense_interchange_residuals
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -74,3 +76,26 @@ def test_random_config_is_rejected_or_gives_finite_coefficients(values):
     except ConfigError:
         return
     assert all(math.isfinite(getattr(cs, name)) for name in COEFFICIENT_NAMES), cs
+
+
+BOUND_CUTOFF = 8
+
+
+@st.composite
+def admissible_params(draw):
+    limit = max_admissible_amplitude(BOUND_CUTOFF)
+    amplitude = st.floats(min_value=-limit, max_value=limit)
+    return DisplacementParams(draw(amplitude), draw(amplitude))
+
+
+@PROPERTY_SETTINGS
+@given(admissible_params())
+def test_interchange_bound_covers_the_dense_residual(params):
+    # the dense evaluation resolves residuals only down to its own rounding
+    # floor; at subnormal amplitudes the bound's products underflow to zero
+    # and may sit a few subnormal units under it
+    config = default_config().with_cutoff(BOUND_CUTOFF)
+    checks = InterchangeChecker(config).run(params)
+    dense, floors = dense_interchange_residuals(config, params)
+    for c, exact, floor in zip(checks, dense, floors, strict=True):
+        assert exact <= c.residual + floor + np.finfo(np.float64).smallest_normal, (c.name, exact, c.residual)
