@@ -15,11 +15,17 @@ The module also owns the coherent-leakage policy: a displacement of amplitude
 f on a ladder with cutoff N is admissible when the Poisson tail
 ``exp(-f^2) f^(2N) / N!`` is below 1e-12.  Verification routines enforce the
 policy; plain construction does not.
+
+Importing the module sets every OpenBLAS mapped into the process to one
+thread: each dense product here has at most a few hundred rows, so a second
+thread only adds its wake-up to every GEMM.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +35,40 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import LayoutError
+
+
+# Bundled OpenBLAS builds prefix and suffix their exports differently.
+_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _one_blas_thread() -> None:
+    """Run every OpenBLAS mapped into this process (numpy's and scipy's
+    wheels each bundle one) on a single thread; a no-op where none is mapped
+    or /proc/self/maps does not exist."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            # The sixth field, the mapped file's path, may contain spaces.
+            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p).lower()):
+        lib = ctypes.CDLL(path)
+        for name in _SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
+# After `import scipy.linalg`, so numpy's and scipy's OpenBLAS are both mapped.
+_one_blas_thread()
 
 FAMILIES = ("a", "b", "d")
 
@@ -298,6 +338,10 @@ def max_admissible_amplitude(cutoff: int) -> float:
         return hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # lo stays admissible and hi inadmissible, so once the midpoint
+        # rounds onto either end no later step moves them.
+        if mid == lo or mid == hi:
+            break
         if leakage_admissible(mid, cutoff):
             lo = mid
         else:

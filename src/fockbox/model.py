@@ -29,6 +29,9 @@ from .fockspace import FockLayout, LadderId, OperatorMatrix, number_operator
 from .ladderalg import LadderPolynomial, mode_energy
 
 FIELD_ALGEBRA_CACHE = 8
+# A run uses one Hamiltonian, and a multi-mode one is large (the README
+# two-mode layout has 97,104 states), so few are kept.
+HAMILTONIAN_CACHE = 2
 
 
 def _normalize_modes(values) -> tuple[int, ...]:
@@ -242,12 +245,20 @@ def build_H0(config: ModelConfig, layout: FockLayout | None = None) -> OperatorM
 
 
 def build_H(config: ModelConfig, layout: FockLayout | None = None) -> OperatorMatrix:
-    layout = layout or build_layout(config)
+    """The Hamiltonian on the layout; read-only and memoized on (config,
+    layout), so a sweep or a verify run assembles it once."""
+    return _build_H(config, layout or build_layout(config))
+
+
+@lru_cache(maxsize=HAMILTONIAN_CACHE)
+def _build_H(config: ModelConfig, layout: FockLayout) -> OperatorMatrix:
     h = build_H0(config, layout)
     if config.lambda1 != 0.0:
         h = h + config.lambda1 * ladderalg.realize(cubic_interaction_polynomial(config), layout)
     if config.lambda2 != 0.0:
         h = h + config.lambda2 * ladderalg.realize(quartic_interaction_polynomial(config), layout)
+    for array in (h.matrix.data, h.matrix.indices, h.matrix.indptr):
+        array.setflags(write=False)
     return h
 
 

@@ -1,8 +1,13 @@
 import functools
 import importlib
 import itertools
+import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,9 +243,11 @@ def test_every_lru_cache_is_bounded():
         "fockbox.fockspace._displacement_block",
         "fockbox.ladderalg._monomial_matrix",
         "fockbox.model.field_algebra",
+        "fockbox.model._build_H",
     } <= set(caches)
     assert all(size is not None for size in caches.values()), caches
     assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE
+    assert caches["fockbox.model._build_H"] == 2
 
 
 def test_poisson_tail_values():
@@ -266,6 +273,66 @@ def test_max_admissible_amplitude_is_boundary():
         limit = max_admissible_amplitude(cutoff)
         assert leakage_admissible(limit, cutoff)
         assert not leakage_admissible(limit * 1.001, cutoff)
+
+
+def test_max_admissible_amplitude_stops_early_at_the_full_bisection_value(monkeypatch):
+    def full_bisection(cutoff):
+        lo, hi = 0.0, math.sqrt(cutoff)
+        if leakage_admissible(hi, cutoff):
+            return hi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if leakage_admissible(mid, cutoff):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    calls = []
+
+    def counted(amplitude, cutoff):
+        calls.append(amplitude)
+        return leakage_admissible(amplitude, cutoff)
+
+    monkeypatch.setattr(fockspace, "leakage_admissible", counted)
+    for cutoff in range(1, 2001):
+        calls.clear()
+        assert max_admissible_amplitude(cutoff) == full_bisection(cutoff), cutoff
+        assert len(calls) <= 80, (cutoff, len(calls))
+
+
+# Reads the thread count of every OpenBLAS mapped into a fresh process after
+# `import fockbox`, through the libraries' own entry points.
+_BLAS_THREAD_PROBE = """
+import ctypes, json, os
+import fockbox
+getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+           "openblas_get_num_threads64_", "openblas_get_num_threads")
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}
+counts = {}
+for path in sorted(p for p in mapped if "openblas" in os.path.basename(p).lower()):
+    lib = ctypes.CDLL(path)
+    getter = next(getattr(lib, name) for name in getters if hasattr(lib, name))
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    counts[os.path.basename(path)] = getter()
+print(json.dumps(counts))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_import_runs_every_openblas_on_one_thread():
+    src = str(Path(fockbox.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREAD_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts, "no OpenBLAS mapped"
+    assert set(counts.values()) == {1}, counts
 
 
 def test_max_abs_and_hermiticity_residual():

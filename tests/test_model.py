@@ -21,7 +21,8 @@ from fockbox.model import (
     quartic_interaction_polynomial,
     shift_profiles,
 )
-from fockbox import ladderalg
+from fockbox import ladderalg, model
+from fockbox.probe import SweepSpec, run_sweep
 
 GOOD_CONFIG = """
 # example model file
@@ -194,6 +195,39 @@ def test_hamiltonian_hermitian_and_annihilates_vacuum_offset():
     assert h.hermiticity_residual() <= 1e-12
     # normal ordering leaves no vacuum energy
     assert abs(h.to_dense()[0, 0]) <= 1e-14
+
+
+# The README's two-mode example: ladders a2, a3, b1, d1, 97,104 states.
+README_TWO_MODE = ModelConfig(neutral_modes=(2, 3), cutoff_overrides={LadderId("a", 2): 20, LadderId("b", 1): 15})
+
+
+@pytest.mark.parametrize("config", [default_config(), README_TWO_MODE], ids=["default", "two_mode"])
+def test_cached_hamiltonian_is_bitwise_a_fresh_build(config):
+    layout = build_layout(config)
+    cached = build_H(config, layout).matrix
+    fresh = model._build_H.__wrapped__(config, layout).matrix
+    assert build_H(config).matrix is cached
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(cached, name), getattr(fresh, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_cached_hamiltonian_is_read_only():
+    h = build_H(default_config()).matrix
+    for array in (h.data, h.indices, h.indptr):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
+def test_run_sweep_is_identical_on_cold_and_warm_hamiltonian_cache():
+    config = default_config()
+    layout = build_layout(config)
+    spec = SweepSpec((-0.5, 0.0, 0.25, 0.5), -0.5, "one_b")
+    model._build_H.cache_clear()
+    cold = run_sweep(config, spec, layout)
+    assert model._build_H.cache_info().misses == 1
+    assert run_sweep(config, spec, layout) == cold
+    assert model._build_H.cache_info().misses == 1
 
 
 def test_charge_commutes_with_hamiltonian():

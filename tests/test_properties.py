@@ -5,6 +5,9 @@ fast; each property still covers inputs no fixed case names.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -99,3 +102,36 @@ def test_interchange_bound_covers_the_dense_residual(params):
     dense, floors = dense_interchange_residuals(config, params)
     for c, exact, floor in zip(checks, dense, floors, strict=True):
         assert exact <= c.residual + floor + np.finfo(np.float64).smallest_normal, (c.name, exact, c.residual)
+
+
+_FALSIFIED_MODULE = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_falsified(n):
+    assert n < 10
+
+
+def test_after_the_falsified_property():
+    pass
+"""
+
+
+def test_a_falsified_property_prints_its_example_and_the_session_goes_on(tmp_path):
+    # hypothesis reports a failure through libcst, whose import warns; under
+    # `filterwarnings = error` that warning used to end the session (exit 3).
+    (tmp_path / "test_falsified.py").write_text(_FALSIFIED_MODULE)
+    ini = Path(__file__).resolve().parents[1] / "pytest.ini"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ini), "--rootdir", str(tmp_path), "-rA", "test_falsified.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "PASSED test_falsified.py::test_after_the_falsified_property" in out
