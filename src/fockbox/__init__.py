@@ -35,7 +35,6 @@ from .ladderalg import (
     power,
     quadrature_realize,
     realize,
-    realize_at,
 )
 from .model import (
     FieldAlgebra,

@@ -22,8 +22,9 @@ window at the 1e-4 level for |f| = 1 and the checks would measure truncation
 artifacts instead of the identities.
 
 Verification-mode routines enforce the coherent-leakage policy on the
-configured space itself: a displaced ladder must have a cutoff whose Poisson
-tail at the requested amplitude is below 1e-12, else LeakageError.
+configured space itself: a displaced ladder must have a cutoff above f^2
+whose Poisson tail at the requested amplitude is below 1e-12, else
+LeakageError.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -102,8 +104,8 @@ def require_admissible(config: ModelConfig, params: DisplacementParams, layout: 
         cutoff = layout.cutoff(lad)
         if not leakage_admissible(f, cutoff):
             raise LeakageError(
-                f"amplitude {f} on ladder {lad} (cutoff {cutoff}) leaks"
-                f" {poisson_tail(f, cutoff):.3e} > 1e-12"
+                f"amplitude {f} on ladder {lad} (cutoff {cutoff}) leaks: admissible needs"
+                f" f^2 < {cutoff} and a Poisson tail under 1e-12, here {poisson_tail(f, cutoff):.3e}"
             )
 
 
@@ -153,9 +155,15 @@ def build_U(config: ModelConfig, params: DisplacementParams, layout: FockLayout 
 # working spaces and projected-residual helpers
 
 
+@lru_cache(maxsize=64)
 def working_headroom(amplitude: float) -> int:
-    """Levels above the window needed before the cutoff wall is invisible."""
-    head = 1
+    """Levels above the window needed before the cutoff wall is invisible.
+
+    The search starts at the Poisson peak floor(f^2): below the peak the
+    tail weight grows with the level, so a search from level 1 would stop
+    far below the levels the displaced amplitude reaches.
+    """
+    head = max(1, math.floor(amplitude * amplitude))
     while poisson_tail(amplitude, head) >= WORK_TAIL_BOUND:
         head += 1
     return head
@@ -176,16 +184,21 @@ class _WorkFrame:
         return self.lowering.shape[0]
 
     def conjugate(self, block: np.ndarray) -> np.ndarray:
+        """The window of U+ block U, from U's first window columns only."""
+        m = self.window
         if self.unitary is None:
-            return block
-        return self.unitary.conj().T @ block @ self.unitary
+            return block[:m, :m]
+        v = self.unitary[:, :m]
+        return v.conj().T @ (block @ v)
 
     def shift_defect(self, dagger: bool) -> np.ndarray:
-        """U+ x U - x - f, for x this ladder's lowering or raising block."""
+        """U+ x U - x - f on the window, for x this ladder's lowering or
+        raising block."""
+        m = self.window
         block = self.raising if dagger else self.lowering
-        diff = self.conjugate(block) - block
+        diff = self.conjugate(block) - block[:m, :m]
         if self.amplitude != 0.0:
-            diff = diff - self.amplitude * np.eye(self.dim)
+            diff = diff - self.amplitude * np.eye(m)
         return diff
 
 
@@ -213,24 +226,26 @@ def _work_frames(
     return frames
 
 
-def _window_sum_max(blocks: Mapping[LadderId, np.ndarray], scalar: complex, frames: Mapping[LadderId, _WorkFrame]) -> float:
-    """Exact projected max norm of sum_l blocks[l] (x) identity + scalar.
+def _window_sum_max(blocks: Mapping[LadderId, np.ndarray], scalars: np.ndarray) -> np.ndarray:
+    """Exact windowed max norm of sum_l blocks[l][b] (x) identity + scalars[b]
+    for each b, from a (B, m_l, m_l) stack of window blocks per ladder.
 
     Entries off-diagonal in one ladder come from that ladder's block alone;
     diagonal entries are sums of per-ladder diagonals plus the scalar, and
     the maximum over the projected box is taken by explicit outer addition.
     """
-    off_max = 0.0
-    diag_total = np.array([scalar], dtype=np.complex128)
-    for lad, block in blocks.items():
+    off_max = np.zeros(len(scalars))
+    diag_total = np.asarray(scalars, dtype=np.complex128)[:, None]
+    for block in blocks.values():
         if not np.any(block):
             continue
-        m = frames[lad].window
-        sub = block[:m, :m]
-        off = sub - np.diag(np.diag(sub))
-        off_max = max(off_max, float(np.max(np.abs(off))))
-        diag_total = np.add.outer(diag_total, np.diag(sub)).ravel()
-    return max(off_max, float(np.max(np.abs(diag_total))))
+        m = block.shape[1]
+        magnitudes = np.abs(block)
+        magnitudes[:, np.arange(m), np.arange(m)] = 0.0
+        off_max = np.maximum(off_max, magnitudes.max(axis=(1, 2)))
+        diag = np.diagonal(block, axis1=1, axis2=2)
+        diag_total = (diag_total[:, :, None] + diag[:, None, :]).reshape(len(scalars), -1)
+    return np.maximum(off_max, np.abs(diag_total).max(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +262,11 @@ def check_ladder_shifts(
     checks = []
     for lad in layout.ladders:
         frame = frames[lad]
-        m = frame.window
         for dagger, suffix in ((False, ""), (True, "_dag")):
             if frame.unitary is None:
                 residual = 0.0
             else:
-                residual = float(np.max(np.abs(frame.shift_defect(dagger)[:m, :m])))
+                residual = float(np.max(np.abs(frame.shift_defect(dagger))))
             checks.append(
                 ResidualCheck(f"ladder_shift[{lad}{suffix}]", params.f1, params.f2, residual, LADDER_SHIFT_TOL)
             )
@@ -277,9 +291,11 @@ def check_free_hamiltonian_shift(
         frame = frames[lad]
         if frame.unitary is None and amplitude == 0.0:
             return None
+        m = frame.window
         number = np.diag(np.arange(frame.dim, dtype=np.float64))
         expected = amplitude * (frame.raising + frame.lowering) + amplitude * amplitude * np.eye(frame.dim)
-        return energy * (frame.conjugate(number) - number - expected)
+        # a batch of one for _window_sum_max
+        return (energy * (frame.conjugate(number) - number[:m, :m] - expected[:m, :m]))[None]
 
     neutral_blocks = {}
     for n in config.neutral_modes:
@@ -300,14 +316,14 @@ def check_free_hamiltonian_shift(
             "free_shift[neutral]",
             f1,
             f2,
-            _window_sum_max(neutral_blocks, 0.0, frames),
+            float(_window_sum_max(neutral_blocks, np.zeros(1))[0]),
             FREE_SHIFT_TOL,
         ),
         ResidualCheck(
             "free_shift[charged]",
             f1,
             f2,
-            _window_sum_max(charged_blocks, 0.0, frames),
+            float(_window_sum_max(charged_blocks, np.zeros(1))[0]),
             FREE_SHIFT_TOL,
         ),
     ]
@@ -364,32 +380,33 @@ def check_field_shift(
     def ladder_diff(lad: LadderId, dagger: bool) -> np.ndarray:
         frame = frames[lad]
         block = frame.raising if dagger else frame.lowering
-        return frame.conjugate(block) - block
+        return frame.conjugate(block) - block[: frame.window, : frame.window]
 
     fa = field_algebra(config)
     checks = []
-    for field_kind, poly, shift_of_x in (
-        ("neutral", fa.phihat, lambda x: params.f2 * n2(x)),
-        ("charged", fa.phi, lambda x: params.f1 * n1(x)),
-        ("charged_dagger", fa.phi_dag, lambda x: params.f1 * n1(x)),
+    for field_kind, poly, profile, amplitude in (
+        ("neutral", fa.phihat, n2, params.f2),
+        ("charged", fa.phi, n1, params.f1),
+        ("charged_dagger", fa.phi_dag, n1, params.f1),
     ):
-        diffs = {
-            (s.ladder, s.dagger): ladder_diff(s.ladder, s.dagger)
-            for t in poly.terms
-            for s in t.symbols
-        }
-        for j, x in enumerate(xs):
-            blocks: dict[LadderId, np.ndarray] = {}
-            for t in poly.terms:
-                (sym,) = t.symbols
-                contrib = (t.coefficient * t.phase(x, config.box_length)) * diffs[(sym.ladder, sym.dagger)]
-                if sym.ladder in blocks:
-                    blocks[sym.ladder] = blocks[sym.ladder] + contrib
-                else:
-                    blocks[sym.ladder] = contrib
-            residual = _window_sum_max(blocks, -shift_of_x(float(x)), frames)
+        # One (x sample, row, column) stack per ladder, summed term by term
+        # in the order a single sample's block would be.
+        blocks: dict[LadderId, np.ndarray] = {}
+        for t in poly.terms:
+            (sym,) = t.symbols
+            contrib = (t.coefficient * t.phase(xs, config.box_length))[:, None, None] * ladder_diff(
+                sym.ladder, sym.dagger
+            )
+            if sym.ladder in blocks:
+                blocks[sym.ladder] = blocks[sym.ladder] + contrib
+            else:
+                blocks[sym.ladder] = contrib
+        residuals = _window_sum_max(blocks, -(amplitude * profile(xs)))
+        for j, residual in enumerate(residuals):
             checks.append(
-                ResidualCheck(f"field_shift[{field_kind}][x{j}]", params.f1, params.f2, residual, FIELD_SHIFT_TOL)
+                ResidualCheck(
+                    f"field_shift[{field_kind}][x{j}]", params.f1, params.f2, float(residual), FIELD_SHIFT_TOL
+                )
             )
     return checks
 
@@ -557,7 +574,7 @@ class InterchangeChecker:
         layers = [np.zeros((frame.window, frame.window)) for _ in range(len(daggers) + 1)]
         for kept, dropped in _subwords(daggers):
             layers[dropped] = layers[dropped] + self._block(lad, kept)
-        c = frame.conjugate(ladder_product(frame.dim - 1, daggers))[: frame.window, : frame.window]
+        c = frame.conjugate(ladder_product(frame.dim - 1, daggers))
         e, gap = 0.0, c
         for k, layer in enumerate(layers):
             e = e + frame.amplitude**k * layer

@@ -12,7 +12,7 @@ excludes the top level; ``P ([a, a+] - 1) P = 0`` for P the projection onto
 occupations <= cutoff - 1, and tests pin that equality exactly.
 
 The module also owns the coherent-leakage policy: a displacement of amplitude
-f on a ladder with cutoff N is admissible when the Poisson tail
+f on a ladder with cutoff N is admissible when f^2 < N and the Poisson tail
 ``exp(-f^2) f^(2N) / N!`` is below 1e-12.  Verification routines enforce the
 policy; plain construction does not.
 
@@ -328,7 +328,10 @@ def poisson_tail(amplitude: float, cutoff: int) -> float:
 
 
 def leakage_admissible(amplitude: float, cutoff: int) -> bool:
-    return poisson_tail(amplitude, cutoff) < LEAKAGE_TAIL_BOUND
+    """A tail under the bound, on the range f^2 < N where the tail grows
+    with |f|: past the Poisson peak the level-N weight falls again, so a
+    small tail there means the amplitude overshoots the cutoff."""
+    return amplitude * amplitude < cutoff and poisson_tail(amplitude, cutoff) < LEAKAGE_TAIL_BOUND
 
 
 def max_admissible_amplitude(cutoff: int) -> float:

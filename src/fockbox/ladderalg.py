@@ -223,8 +223,8 @@ def _monomial_matrix(layout: FockLayout, symbols: tuple[LadderSymbol, ...]) -> s
 def realize(p: LadderPolynomial, layout: FockLayout) -> OperatorMatrix:
     """Sum of coefficient times ordered matrix product, phases ignored.
 
-    Use realize_at for x-dependent polynomials; realize is the x = 0 value
-    and the natural form for integrated (wave_index == 0) polynomials.
+    This is the x = 0 value of an x-dependent polynomial and the natural
+    form for integrated (wave_index == 0) polynomials.
     """
     dim = layout.dimension
     acc = sp.csr_matrix((dim, dim), dtype=np.complex128)
@@ -233,29 +233,19 @@ def realize(p: LadderPolynomial, layout: FockLayout) -> OperatorMatrix:
     return OperatorMatrix(layout, acc.tocsr())
 
 
-def realize_at(p: LadderPolynomial, layout: FockLayout, x: float, box_length: float) -> OperatorMatrix:
-    """Realization with each monomial weighted by exp(i 2pi wave_index x / L)."""
-    dim = layout.dimension
-    acc = sp.csr_matrix((dim, dim), dtype=np.complex128)
-    for t in p.terms:
-        acc = acc + (t.coefficient * t.phase(x, box_length)) * _monomial_matrix(layout, t.symbols)
-    return OperatorMatrix(layout, acc.tocsr())
-
-
 def quadrature_realize(p: LadderPolynomial, layout: FockLayout, box_length: float, n_x: int) -> OperatorMatrix:
-    """Riemann-sum oracle for integrate_box: sum_j realize_at(x_j) * (L / N).
+    """Riemann-sum oracle for integrate_box: (L / N) sum_j p(x_j), realized.
 
-    The equal-weight sum over a full period is exact once n_x exceeds the
-    polynomial's band limit max|wave_index| (no wave index can alias to 0);
-    a grid at or under the band limit raises GridError rather than silently
-    corrupting a check.
+    Each monomial's phases are summed over the nodes first and the weighted
+    polynomial is realized once.  The equal-weight sum over a full period is
+    exact once n_x exceeds the polynomial's band limit max|wave_index| (no
+    wave index can alias to 0); a grid at or under the band limit raises
+    GridError rather than silently corrupting a check.
     """
     band = max((abs(t.wave_index) for t in p.terms), default=0)
     if n_x <= band:
         raise GridError(f"n_x = {n_x} at or under band limit {band}")
-    dim = layout.dimension
-    acc = sp.csr_matrix((dim, dim), dtype=np.complex128)
-    for x in box_points(box_length, n_x):
-        acc = acc + realize_at(p, layout, x, box_length).matrix
-    return OperatorMatrix(layout, (acc * (box_length / n_x)).tocsr())
-
+    xs = box_points(box_length, n_x)
+    # Built directly, not through from_terms, so that no summed weight is pruned.
+    summed = LadderPolynomial(tuple(t.scaled(np.sum(t.phase(xs, box_length))) for t in p.terms))
+    return realize(summed, layout) * (box_length / n_x)

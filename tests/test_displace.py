@@ -11,6 +11,8 @@ from fockbox.fockspace import (
     basis_state,
     displacement_block,
     embed,
+    ladder_product,
+    max_admissible_amplitude,
     poisson_tail,
     vacuum,
 )
@@ -51,6 +53,18 @@ def test_displaced_amplitudes_mapping():
     config = default_config()
     amps = displaced_amplitudes(config, DisplacementParams(0.3, -0.7))
     assert amps == {B1: 0.3, D1: 0.3, A2: -0.7}
+
+
+@pytest.mark.parametrize("params", [DisplacementParams(8.0, 8.0), DisplacementParams(10.0, 10.0)])
+def test_amplitudes_past_the_poisson_peak_leak(params):
+    # f^2 > 16: the cutoff-16 tail falls again there, yet the ladders overflow
+    config = default_config()
+    layout = build_layout(config)
+    for check in (check_ladder_shifts, check_free_hamiltonian_shift, check_field_shift):
+        with pytest.raises(LeakageError):
+            check(config, params, layout)
+    with pytest.raises(LeakageError):
+        InterchangeChecker(config, layout).run(params)
 
 
 def test_require_admissible():
@@ -162,6 +176,16 @@ def test_working_headroom():
     assert working_headroom(1.0) == 21
 
 
+def test_working_headroom_does_not_collapse_past_the_poisson_peak():
+    # a search from level 1 stopped below the peak: 128 levels at 7.05, 1 at 7.1
+    heads = [working_headroom(f) for f in np.linspace(0.0, 12.0, 1201)]
+    assert all(a <= b for a, b in zip(heads, heads[1:]))
+    assert working_headroom(7.1) >= working_headroom(7.05) == 128
+    for f in (7.1, 10.8, 12.0):
+        head = working_headroom(f)
+        assert head > f * f and poisson_tail(f, head) < WORK_TAIL_BOUND
+
+
 def test_ladder_shift_names_and_zero_amplitude_rows():
     config = default_config()
     layout = build_layout(config)
@@ -219,6 +243,102 @@ def test_field_shift(params):
         assert c.residual <= 1e-12, c
 
 
+@pytest.mark.parametrize("cutoff", [16, 64])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_windowed_conjugation_is_the_window_of_the_full_one(cutoff, sign):
+    config = default_config().with_cutoff(cutoff)
+    amplitude = sign * max_admissible_amplitude(cutoff)
+    frames = _work_frames(config, DisplacementParams(amplitude, amplitude), build_layout(config))
+    for lad in (A2, B1):
+        frame = frames[lad]
+        u, m = frame.unitary, frame.window
+        assert frame.amplitude == amplitude and m == cutoff // 2 + 1 and frame.dim > m
+        for block in (
+            frame.lowering,
+            frame.raising,
+            np.diag(np.arange(frame.dim, dtype=np.float64)),
+            ladder_product(frame.dim - 1, (True, False, True, False)),
+        ):
+            full = (u.T @ block @ u)[:m, :m]
+            windowed = frame.conjugate(block)
+            assert windowed.shape == (m, m)
+            # the two differ only in the association of the two products
+            tol = 16 * np.finfo(np.float64).eps * np.max(np.abs(full))
+            assert np.max(np.abs(windowed - full)) <= tol, (cutoff, amplitude, lad)
+
+
+def _window_sum_max_per_sample(blocks, scalar):
+    """The unbatched form: one sample's (m_l, m_l) window blocks and scalar."""
+    off_max = 0.0
+    diag_total = np.array([scalar], dtype=np.complex128)
+    for block in blocks.values():
+        if not np.any(block):
+            continue
+        off = block - np.diag(np.diag(block))
+        off_max = max(off_max, float(np.max(np.abs(off))))
+        diag_total = np.add.outer(diag_total, np.diag(block)).ravel()
+    return max(off_max, float(np.max(np.abs(diag_total))))
+
+
+def test_batched_window_sum_max_equals_the_per_sample_loop():
+    # Diagonal-heavy blocks put every maximum on a three-term diagonal sum,
+    # whose rounding depends on the order of the additions.
+    rng = np.random.default_rng(11)
+    batch = 16
+    blocks = {
+        A2: rng.normal(size=(batch, 9, 9)) + 1j * rng.normal(size=(batch, 9, 9)),
+        B1: rng.normal(size=(batch, 4, 4)) + 1j * rng.normal(size=(batch, 4, 4)),
+        D1: rng.normal(size=(batch, 5, 5)),
+    }
+    for block in blocks.values():
+        block += np.eye(block.shape[1]) * rng.uniform(1.0, 1e3, size=(batch, 1, 1))
+    blocks[LadderId("a", 3)] = np.zeros((batch, 6, 6))
+    scalars = rng.normal(size=batch) * 1e-3
+    batched = displace._window_sum_max(blocks, scalars)
+    assert batched.shape == (batch,)
+    for b in range(batch):
+        single = _window_sum_max_per_sample({lad: block[b] for lad, block in blocks.items()}, scalars[b])
+        assert batched[b] == single
+
+
+def test_window_sum_max_keeps_a_nan():
+    block = np.zeros((2, 3, 3))
+    block[1, 0, 0] = np.nan
+    block[:, 0, 1] = 1.0
+    out = displace._window_sum_max({A2: block}, np.zeros(2))
+    assert out[0] == 1.0 and math.isnan(out[1])
+
+
+@pytest.mark.parametrize(
+    "cutoff, params",
+    [(16, DisplacementParams(1.0, -1.0)), (16, DisplacementParams(0.0, 0.5)), (64, DisplacementParams(-4.5, 3.0))],
+)
+def test_field_shift_equals_the_per_x_loop(cutoff, params):
+    config = default_config().with_cutoff(cutoff)
+    layout = build_layout(config)
+    frames = _work_frames(config, params, layout)
+    xs = box_points(config.box_length, X_SAMPLE_COUNT)
+    n1, n2 = shift_profiles(config)
+    fa = field_algebra(config)
+    expected = []
+    for poly, shift_of_x in (
+        (fa.phihat, lambda x: params.f2 * n2(x)),
+        (fa.phi, lambda x: params.f1 * n1(x)),
+        (fa.phi_dag, lambda x: params.f1 * n1(x)),
+    ):
+        for x in xs:
+            blocks = {}
+            for t in poly.terms:
+                (sym,) = t.symbols
+                frame = frames[sym.ladder]
+                m = frame.window
+                block = frame.raising if sym.dagger else frame.lowering
+                contrib = (t.coefficient * t.phase(x, config.box_length)) * (frame.conjugate(block) - block[:m, :m])
+                blocks[sym.ladder] = blocks[sym.ladder] + contrib if sym.ladder in blocks else contrib
+            expected.append(_window_sum_max_per_sample(blocks, -shift_of_x(float(x))))
+    assert [c.residual for c in check_field_shift(config, params, layout)] == expected
+
+
 @pytest.mark.parametrize("params", GRID_POINTS)
 def test_interchange_residuals(params):
     config = default_config()
@@ -255,14 +375,15 @@ def test_unitarity_and_composition(params):
 
 def _frame_block(frame, symbols, conjugated):
     """Windowed ordered product of one ladder's symbols on its work frame;
-    a ladder without symbols carries the identity, conjugated or not."""
+    a ladder without symbols carries the identity, conjugated or not.  The
+    conjugation runs on the full frame, independent of _WorkFrame.conjugate."""
     if not symbols:
         return np.eye(frame.window)
     mat = np.eye(frame.dim)
     for s in symbols:
         mat = mat @ (frame.raising if s.dagger else frame.lowering)
-    if conjugated:
-        mat = frame.conjugate(mat)
+    if conjugated and frame.unitary is not None:
+        mat = frame.unitary.T @ mat @ frame.unitary
     return mat[: frame.window, : frame.window]
 
 

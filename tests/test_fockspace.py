@@ -244,6 +244,7 @@ def test_every_lru_cache_is_bounded():
         "fockbox.ladderalg._monomial_matrix",
         "fockbox.model.field_algebra",
         "fockbox.model._build_H",
+        "fockbox.displace.working_headroom",
     } <= set(caches)
     assert all(size is not None for size in caches.values()), caches
     assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE
@@ -259,6 +260,18 @@ def test_poisson_tail_values():
     assert not any(leakage_admissible(1.0, cutoff) for cutoff in range(1, 15))
     assert leakage_admissible(1.0, 15)
     assert all(leakage_admissible(0.0, cutoff) for cutoff in (1, 2, 40))
+
+
+def test_leakage_admissibility_is_monotone_in_the_amplitude():
+    # past the Poisson peak f^2 = N the level-N weight falls again
+    # (poisson_tail(8, 16) is 6.1e-13), so the tail alone would re-admit it
+    assert poisson_tail(8.0, 16) < fockspace.LEAKAGE_TAIL_BOUND
+    assert not leakage_admissible(8.0, 16)
+    for cutoff in (16, 64):
+        admissible = [leakage_admissible(f, cutoff) for f in np.linspace(0.0, 20.0, 4001)]
+        first_rejected = admissible.index(False)
+        assert not any(admissible[first_rejected:]), cutoff
+        assert all(admissible[:first_rejected])
 
 
 def test_poisson_tail_matches_direct_formula():

@@ -20,7 +20,6 @@ from fockbox.ladderalg import (
     power,
     quadrature_realize,
     realize,
-    realize_at,
 )
 from fockbox.model import default_config, interaction_density_polynomial
 
@@ -157,15 +156,17 @@ def test_realize_cross_ladder_is_kron():
     np.testing.assert_allclose(realize(p, layout).to_dense(), expected)
 
 
-def test_realize_at_carries_plane_wave_phase():
+def test_monomial_phase_is_the_plane_wave_factor():
     config = default_config()
-    layout = FockLayout((A2,), (6,))
     phihat = field_polynomial("neutral", config)
-    x = 0.37
-    amp = 1.0 / math.sqrt(2.0 * config.omega_k * config.box_length)
-    phase = np.exp(2.0j * x)  # k = 2 at L = 2 pi
-    expected = amp * (phase * lowering_block(6) + np.conj(phase) * raising_block(6))
-    np.testing.assert_allclose(realize_at(phihat, layout, x, config.box_length).to_dense(), expected, atol=1e-15)
+    xs = np.array([0.37, -1.2])
+    phases = {t.symbols[0].dagger: t.phase(xs, config.box_length) for t in phihat.terms}
+    # k = 2 at L = 2 pi: a_k carries exp(+2ix), a+_k exp(-2ix)
+    np.testing.assert_allclose(phases[False], np.exp(2.0j * xs), rtol=1e-15)
+    np.testing.assert_allclose(phases[True], np.exp(-2.0j * xs), rtol=1e-15)
+    # a scalar x gives bitwise the entry an array of samples gives
+    assert phihat.terms[0].phase(0.37, config.box_length) == phases[phihat.terms[0].symbols[0].dagger][0]
+    assert mono(1.0, sym(A2, True, 0)).phase(0.37, config.box_length) == 1.0
 
 
 def test_quadrature_realize_matches_integrate_box():
