@@ -114,6 +114,8 @@ def reference_state(config: ModelConfig, selector: str, layout: FockLayout | Non
                 seed = int(selector.partition(":")[2])
             except ValueError as exc:
                 raise ConfigError(f"bad seed in state selector {selector!r}") from exc
+            if seed < 0:
+                raise ConfigError(f"negative seed in state selector {selector!r}")
         rng = np.random.default_rng(seed)
         mask = layout.occupations().sum(axis=1) <= SEEDED_SUPPORT_LEVEL
         count = int(mask.sum())

@@ -47,9 +47,8 @@ from .fockspace import (
     embed,
     ladder_product,
     leakage_admissible,
-    lowering_block,
     poisson_tail,
-    raising_block,
+    word_rows,
 )
 from .ladderalg import box_points
 from .model import ModelConfig, build_layout, field_algebra, shift_profiles
@@ -169,37 +168,65 @@ def working_headroom(amplitude: float) -> int:
     return head
 
 
+def _subwords(daggers: tuple[bool, ...]) -> list[tuple[tuple[bool, ...], int]]:
+    """Every ordered sub-product of one ladder's word, with the number of
+    symbols it drops: prod_i (x_i + f) = sum of f^dropped * kept over them."""
+    k = len(daggers)
+    return [
+        (tuple(d for i, d in enumerate(daggers) if mask >> i & 1), k - bin(mask).count("1"))
+        for mask in range(1 << k)
+    ]
+
+
+# A verify run on the built-in config needs 15 (window, word) keys, on the
+# two-mode README config 34; a window has at most 31 words of up to four
+# symbols.
+@lru_cache(maxsize=128)
+def _shift_layers(window: int, daggers: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
+    """(e_0, e_1, ...) on the window, read-only: e_k sums the ordered
+    sub-products of one ladder's word that drop k symbols, so e_0 is the
+    word itself and prod_i (x_i + f) = sum_k f^k e_k.  Each sub-product is
+    exact on the window because no word carries more than WORK_BAND_MARGIN
+    symbols."""
+    layers = [np.zeros((window, window)) for _ in range(len(daggers) + 1)]
+    for kept, dropped in _subwords(daggers):
+        layers[dropped] = layers[dropped] + ladder_product(window - 1 + WORK_BAND_MARGIN, kept)[:window, :window]
+    for layer in layers:
+        layer.setflags(write=False)
+    return tuple(layers)
+
+
 @dataclass(frozen=True, eq=False)
 class _WorkFrame:
-    """Single-ladder evaluation space: window plus headroom above it."""
+    """Single-ladder evaluation space: window plus headroom above it, and
+    the first window columns of U there (None when undisplaced)."""
 
     amplitude: float
     window: int
-    lowering: np.ndarray
-    raising: np.ndarray
-    unitary: np.ndarray | None
+    dim: int
+    columns: np.ndarray | None
 
-    @property
-    def dim(self) -> int:
-        return self.lowering.shape[0]
-
-    def conjugate(self, block: np.ndarray) -> np.ndarray:
-        """The window of U+ block U, from U's first window columns only."""
-        m = self.window
-        if self.unitary is None:
-            return block[:m, :m]
-        v = self.unitary[:, :m]
-        return v.conj().T @ (block @ v)
-
-    def shift_defect(self, dagger: bool) -> np.ndarray:
-        """U+ x U - x - f on the window, for x this ladder's lowering or
-        raising block."""
-        m = self.window
-        block = self.raising if dagger else self.lowering
-        diff = self.conjugate(block) - block[:m, :m]
-        if self.amplitude != 0.0:
-            diff = diff - self.amplitude * np.eye(m)
-        return diff
+    def shift_gap(self, daggers: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(e, c - e, c) on the window, for c = U+ word U on the working
+        space and e = prod_i (x_i + f) = sum_k f^k e_k (see _shift_layers).
+        c is v+ (word v) for v the window columns of U, with word v applied
+        by index shifts.  c - e is formed as
+        (((c - e_0) - f e_1) - f^2 e_2) ..., so each subtraction cancels
+        the leading part of what is left and the gap keeps its own
+        relative precision, even where it is far below the rounding of c."""
+        layers = _shift_layers(self.window, daggers)
+        if self.columns is None:
+            c = layers[0]
+        else:
+            # word v is (v.T word+).T, and word+ reverses the word and flips
+            # each symbol
+            adjoint = tuple(not d for d in reversed(daggers))
+            c = self.columns.T @ word_rows(self.columns.T, adjoint).T
+        e, gap = 0.0, c
+        for k, layer in enumerate(layers):
+            e = e + self.amplitude**k * layer
+            gap = gap - self.amplitude**k * layer
+        return e, gap, c
 
 
 def _window(cutoff: int) -> int:
@@ -219,9 +246,8 @@ def _work_frames(
         frames[lad] = _WorkFrame(
             amplitude=amp,
             window=window,
-            lowering=lowering_block(work),
-            raising=raising_block(work),
-            unitary=displacement_block(work, amp) if amp != 0.0 else None,
+            dim=work + 1,
+            columns=displacement_block(work, amp)[:, :window] if amp != 0.0 else None,
         )
     return frames
 
@@ -261,12 +287,9 @@ def check_ladder_shifts(
     frames = _work_frames(config, params, layout)
     checks = []
     for lad in layout.ladders:
-        frame = frames[lad]
         for dagger, suffix in ((False, ""), (True, "_dag")):
-            if frame.unitary is None:
-                residual = 0.0
-            else:
-                residual = float(np.max(np.abs(frame.shift_defect(dagger))))
+            _, gap, _ = frames[lad].shift_gap((dagger,))
+            residual = float(np.max(np.abs(gap)))
             checks.append(
                 ResidualCheck(f"ladder_shift[{lad}{suffix}]", params.f1, params.f2, residual, LADDER_SHIFT_TOL)
             )
@@ -287,80 +310,27 @@ def check_free_hamiltonian_shift(
     frames = _work_frames(config, params, layout)
     f1, f2 = params.f1, params.f2
 
-    def shifted_number_residual(lad: LadderId, energy: float, amplitude: float) -> np.ndarray | None:
-        frame = frames[lad]
-        if frame.unitary is None and amplitude == 0.0:
-            return None
-        m = frame.window
-        number = np.diag(np.arange(frame.dim, dtype=np.float64))
-        expected = amplitude * (frame.raising + frame.lowering) + amplitude * amplitude * np.eye(frame.dim)
-        # a batch of one for _window_sum_max
-        return (energy * (frame.conjugate(number) - number[:m, :m] - expected[:m, :m]))[None]
-
-    neutral_blocks = {}
-    for n in config.neutral_modes:
-        lad = LadderId("a", n)
-        block = shifted_number_residual(lad, config.omega(n), f2 if n == config.k_index else 0.0)
-        if block is not None:
-            neutral_blocks[lad] = block
-    charged_blocks = {}
-    for n in config.charged_modes:
-        for fam in ("b", "d"):
-            lad = LadderId(fam, n)
-            block = shifted_number_residual(lad, config.charged_energy(n), f1 if n == config.q_index else 0.0)
-            if block is not None:
-                charged_blocks[lad] = block
-
-    checks = [
-        ResidualCheck(
-            "free_shift[neutral]",
-            f1,
-            f2,
-            float(_window_sum_max(neutral_blocks, np.zeros(1))[0]),
-            FREE_SHIFT_TOL,
+    sectors = (
+        ("neutral", [(LadderId("a", n), config.omega(n)) for n in config.neutral_modes], config.omega_k * f2 * f2),
+        (
+            "charged",
+            [(LadderId(fam, n), config.charged_energy(n)) for n in config.charged_modes for fam in ("b", "d")],
+            2.0 * config.energy_q * f1 * f1,
         ),
-        ResidualCheck(
-            "free_shift[charged]",
-            f1,
-            f2,
-            float(_window_sum_max(charged_blocks, np.zeros(1))[0]),
-            FREE_SHIFT_TOL,
-        ),
-    ]
-
-    def vacuum_number_value(lads_energies) -> float:
-        total = 0.0
-        for lad, energy in lads_energies:
-            u = frames[lad].unitary
-            if u is None:
-                continue
-            column = u[:, 0]
-            total += energy * float(np.sum(np.arange(len(column)) * np.abs(column) ** 2))
-        return total
-
-    neutral_value = vacuum_number_value((LadderId("a", n), config.omega(n)) for n in config.neutral_modes)
-    charged_value = vacuum_number_value(
-        (LadderId(fam, n), config.charged_energy(n)) for n in config.charged_modes for fam in ("b", "d")
     )
-    checks.append(
-        ResidualCheck(
-            "free_shift_vacuum[neutral]",
-            f1,
-            f2,
-            abs(neutral_value - config.omega_k * f2 * f2),
-            FREE_SHIFT_TOL,
-        )
-    )
-    checks.append(
-        ResidualCheck(
-            "free_shift_vacuum[charged]",
-            f1,
-            f2,
-            abs(charged_value - 2.0 * config.energy_q * f1 * f1),
-            FREE_SHIFT_TOL,
-        )
-    )
-    return checks
+    shifts, vacua = [], []
+    for sector, energies, vacuum_shift in sectors:
+        # energy (U+ a+a U - (a+ + f)(a + f)) per ladder, a batch of one
+        blocks = {lad: (energy * frames[lad].shift_gap((True, False))[1])[None] for lad, energy in energies}
+        residual = float(_window_sum_max(blocks, np.zeros(1))[0])
+        shifts.append(ResidualCheck(f"free_shift[{sector}]", f1, f2, residual, FREE_SHIFT_TOL))
+        value = 0.0
+        for lad, energy in energies:
+            frame = frames[lad]
+            if frame.columns is not None:
+                value += energy * float(np.sum(np.arange(frame.dim) * np.abs(frame.columns[:, 0]) ** 2))
+        vacua.append(ResidualCheck(f"free_shift_vacuum[{sector}]", f1, f2, abs(value - vacuum_shift), FREE_SHIFT_TOL))
+    return shifts + vacua
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +346,6 @@ def check_field_shift(
     frames = _work_frames(config, params, layout)
     xs = box_points(config.box_length, X_SAMPLE_COUNT)
     n1, n2 = shift_profiles(config)
-
-    def ladder_diff(lad: LadderId, dagger: bool) -> np.ndarray:
-        frame = frames[lad]
-        block = frame.raising if dagger else frame.lowering
-        return frame.conjugate(block) - block[: frame.window, : frame.window]
-
     fa = field_algebra(config)
     checks = []
     for field_kind, poly, profile, amplitude in (
@@ -390,18 +354,23 @@ def check_field_shift(
         ("charged_dagger", fa.phi_dag, n1, params.f1),
     ):
         # One (x sample, row, column) stack per ladder, summed term by term
-        # in the order a single sample's block would be.
+        # in the order a single sample's block would be.  Each gap already
+        # subtracts its own ladder's amplitude, so the scalar compares the
+        # sum of those shifts with the closed-form profile.
         blocks: dict[LadderId, np.ndarray] = {}
+        shifts = np.zeros(len(xs), dtype=np.complex128)
         for t in poly.terms:
             (sym,) = t.symbols
-            contrib = (t.coefficient * t.phase(xs, config.box_length))[:, None, None] * ladder_diff(
-                sym.ladder, sym.dagger
-            )
+            kappa = t.coefficient * t.phase(xs, config.box_length)
+            frame = frames[sym.ladder]
+            _, gap, _ = frame.shift_gap((sym.dagger,))
+            contrib = kappa[:, None, None] * gap
             if sym.ladder in blocks:
                 blocks[sym.ladder] = blocks[sym.ladder] + contrib
             else:
                 blocks[sym.ladder] = contrib
-        residuals = _window_sum_max(blocks, -(amplitude * profile(xs)))
+            shifts = shifts + kappa * frame.amplitude
+        residuals = _window_sum_max(blocks, shifts - amplitude * profile(xs))
         for j, residual in enumerate(residuals):
             checks.append(
                 ResidualCheck(
@@ -416,16 +385,6 @@ def check_field_shift(
 
 
 _Word = tuple[tuple[bool, ...], ...]
-
-
-def _subwords(daggers: tuple[bool, ...]) -> list[tuple[tuple[bool, ...], int]]:
-    """Every ordered sub-product of one ladder's word, with the number of
-    symbols it drops: prod_i (x_i + f) = sum of f^dropped * kept over them."""
-    k = len(daggers)
-    return [
-        (tuple(d for i, d in enumerate(daggers) if mask >> i & 1), k - bin(mask).count("1"))
-        for mask in range(1 << k)
-    ]
 
 
 def _telescoped(maxima: list[tuple[float, float, float]]) -> float:
@@ -487,9 +446,8 @@ class InterchangeChecker:
     shift into words, each weighted by the amplitudes of the symbols it
     drops, subtracts S(x) word by word, and is bounded by
     sum_W |Delta_W(x)| prod_l max|W_l|.  Words and their windowed blocks do
-    not depend on the amplitudes, so they are built once; the blocks are
-    exact on window + WORK_BAND_MARGIN levels because no monomial carries
-    more than WORK_BAND_MARGIN symbols on one ladder.
+    not depend on the amplitudes, so they are built once; the blocks come
+    from _shift_layers, which the work frames' shift gaps share.
     """
 
     def __init__(self, config: ModelConfig, layout: FockLayout | None = None):
@@ -499,7 +457,6 @@ class InterchangeChecker:
         n1, n2 = shift_profiles(config)
         self._n1x = n1(self.x_samples)
         self._n2x = n2(self.x_samples)
-        self._blocks: dict[tuple[LadderId, tuple[bool, ...]], np.ndarray] = {}
 
         fa = field_algebra(config)
         powers = fa.ordered_powers
@@ -516,14 +473,6 @@ class InterchangeChecker:
             self._system("quartic", powers[4], quartic),
             self._system("cubic", fa.cubic, cubic),
         ]
-
-    def _block(self, lad: LadderId, daggers: tuple[bool, ...]) -> np.ndarray:
-        """Windowed ordered product of one ladder's symbols, exact on the window."""
-        key = (lad, daggers)
-        if key not in self._blocks:
-            m = _window(self.layout.cutoff(lad))
-            self._blocks[key] = ladder_product(m - 1 + WORK_BAND_MARGIN, daggers)[:m, :m]
-        return self._blocks[key]
 
     def _system(self, name, lhs_poly, expansion) -> _InterchangeSystem:
         """expansion lists (polynomial, weight, power of f1 n1, power of f2 n2)."""
@@ -550,7 +499,10 @@ class InterchangeChecker:
         for _, _, w in rows:
             columns.setdefault(w, len(columns))
         norms = [
-            math.prod(float(np.max(np.abs(self._block(lad, daggers)))) for lad, daggers in zip(ladders, w))
+            math.prod(
+                float(np.max(np.abs(_shift_layers(_window(self.layout.cutoff(lad)), daggers)[0])))
+                for lad, daggers in zip(ladders, w)
+            )
             for w in columns
         ]
         return _InterchangeSystem(
@@ -564,23 +516,6 @@ class InterchangeChecker:
             word_norms=np.array(norms),
         )
 
-    def _ladder_maxima(self, frame: _WorkFrame, lad: LadderId, daggers: tuple[bool, ...]) -> tuple[float, float, float]:
-        """(max|e|, max|c - e|, max|c|) on the window, for c = U+ word U on
-        the working space and e = prod_i (x_i + f) = sum_k f^k e_k, with e_k
-        the sub-products that drop k symbols.  c - e is formed as
-        (((c - e_0) - f e_1) - f^2 e_2) ..., so each subtraction cancels
-        the leading part of what is left and the gap keeps its own
-        relative precision, even where it is far below the rounding of c."""
-        layers = [np.zeros((frame.window, frame.window)) for _ in range(len(daggers) + 1)]
-        for kept, dropped in _subwords(daggers):
-            layers[dropped] = layers[dropped] + self._block(lad, kept)
-        c = frame.conjugate(ladder_product(frame.dim - 1, daggers))
-        e, gap = 0.0, c
-        for k, layer in enumerate(layers):
-            e = e + frame.amplitude**k * layer
-            gap = gap - frame.amplitude**k * layer
-        return float(np.max(np.abs(e))), float(np.max(np.abs(gap))), float(np.max(np.abs(c)))
-
     def run(self, params: DisplacementParams) -> list[ResidualCheck]:
         require_admissible(self.config, params, self.layout)
         frames = _work_frames(self.config, params, self.layout)
@@ -593,7 +528,8 @@ class InterchangeChecker:
                 for lad, daggers in zip(system.ladders, w):
                     if daggers:
                         if (lad, daggers) not in maxima:
-                            maxima[lad, daggers] = self._ladder_maxima(frames[lad], lad, daggers)
+                            gaps = frames[lad].shift_gap(daggers)
+                            maxima[lad, daggers] = tuple(float(np.max(np.abs(g))) for g in gaps)
                         per_ladder.append(maxima[lad, daggers])
                 conjugation_gap += modulus * _telescoped(per_ladder)
             amplitudes = [frames[lad].amplitude for lad in system.ladders]

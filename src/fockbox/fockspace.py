@@ -191,9 +191,6 @@ class OperatorMatrix:
     def hermiticity_residual(self) -> float:
         return (self - self.adjoint()).max_abs()
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -230,14 +227,38 @@ def raising_block(cutoff: int) -> np.ndarray:
     return lowering_block(cutoff).T.copy()
 
 
+def word_rows(rows: np.ndarray, daggers: Iterable[bool]) -> np.ndarray:
+    """rows @ word, for the ordered product of raising (True) and lowering
+    (False) blocks on a ladder with rows.shape[1] levels.
+
+    Every symbol moves each column by one level: column n of M @ a is
+    sqrt(n) times column n - 1 of M, column n of M @ a+ is sqrt(n + 1)
+    times column n + 1, and a column that runs off either end is zero.
+    Each column's weight is the left-to-right product of its factors, as
+    the dense chain from the identity forms it, and multiplies its source
+    column once.
+    """
+    dim = rows.shape[1]
+    roots = np.sqrt(np.arange(1.0, dim))
+    weight = np.ones(dim)
+    shift = 0  # column n of the product is column n + shift of rows
+    for dagger in daggers:
+        step = np.zeros(dim)
+        if dagger:
+            step[:-1] = weight[1:] * roots
+        else:
+            step[1:] = weight[:-1] * roots
+        weight = step
+        shift += 1 if dagger else -1
+    out = rows.take(np.arange(shift, dim + shift), axis=1, mode="clip") * weight
+    out[:, weight == 0.0] = 0.0
+    return out
+
+
 def ladder_product(cutoff: int, daggers: Iterable[bool]) -> np.ndarray:
     """Ordered product of raising (True) and lowering (False) blocks on one
     ladder; the identity for an empty word."""
-    lower, upper = lowering_block(cutoff), raising_block(cutoff)
-    mat = np.eye(cutoff + 1)
-    for dagger in daggers:
-        mat = mat @ (upper if dagger else lower)
-    return mat
+    return word_rows(np.eye(cutoff + 1), daggers)
 
 
 def embed(layout: FockLayout, blocks: Mapping[LadderId, np.ndarray]) -> sp.csr_matrix:

@@ -113,9 +113,6 @@ class LadderPolynomial:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def constant(value: complex) -> LadderPolynomial:
     return LadderPolynomial.from_terms([LadderMonomial(value, ())])

@@ -43,6 +43,8 @@ def test_seeded_state_support_and_reproducibility():
     occ = layout.occupations().sum(axis=1)
     assert np.all(np.abs(s7a.amplitudes[occ > 2]) == 0.0)
     assert s7a.norm() == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ConfigError, match="negative seed"):
+        reference_state(config, "seeded:-1", layout)
 
 
 def test_reference_state_rejects_bad_selectors():

@@ -11,9 +11,10 @@ from fockbox.fockspace import (
     basis_state,
     displacement_block,
     embed,
-    ladder_product,
+    lowering_block,
     max_admissible_amplitude,
     poisson_tail,
+    raising_block,
     vacuum,
 )
 from fockbox.displace import (
@@ -35,7 +36,7 @@ from fockbox.displace import (
     _work_frames,
 )
 from fockbox.ladderalg import box_points
-from fockbox.model import default_config, build_layout, field_algebra, parse_config, shift_profiles
+from fockbox.model import ShiftProfile, default_config, build_layout, field_algebra, parse_config, shift_profiles
 
 A2 = LadderId("a", 2)
 B1 = LadderId("b", 1)
@@ -84,7 +85,7 @@ def test_build_U_is_unitary_and_factorizes():
     layout = build_layout(config)
     params = DisplacementParams(0.4, -0.3)
     disp = displacement(config, params, layout)
-    u = disp.as_operator().to_dense()
+    u = disp.as_operator().matrix.toarray()
     np.testing.assert_allclose(u.conj().T @ u, np.eye(layout.dimension), atol=1e-13)
     charged = embed(layout, {l: f for l, f in disp.factors.items() if l.family in ("b", "d")}).toarray()
     neutral = embed(layout, {l: f for l, f in disp.factors.items() if l.family == "a"}).toarray()
@@ -251,20 +252,25 @@ def test_windowed_conjugation_is_the_window_of_the_full_one(cutoff, sign):
     frames = _work_frames(config, DisplacementParams(amplitude, amplitude), build_layout(config))
     for lad in (A2, B1):
         frame = frames[lad]
-        u, m = frame.unitary, frame.window
+        m = frame.window
         assert frame.amplitude == amplitude and m == cutoff // 2 + 1 and frame.dim > m
-        for block in (
-            frame.lowering,
-            frame.raising,
-            np.diag(np.arange(frame.dim, dtype=np.float64)),
-            ladder_product(frame.dim - 1, (True, False, True, False)),
-        ):
+        u = displacement_block(frame.dim - 1, frame.amplitude)
+        for word in ((False,), (True,), (True, False), (True, False, True, False)):
+            block = _full_word(frame, word)
             full = (u.T @ block @ u)[:m, :m]
-            windowed = frame.conjugate(block)
+            _, _, windowed = frame.shift_gap(word)
             assert windowed.shape == (m, m)
-            # the two differ only in the association of the two products
+            # the two differ only in the order of their roundings
             tol = 16 * np.finfo(np.float64).eps * np.max(np.abs(full))
-            assert np.max(np.abs(windowed - full)) <= tol, (cutoff, amplitude, lad)
+            assert np.max(np.abs(windowed - full)) <= tol, (cutoff, amplitude, lad, word)
+
+
+def _full_word(frame, daggers):
+    """Dense chain of the frame's full lowering and raising blocks."""
+    mat = np.eye(frame.dim)
+    for dagger in daggers:
+        mat = mat @ (raising_block(frame.dim - 1) if dagger else lowering_block(frame.dim - 1))
+    return mat
 
 
 def _window_sum_max_per_sample(blocks, scalar):
@@ -327,16 +333,34 @@ def test_field_shift_equals_the_per_x_loop(cutoff, params):
         (fa.phi_dag, lambda x: params.f1 * n1(x)),
     ):
         for x in xs:
-            blocks = {}
+            # each ladder's block carries U+ x U - x - f, so the scalar adds
+            # the amplitudes back and subtracts the closed-form profile
+            blocks, scalar = {}, 0.0
             for t in poly.terms:
                 (sym,) = t.symbols
                 frame = frames[sym.ladder]
                 m = frame.window
-                block = frame.raising if sym.dagger else frame.lowering
-                contrib = (t.coefficient * t.phase(x, config.box_length)) * (frame.conjugate(block) - block[:m, :m])
-                blocks[sym.ladder] = blocks[sym.ladder] + contrib if sym.ladder in blocks else contrib
-            expected.append(_window_sum_max_per_sample(blocks, -shift_of_x(float(x))))
+                block = _full_word(frame, (sym.dagger,))
+                v = displacement_block(frame.dim - 1, frame.amplitude)[:, :m]
+                gap = (v.T @ (block @ v) - block[:m, :m]) - frame.amplitude * np.eye(m)
+                kappa = t.coefficient * t.phase(x, config.box_length)
+                blocks[sym.ladder] = blocks[sym.ladder] + kappa * gap if sym.ladder in blocks else kappa * gap
+                scalar = scalar + kappa * frame.amplitude
+            expected.append(_window_sum_max_per_sample(blocks, scalar - shift_of_x(float(x))))
     assert [c.residual for c in check_field_shift(config, params, layout)] == expected
+
+
+def test_field_shift_fails_a_wrong_profile_amplitude(monkeypatch):
+    # the gaps subtract each ladder's own amplitude, so only the scalar
+    # compares with the closed-form profile; n2 ~ cos(2 x) vanishes at the
+    # odd samples, where the wrong amplitude cannot show
+    def scaled_profiles(config):
+        n1, n2 = shift_profiles(config)
+        return n1, ShiftProfile(1.001 * n2.amplitude, n2.wavenumber)
+
+    monkeypatch.setattr(displace, "shift_profiles", scaled_profiles)
+    checks = check_field_shift(default_config(), DisplacementParams(0.5, 0.5))
+    assert {c.name for c in checks if not c.passed} == {f"field_shift[neutral][x{j}]" for j in (0, 2, 4, 6)}
 
 
 @pytest.mark.parametrize("params", GRID_POINTS)
@@ -376,14 +400,13 @@ def test_unitarity_and_composition(params):
 def _frame_block(frame, symbols, conjugated):
     """Windowed ordered product of one ladder's symbols on its work frame;
     a ladder without symbols carries the identity, conjugated or not.  The
-    conjugation runs on the full frame, independent of _WorkFrame.conjugate."""
+    conjugation runs on the full frame, independent of _WorkFrame.shift_gap."""
     if not symbols:
         return np.eye(frame.window)
-    mat = np.eye(frame.dim)
-    for s in symbols:
-        mat = mat @ (frame.raising if s.dagger else frame.lowering)
-    if conjugated and frame.unitary is not None:
-        mat = frame.unitary.T @ mat @ frame.unitary
+    mat = _full_word(frame, [s.dagger for s in symbols])
+    if conjugated and frame.amplitude != 0.0:
+        u = displacement_block(frame.dim - 1, frame.amplitude)
+        mat = u.T @ mat @ u
     return mat[: frame.window, : frame.window]
 
 

@@ -33,6 +33,7 @@ from fockbox.fockspace import (
     poisson_tail,
     raising_block,
     vacuum,
+    word_rows,
 )
 from fockbox.model import default_config
 from fockbox.probe import run_verification
@@ -113,7 +114,7 @@ def test_commutator_below_cutoff():
 
 def test_number_operator_and_projector():
     layout = small_layout()
-    n_b = number_operator(layout, B1).to_dense()
+    n_b = number_operator(layout, B1).matrix.toarray()
     occ = layout.occupations()[:, 1]
     assert np.array_equal(np.diag(n_b).real, occ)
     # the projection onto occupations <= 1 on every ladder is a Kronecker product
@@ -146,6 +147,18 @@ def test_ladder_product_is_the_explicit_chain(cutoff):
             got = ladder_product(cutoff, word)
             assert got.dtype == chain.dtype and got.shape == chain.shape
             assert got.tobytes() == chain.tobytes(), word
+
+
+@pytest.mark.parametrize("cutoff", [1, 5, 16])
+def test_word_rows_is_the_product_with_the_word(cutoff):
+    rng = np.random.default_rng(cutoff)
+    rows = rng.normal(size=(7, cutoff + 1))
+    for length in range(5):
+        for word in itertools.product((False, True), repeat=length):
+            got = word_rows(rows, word)
+            want = rows @ ladder_product(cutoff, word)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), word
 
 
 def test_creator_annihilator_matrix_elements():
@@ -245,9 +258,13 @@ def test_every_lru_cache_is_bounded():
         "fockbox.model.field_algebra",
         "fockbox.model._build_H",
         "fockbox.displace.working_headroom",
+        "fockbox.displace._shift_layers",
     } <= set(caches)
     assert all(size is not None for size in caches.values()), caches
     assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE
+    # (window, word) keys: at most 31 words per window, 15 keys on the
+    # built-in config and 34 on the two-mode README config
+    assert caches["fockbox.displace._shift_layers"] == 128
     assert caches["fockbox.model._build_H"] == 2
 
 

@@ -259,8 +259,11 @@ def test_cli_rejects_unusable_out(tmp_path, capsys, monkeypatch, argv, below_fil
         ["coeffs", "--state", "bogus"],
         ["sweep", "--f1", "0:1:0.5", "--f2", "0.25", "--state", "bogus"],
         ["sweep", "--f1", "0:1", "--f2", "0.25"],
+        ["verify", "--state", "seeded:-1"],
+        ["coeffs", "--state", "seeded:-1"],
+        ["sweep", "--f1", "0:1:0.5", "--f2", "0.25", "--state", "seeded:-1"],
     ],
-    ids=["verify-state", "coeffs-state", "sweep-state", "sweep-f1"],
+    ids=["verify-state", "coeffs-state", "sweep-state", "sweep-f1", "verify-seed", "coeffs-seed", "sweep-seed"],
 )
 def test_cli_bad_argument_leaves_no_out_directory(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(InterchangeChecker, "run", _grid_must_not_run)
