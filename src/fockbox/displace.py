@@ -11,15 +11,18 @@ single-ladder cutoffs instead of the joint dimension.
 
 The checks window each residual to occupations <= cutoff/2, and the windowed
 identities are statements about the untruncated algebra, so each conjugation
-is evaluated on a working space with enough levels above the window that the
-hard cutoff cannot reflect into it.  The working headroom comes from the same
-Poisson-tail bound as the admissibility policy, just at a far smaller
-tail target: the displaced amplitude reaching D levels above the window
-carries weight ~ exp(-f^2) f^(2D) / D!, and residuals scale with its square
-root, so a 1e-20 tail keeps every windowed residual at the float64 noise
-floor.  Without the headroom, the top-of-cutoff reflection contaminates the
-window at the 1e-4 level for |f| = 1 and the checks would measure truncation
-artifacts instead of the identities.
+is evaluated on a work frame with enough levels above the window that the
+hard cutoff cannot reflect into it.  A ladder's frames have one size per
+cutoff (work_frame_size): the smallest at which every window column of U, at
+the largest amplitude the cutoff admits, keeps a weight below
+WORK_TAIL_BOUND = 1e-20 past the frame, plus WORK_BAND_MARGIN levels for the
+words the checks apply.  Residuals scale with the square root of that
+weight, so every windowed residual stays at the float64 noise floor at every
+admissible amplitude.  The window's top level matters most: a displaced
+level m reaches about (sqrt(m) + |f|)^2, far past the displaced vacuum.
+Frames and their shift gaps are memoized on (window, dim, amplitude), so the
+check families at one grid point, and the grid points that share a ladder
+amplitude, compute each gap once.
 
 Verification-mode routines enforce the coherent-leakage policy on the
 configured space itself: a displaced ladder must have a cutoff above f^2
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
@@ -47,6 +50,7 @@ from .fockspace import (
     embed,
     ladder_product,
     leakage_admissible,
+    max_admissible_amplitude,
     poisson_tail,
     word_rows,
 )
@@ -154,20 +158,6 @@ def build_U(config: ModelConfig, params: DisplacementParams, layout: FockLayout 
 # working spaces and projected-residual helpers
 
 
-@lru_cache(maxsize=64)
-def working_headroom(amplitude: float) -> int:
-    """Levels above the window needed before the cutoff wall is invisible.
-
-    The search starts at the Poisson peak floor(f^2): below the peak the
-    tail weight grows with the level, so a search from level 1 would stop
-    far below the levels the displaced amplitude reaches.
-    """
-    head = max(1, math.floor(amplitude * amplitude))
-    while poisson_tail(amplitude, head) >= WORK_TAIL_BOUND:
-        head += 1
-    return head
-
-
 def _subwords(daggers: tuple[bool, ...]) -> list[tuple[tuple[bool, ...], int]]:
     """Every ordered sub-product of one ladder's word, with the number of
     symbols it drops: prod_i (x_i + f) = sum of f^dropped * kept over them."""
@@ -198,19 +188,27 @@ def _shift_layers(window: int, daggers: tuple[bool, ...]) -> tuple[np.ndarray, .
 
 @dataclass(frozen=True, eq=False)
 class _WorkFrame:
-    """Single-ladder evaluation space: window plus headroom above it, and
-    the first window columns of U there (None when undisplaced)."""
+    """Single-ladder evaluation space: window plus headroom above it, the
+    first window columns of U there (None when undisplaced), and the shift
+    gaps computed so far, one per word (the checks ask for at most 31)."""
 
     amplitude: float
     window: int
     dim: int
     columns: np.ndarray | None
+    gaps: dict = field(default_factory=dict, init=False, repr=False)
 
     def shift_gap(self, daggers: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(e, c - e, c) on the window, for c = U+ word U on the working
-        space and e = prod_i (x_i + f) = sum_k f^k e_k (see _shift_layers).
-        c is v+ (word v) for v the window columns of U, with word v applied
-        by index shifts.  c - e is formed as
+        """(e, c - e, c) on the window, read-only and computed once per word,
+        for c = U+ word U on the working space and
+        e = prod_i (x_i + f) = sum_k f^k e_k (see _shift_layers)."""
+        if daggers not in self.gaps:
+            self.gaps[daggers] = self._shift_gap(daggers)
+        return self.gaps[daggers]
+
+    def _shift_gap(self, daggers: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """c is v+ (word v) for v the window columns of U, with word v
+        applied by index shifts.  c - e is formed as
         (((c - e_0) - f e_1) - f^2 e_2) ..., so each subtraction cancels
         the leading part of what is left and the gap keeps its own
         relative precision, even where it is far below the rounding of c."""
@@ -226,6 +224,8 @@ class _WorkFrame:
         for k, layer in enumerate(layers):
             e = e + self.amplitude**k * layer
             gap = gap - self.amplitude**k * layer
+        for block in (e, gap, c):
+            block.setflags(write=False)
         return e, gap, c
 
 
@@ -234,22 +234,54 @@ def _window(cutoff: int) -> int:
     return cutoff // 2 + 1
 
 
+# One size per cutoff: a layout has a few distinct cutoffs.
+@lru_cache(maxsize=16)
+def work_frame_size(cutoff: int) -> int:
+    """Levels of every work frame on a ladder with this cutoff.
+
+    The frame holds the smallest number of levels past which each window
+    column of U, at max_admissible_amplitude(cutoff), carries a weight below
+    WORK_TAIL_BOUND, plus WORK_BAND_MARGIN levels for the words' index
+    shifts; a smaller amplitude reaches fewer levels, so one size serves the
+    whole admissible range.  The weights are read from the columns on a
+    probe frame, first of r^2 + 8 r + 20 levels for the reach
+    r = sqrt(window - 1) + f of the window's top level, and doubled until
+    2 WORK_BAND_MARGIN of its levels lie above the levels found.  Past the
+    reach the weight falls by orders of magnitude per level, so the probe's
+    own wall then moves the weights read by about 1e-5 of themselves.
+    """
+    window = _window(cutoff)
+    amplitude = max_admissible_amplitude(cutoff)
+    reach = math.sqrt(window - 1) + amplitude
+    probe = math.ceil(reach * reach + 8 * reach + 20)
+    while True:
+        columns = displacement_block(probe - 1, amplitude, window)
+        # tail[n]: the largest weight any window column keeps on levels >= n
+        tail = np.cumsum(columns[::-1] ** 2, axis=0)[::-1].max(axis=1)
+        below = np.flatnonzero(tail < WORK_TAIL_BOUND)
+        if below.size and below[0] + 2 * WORK_BAND_MARGIN <= probe:
+            return int(below[0]) + WORK_BAND_MARGIN
+        probe *= 2
+
+
+# One verify run on the built-in config works on 7 frames: the grid has 7
+# amplitudes, and a2 and b1/d1 share cutoff 16, so equal amplitudes share a
+# frame.  The two-mode README config keeps 10 frames live across a row of
+# the grid: 7 on a2, one each on b1 and d1, and the undisplaced a3.
+@lru_cache(maxsize=16)
+def _work_frame(window: int, dim: int, amplitude: float) -> _WorkFrame:
+    columns = displacement_block(dim - 1, amplitude, window) if amplitude != 0.0 else None
+    return _WorkFrame(amplitude=amplitude, window=window, dim=dim, columns=columns)
+
+
 def _work_frames(
     config: ModelConfig, params: DisplacementParams, layout: FockLayout
 ) -> dict[LadderId, _WorkFrame]:
     amplitudes = displaced_amplitudes(config, params)
-    frames = {}
-    for lad in layout.ladders:
-        amp = amplitudes.get(lad, 0.0)
-        window = _window(layout.cutoff(lad))
-        work = (window - 1) + WORK_BAND_MARGIN + working_headroom(abs(amp))
-        frames[lad] = _WorkFrame(
-            amplitude=amp,
-            window=window,
-            dim=work + 1,
-            columns=displacement_block(work, amp)[:, :window] if amp != 0.0 else None,
-        )
-    return frames
+    return {
+        lad: _work_frame(_window(cutoff), work_frame_size(cutoff), amplitudes.get(lad, 0.0))
+        for lad, cutoff in zip(layout.ladders, layout.cutoffs)
+    }
 
 
 def _window_sum_max(blocks: Mapping[LadderId, np.ndarray], scalars: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import LayoutError
@@ -47,9 +46,10 @@ _SET_THREADS = (
 
 
 def _one_blas_thread() -> None:
-    """Run every OpenBLAS mapped into this process (numpy's and scipy's
-    wheels each bundle one) on a single thread; a no-op where none is mapped
-    or /proc/self/maps does not exist."""
+    """Run every OpenBLAS mapped into this process on a single thread; a
+    no-op where none is mapped or /proc/self/maps does not exist.  numpy's
+    wheel bundles one; scipy's bundles another, mapped only once
+    scipy.linalg is imported, which fockbox never does."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             # The sixth field, the mapped file's path, may contain spaces.
@@ -67,15 +67,22 @@ def _one_blas_thread() -> None:
                 break
 
 
-# After `import scipy.linalg`, so numpy's and scipy's OpenBLAS are both mapped.
+# After `import numpy`, which maps the OpenBLAS every dense product here runs on.
 _one_blas_thread()
 
 FAMILIES = ("a", "b", "d")
 
 DIMENSION_CAP = 2_000_000
 LEAKAGE_TAIL_BOUND = 1e-12
-# A verify run needs 12 distinct displacement blocks.
+# A verify run on the built-in config needs 13 distinct displacement blocks:
+# 6 full ones at cutoff 16 (an undisplaced ladder needs none), 6 work-frame
+# column blocks and the probe that sizes the frames.  The two-mode README
+# config needs 39, and a 32-entry cache still computes each of them once.
 DISPLACEMENT_BLOCK_CACHE = 32
+# Sizes a verify run diagonalizes: per cutoff the ladder itself, its work
+# frame and the frame-size probe, so 3 on the built-in config and 9 on the
+# two-mode README config.
+X_BASIS_CACHE = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -315,25 +322,52 @@ def expectation(op: OperatorMatrix, state: StateVector) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential
+# displacement blocks
 
 
-def displacement_block(cutoff: int, amplitude: float) -> np.ndarray:
-    """Dense single-ladder exp(f (a+ - a)); real orthogonal and read-only.
+def displacement_block(cutoff: int, amplitude: float, columns: int | None = None) -> np.ndarray:
+    """The first `columns` columns (all cutoff + 1 by default) of the dense
+    single-ladder exp(f (a+ - a)); real and read-only.
 
-    Blocks are memoized on (cutoff, amplitude): a verification grid asks for
-    the same few blocks at every point, and expm is deterministic, so the
-    cached block is bitwise the one a fresh call would build.
+    With P = diag(i^n), P* a P = i a and P* a+ P = -i a+, so the truncated
+    generator is f (a+ - a) = -i f P (a + a+) P*.  The truncated a + a+ is
+    the Jacobi matrix of the Hermite polynomials, V diag(mu) V^T (Golub &
+    Welsch 1969), and exp(f (a+ - a)) = P V diag(exp(-i f mu)) V^T P*.  Its
+    entry (r, c) is i^(r - c) times C - i S at (r, c), for the real
+    C = V diag(cos(f mu)) V^T and S = V diag(sin(f mu)) V^T: C, S, -C or -S
+    for (r - c) mod 4 = 0, 1, 2 or 3.
+
+    The basis is diagonalized once per size and shared by every amplitude.
+    Blocks are memoized on (cutoff, amplitude, columns): a verification
+    grid asks for the same few blocks at every point.
     """
-    return _displacement_block(int(cutoff), float(amplitude))
+    levels = int(cutoff) + 1
+    columns = levels if columns is None else int(columns)
+    if not 0 < columns <= levels:
+        raise LayoutError(f"a block on {levels} levels has 1..{levels} columns, not {columns}")
+    return _displacement_block(levels, float(amplitude), columns)
 
 
 @lru_cache(maxsize=DISPLACEMENT_BLOCK_CACHE)
-def _displacement_block(cutoff: int, amplitude: float) -> np.ndarray:
-    gen = amplitude * (raising_block(cutoff) - lowering_block(cutoff))
-    block = scipy.linalg.expm(gen)
+def _displacement_block(levels: int, amplitude: float, columns: int) -> np.ndarray:
+    mu, v = _x_basis(levels)
+    theta = amplitude * mu
+    c = (v * np.cos(theta)) @ v[:columns].T
+    s = (v * np.sin(theta)) @ v[:columns].T
+    phase = (np.arange(levels)[:, None] - np.arange(columns)) % 4
+    block = np.where(phase % 2 == 0, c, s)
+    block[phase >= 2] *= -1.0
     block.setflags(write=False)
     return block
+
+
+@lru_cache(maxsize=X_BASIS_CACHE)
+def _x_basis(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of a + a+ on `levels` levels."""
+    mu, v = np.linalg.eigh(lowering_block(levels - 1) + raising_block(levels - 1))
+    mu.setflags(write=False)
+    v.setflags(write=False)
+    return mu, v
 
 
 # ---------------------------------------------------------------------------

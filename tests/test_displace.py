@@ -13,7 +13,6 @@ from fockbox.fockspace import (
     embed,
     lowering_block,
     max_admissible_amplitude,
-    poisson_tail,
     raising_block,
     vacuum,
 )
@@ -32,11 +31,12 @@ from fockbox.displace import (
     displaced_amplitudes,
     displacement,
     require_admissible,
-    working_headroom,
+    work_frame_size,
     _work_frames,
 )
 from fockbox.ladderalg import box_points
 from fockbox.model import ShiftProfile, default_config, build_layout, field_algebra, parse_config, shift_profiles
+from fockbox.probe import run_verification
 
 A2 = LadderId("a", 2)
 B1 = LadderId("b", 1)
@@ -167,24 +167,19 @@ def test_residual_check_pass_boundary():
     assert not ResidualCheck("x", None, None, 1.0000001e-8, 1e-8).passed
 
 
-def test_working_headroom():
-    # headroom satisfies the tail bound and is minimal
-    for f in (0.25, 0.5, 1.0):
-        head = working_headroom(f)
-        assert poisson_tail(f, head) < WORK_TAIL_BOUND
-        assert poisson_tail(f, head - 1) >= WORK_TAIL_BOUND
-    assert working_headroom(0.0) == 1
-    assert working_headroom(1.0) == 21
-
-
-def test_working_headroom_does_not_collapse_past_the_poisson_peak():
-    # a search from level 1 stopped below the peak: 128 levels at 7.05, 1 at 7.1
-    heads = [working_headroom(f) for f in np.linspace(0.0, 12.0, 1201)]
-    assert all(a <= b for a, b in zip(heads, heads[1:]))
-    assert working_headroom(7.1) >= working_headroom(7.05) == 128
-    for f in (7.1, 10.8, 12.0):
-        head = working_headroom(f)
-        assert head > f * f and poisson_tail(f, head) < WORK_TAIL_BOUND
+@pytest.mark.parametrize("cutoff", [1, 16, 64])
+def test_work_frame_size_bounds_the_top_window_column_tail(cutoff):
+    # the top window column reaches furthest; its weight past the frame, at
+    # the largest admissible amplitude, is read on a frame three times larger
+    window = cutoff // 2 + 1
+    dim = work_frame_size(cutoff)
+    amplitude = max_admissible_amplitude(cutoff)
+    top = displacement_block(3 * dim, amplitude)[:, window - 1]
+    assert np.sum(top[dim:] ** 2) < WORK_TAIL_BOUND
+    # and the size is the smallest: one level less than the size the bound
+    # sets, before the band margin, leaves more than the bound past it
+    assert np.sum(top[dim - displace.WORK_BAND_MARGIN - 1 :] ** 2) >= WORK_TAIL_BOUND
+    assert (work_frame_size(16), work_frame_size(64)) == (41, 159)
 
 
 def test_ladder_shift_names_and_zero_amplitude_rows():
@@ -341,7 +336,10 @@ def test_field_shift_equals_the_per_x_loop(cutoff, params):
                 frame = frames[sym.ladder]
                 m = frame.window
                 block = _full_word(frame, (sym.dagger,))
-                v = displacement_block(frame.dim - 1, frame.amplitude)[:, :m]
+                if frame.amplitude == 0.0:
+                    v = np.eye(frame.dim)[:, :m]
+                else:
+                    v = displacement_block(frame.dim - 1, frame.amplitude, m)
                 gap = (v.T @ (block @ v) - block[:m, :m]) - frame.amplitude * np.eye(m)
                 kappa = t.coefficient * t.phase(x, config.box_length)
                 blocks[sym.ladder] = blocks[sym.ladder] + kappa * gap if sym.ladder in blocks else kappa * gap
@@ -531,16 +529,28 @@ def test_interchange_fails_a_wrong_binomial_weight(monkeypatch):
     assert {c.name for c in checks if not c.passed} == {f"interchange[quartic][x{j}]" for j in (0, 2, 4, 6)}
 
 
-def test_interchange_fails_a_conjugation_at_a_wrong_amplitude(monkeypatch):
-    monkeypatch.setattr(displace, "displacement_block", lambda cutoff, f: displacement_block(cutoff, 1.001 * f))
+@pytest.fixture
+def fresh_frames():
+    """Work frames are memoized across calls: a test that patches the block
+    provider sees its patch only in frames built after it, and must leave
+    none of those behind."""
+    displace._work_frame.cache_clear()
+    yield
+    displace._work_frame.cache_clear()
+
+
+def test_interchange_fails_a_conjugation_at_a_wrong_amplitude(monkeypatch, fresh_frames):
+    monkeypatch.setattr(
+        displace, "displacement_block", lambda cutoff, f, columns=None: displacement_block(cutoff, 1.001 * f, columns)
+    )
     checks = InterchangeChecker(default_config()).run(DisplacementParams(0.5, 0.0))
     assert not any(c.passed for c in checks if "cubic" in c.name)
     assert all(c.passed for c in checks if "quartic" in c.name)
 
 
-def test_interchange_nan_block_gives_a_failing_nan(monkeypatch):
-    def poisoned(cutoff, f):
-        block = displacement_block(cutoff, f).copy()
+def test_interchange_nan_block_gives_a_failing_nan(monkeypatch, fresh_frames):
+    def poisoned(cutoff, f, columns=None):
+        block = displacement_block(cutoff, f, columns).copy()
         block[0, 0] = np.nan
         return block
 
@@ -548,6 +558,35 @@ def test_interchange_nan_block_gives_a_failing_nan(monkeypatch):
     checks = InterchangeChecker(default_config()).run(DisplacementParams(0.5, 0.5))
     assert len(checks) == 16
     assert all(math.isnan(c.residual) and not c.passed for c in checks)
+
+
+def test_one_verification_computes_each_frame_gap_once(monkeypatch, fresh_frames):
+    # 7 grid amplitudes, one frame each (a2 and b1/d1 share cutoff 16), and
+    # 8 words on every frame; the families at every grid point ask 1,372 times
+    computed = []
+    compute = displace._WorkFrame._shift_gap
+
+    def counted(frame, daggers):
+        computed.append((frame.window, frame.dim, frame.amplitude, daggers))
+        return compute(frame, daggers)
+
+    monkeypatch.setattr(displace._WorkFrame, "_shift_gap", counted)
+    run_verification(default_config())
+    assert len(computed) == len(set(computed)) == 56
+
+
+def test_every_frame_check_passes_across_the_cutoff_64_range():
+    # frames sized from the displaced vacuum failed about half of these
+    config = default_config().with_cutoff(64)
+    layout = build_layout(config)
+    limit = max_admissible_amplitude(64)
+    corners = [(s1 * limit, s2 * limit) for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
+    spread = np.linspace(-limit, limit, 10)[1:-1]
+    for f1, f2 in corners + list(zip(spread, np.roll(spread, 3))):
+        params = DisplacementParams(float(f1), float(f2))
+        for family in (check_ladder_shifts, check_free_hamiltonian_shift, check_field_shift):
+            failed = [c.name for c in family(config, params, layout) if not c.passed]
+            assert not failed, (f1, f2, failed)
 
 
 TWO_MODE_CONFIG = """

@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 
 import fockbox
-from fockbox import fockspace
+from fockbox import displace, fockspace
 from fockbox.errors import LayoutError
 from fockbox.fockspace import (
     FockLayout,
@@ -209,21 +209,48 @@ def test_displacement_block_vacuum_column_is_poisson():
 def test_displacement_block_orthogonal():
     for f in (0.0, 0.3, -1.0):
         u = displacement_block(12, f)
-        np.testing.assert_allclose(u.T @ u, np.eye(13), atol=1e-13)
+        np.testing.assert_allclose(u.T @ u, np.eye(13), atol=1e-14)
 
 
 @pytest.mark.parametrize(
     "cutoff, amplitude",
     # the last two amplitudes are one ulp apart: a lossy cache key would
     # hand the second the first one's block
-    [(12, 0.3), (30, np.float64(0.8)), (130, 3.7), (16, -1.0 / 3.0), (16, math.nextafter(-1.0 / 3.0, 0.0))],
+    [
+        (12, 0.3),
+        (30, np.float64(0.8)),
+        (130, 3.7),
+        (212, -4.79),
+        (16, -1.0 / 3.0),
+        (16, math.nextafter(-1.0 / 3.0, 0.0)),
+    ],
 )
-def test_displacement_block_is_bitwise_fresh_expm(cutoff, amplitude):
-    fresh = scipy.linalg.expm(amplitude * (raising_block(cutoff) - lowering_block(cutoff)))
+def test_displacement_block_matches_expm(cutoff, amplitude):
+    expm = scipy.linalg.expm(amplitude * (raising_block(cutoff) - lowering_block(cutoff)))
+    fresh = fockspace._displacement_block.__wrapped__(cutoff + 1, float(amplitude), cutoff + 1)
     for _ in range(2):  # the first call may build the block, the second is a cache hit
         u = displacement_block(cutoff, amplitude)
-        assert u.dtype == fresh.dtype and u.shape == fresh.shape
+        assert u.dtype == expm.dtype and u.shape == expm.shape
+        np.testing.assert_allclose(u, expm, rtol=0.0, atol=1e-13)
         assert u.tobytes() == fresh.tobytes()
+
+
+def test_displacement_block_ulp_apart_amplitudes_differ():
+    # keeps the cache-key cases above from passing on equal blocks
+    low = displacement_block(16, -1.0 / 3.0)
+    high = displacement_block(16, math.nextafter(-1.0 / 3.0, 0.0))
+    assert low.tobytes() != high.tobytes()
+
+
+def test_displacement_block_columns_are_the_leading_columns():
+    full = displacement_block(40, 1.3)
+    for columns in (1, 9, 41):
+        block = displacement_block(40, 1.3, columns)
+        assert block.shape == (41, columns)
+        np.testing.assert_allclose(block, full[:, :columns], rtol=0.0, atol=1e-15)
+    for columns in (0, 42):
+        with pytest.raises(LayoutError):
+            displacement_block(40, 1.3, columns)
 
 
 def test_displacement_block_is_read_only():
@@ -237,7 +264,14 @@ def test_run_verification_is_identical_on_cold_and_warm_block_cache():
     def summary():
         return [(c.name, c.f1, c.f2, c.residual) for c in run_verification(default_config())]
 
-    fockspace._displacement_block.cache_clear()
+    for cache in (
+        fockspace._displacement_block,
+        fockspace._x_basis,
+        displace.work_frame_size,
+        displace._work_frame,
+        displace._shift_layers,
+    ):
+        cache.cache_clear()
     cold = summary()
     assert fockspace._displacement_block.cache_info().hits > 0
     assert summary() == cold
@@ -257,11 +291,19 @@ def test_every_lru_cache_is_bounded():
         "fockbox.ladderalg._monomial_matrix",
         "fockbox.model.field_algebra",
         "fockbox.model._build_H",
-        "fockbox.displace.working_headroom",
+        "fockbox.fockspace._x_basis",
+        "fockbox.displace.work_frame_size",
+        "fockbox.displace._work_frame",
         "fockbox.displace._shift_layers",
     } <= set(caches)
     assert all(size is not None for size in caches.values()), caches
     assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE
+    assert caches["fockbox.fockspace._x_basis"] == fockspace.X_BASIS_CACHE
+    # one size per cutoff, and a layout has a few distinct cutoffs
+    assert caches["fockbox.displace.work_frame_size"] == 16
+    # (window, dim, amplitude) keys: 7 frames serve a verify run on the
+    # built-in config, and the two-mode README config keeps 10 live
+    assert caches["fockbox.displace._work_frame"] == 16
     # (window, word) keys: at most 31 words per window, 15 keys on the
     # built-in config and 34 on the two-mode README config
     assert caches["fockbox.displace._shift_layers"] == 128
