@@ -190,13 +190,15 @@ def _shift_layers(window: int, daggers: tuple[bool, ...]) -> tuple[np.ndarray, .
 class _WorkFrame:
     """Single-ladder evaluation space: window plus headroom above it, the
     first window columns of U there (None when undisplaced), and the shift
-    gaps computed so far, one per word (the checks ask for at most 31)."""
+    gaps and their maxima computed so far, one per word (the checks ask for
+    at most 31)."""
 
     amplitude: float
     window: int
     dim: int
     columns: np.ndarray | None
     gaps: dict = field(default_factory=dict, init=False, repr=False)
+    maxima: dict = field(default_factory=dict, init=False, repr=False)
 
     def shift_gap(self, daggers: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(e, c - e, c) on the window, read-only and computed once per word,
@@ -205,6 +207,13 @@ class _WorkFrame:
         if daggers not in self.gaps:
             self.gaps[daggers] = self._shift_gap(daggers)
         return self.gaps[daggers]
+
+    def shift_maxima(self, daggers: tuple[bool, ...]) -> tuple[float, float, float]:
+        """(max|e|, max|c - e|, max|c|) of shift_gap(daggers), computed once
+        per word."""
+        if daggers not in self.maxima:
+            self.maxima[daggers] = tuple(float(np.max(np.abs(g))) for g in self.shift_gap(daggers))
+        return self.maxima[daggers]
 
     def _shift_gap(self, daggers: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """c is v+ (word v) for v the window columns of U, with word v
@@ -551,18 +560,11 @@ class InterchangeChecker:
     def run(self, params: DisplacementParams) -> list[ResidualCheck]:
         require_admissible(self.config, params, self.layout)
         frames = _work_frames(self.config, params, self.layout)
-        maxima: dict[tuple[LadderId, tuple[bool, ...]], tuple[float, float, float]] = {}
         checks = []
         for system in self._systems:
             conjugation_gap = 0.0
             for modulus, w in zip(system.moduli, system.lhs_words):
-                per_ladder = []
-                for lad, daggers in zip(system.ladders, w):
-                    if daggers:
-                        if (lad, daggers) not in maxima:
-                            gaps = frames[lad].shift_gap(daggers)
-                            maxima[lad, daggers] = tuple(float(np.max(np.abs(g))) for g in gaps)
-                        per_ladder.append(maxima[lad, daggers])
+                per_ladder = [frames[lad].shift_maxima(daggers) for lad, daggers in zip(system.ladders, w) if daggers]
                 conjugation_gap += modulus * _telescoped(per_ladder)
             amplitudes = [frames[lad].amplitude for lad in system.ladders]
             factors = np.column_stack(
