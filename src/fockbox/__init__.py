@@ -58,7 +58,6 @@ from .displace import (
     DisplacementParams,
     InterchangeChecker,
     ResidualCheck,
-    build_U,
     check_composition,
     check_field_shift,
     check_free_hamiltonian_shift,

@@ -146,8 +146,7 @@ def polynomial_profile(
     values = np.zeros(len(points), dtype=np.complex128)
     amps = state.amplitudes
     for t in poly.terms:
-        mat = ladderalg._monomial_matrix(layout, t.symbols)
-        element = complex(np.vdot(amps, mat @ amps))
+        element = complex(np.vdot(amps, ladderalg._monomial_matrix(layout, t.symbols).apply(state).amplitudes))
         if element != 0.0:
             values += (t.coefficient * element) * t.phase(points, box_length)
     return values

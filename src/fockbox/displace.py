@@ -44,10 +44,8 @@ from .errors import LayoutError, LeakageError
 from .fockspace import (
     FockLayout,
     LadderId,
-    OperatorMatrix,
     StateVector,
     displacement_block,
-    embed,
     ladder_product,
     leakage_admissible,
     max_admissible_amplitude,
@@ -56,8 +54,6 @@ from .fockspace import (
 )
 from .ladderalg import box_points
 from .model import ModelConfig, build_layout, field_algebra, shift_profiles
-
-MATERIALIZE_NNZ_CAP = 30_000_000
 
 WORK_TAIL_BOUND = 1e-20
 WORK_BAND_MARGIN = 4
@@ -129,17 +125,6 @@ class Displacement:
             tensor = np.moveaxis(np.tensordot(u, tensor, axes=(1, axis)), 0, axis)
         return StateVector(self.layout, np.ascontiguousarray(tensor).reshape(-1))
 
-    def as_operator(self) -> OperatorMatrix:
-        nnz = 1
-        for lad, dim in zip(self.layout.ladders, self.layout.dims):
-            nnz *= dim * dim if lad in self.factors else dim
-        if nnz > MATERIALIZE_NNZ_CAP:
-            raise LayoutError(
-                f"materializing this displacement needs ~{nnz} nonzeros"
-                f" (cap {MATERIALIZE_NNZ_CAP}); use apply instead"
-            )
-        return OperatorMatrix(self.layout, embed(self.layout, self.factors))
-
 
 def displacement(config: ModelConfig, params: DisplacementParams, layout: FockLayout | None = None) -> Displacement:
     layout = layout or build_layout(config)
@@ -148,10 +133,6 @@ def displacement(config: ModelConfig, params: DisplacementParams, layout: FockLa
         if f != 0.0:
             factors[lad] = displacement_block(layout.cutoff(lad), f)
     return Displacement(layout, params, factors)
-
-
-def build_U(config: ModelConfig, params: DisplacementParams, layout: FockLayout | None = None) -> OperatorMatrix:
-    return displacement(config, params, layout).as_operator()
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,10 @@ import ctypes
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import LayoutError
 
@@ -133,11 +132,11 @@ class FockLayout:
             if dim > DIMENSION_CAP:
                 raise LayoutError(f"layout dimension exceeds cap {DIMENSION_CAP}")
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(c + 1 for c in self.cutoffs)
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         return int(np.prod(self.dims, dtype=np.int64))
 
@@ -159,41 +158,80 @@ class FockLayout:
         return grids.T
 
 
+def _translate(values: np.ndarray, shift: Sequence[int]) -> np.ndarray:
+    """out[n + shift] = values[n], zero where n - shift leaves the layout."""
+    out = np.zeros_like(values)
+    target = tuple(slice(max(0, k), max(0, d + k)) for k, d in zip(shift, values.shape))
+    out[target] = values[tuple(slice(max(0, -k), max(0, d - k)) for k, d in zip(shift, values.shape))]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Sparse complex operator bound to a layout."""
+    """Operator bound to a layout, as one dims-shaped array per tuple s of
+    per-ladder shifts: entry n of diagonals[s] is <n + s| O |n>, zero where
+    n + s leaves the layout (a product of ladder words is one such array).
+    Each entry is formed as a sparse matrix forms it, so it is the same float.
+    """
 
     layout: FockLayout
-    matrix: sp.csr_matrix
+    diagonals: Mapping[tuple[int, ...], np.ndarray]
 
     def _check(self, other: "OperatorMatrix"):
         if self.layout != other.layout:
             raise LayoutError("operators live on different layouts")
 
-    def __add__(self, other):
+    def _merge(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
         self._check(other)
-        return OperatorMatrix(self.layout, (self.matrix + other.matrix).tocsr())
+        a, b = self.diagonals, other.diagonals
+        return OperatorMatrix(self.layout, {s: op(a.get(s, 0.0), b.get(s, 0.0)) for s in dict.fromkeys([*a, *b])})
+
+    def __add__(self, other):
+        return self._merge(other, np.add)
 
     def __sub__(self, other):
-        self._check(other)
-        return OperatorMatrix(self.layout, (self.matrix - other.matrix).tocsr())
+        return self._merge(other, np.subtract)
 
     def __mul__(self, scalar):
-        return OperatorMatrix(self.layout, (self.matrix * scalar).tocsr())
+        return OperatorMatrix(self.layout, {s: v * scalar for s, v in self.diagonals.items()})
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        """other moves n to n + t, then self moves n + t to n + t + s."""
         self._check(other)
-        return OperatorMatrix(self.layout, (self.matrix @ other.matrix).tocsr())
+        out: dict[tuple[int, ...], np.ndarray] = {}
+        for t, right in other.diagonals.items():
+            for s, left in self.diagonals.items():
+                shift = tuple(a + b for a, b in zip(s, t))
+                out[shift] = out.get(shift, 0.0) + _translate(left, [-k for k in t]) * right
+        return OperatorMatrix(self.layout, out)
 
     def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.layout, self.matrix.conj().T.tocsr())
+        flipped = {tuple(-k for k in s): _translate(v.conj(), s) for s, v in self.diagonals.items()}
+        return OperatorMatrix(self.layout, flipped)
+
+    @cached_property
+    def _flat(self) -> list[tuple[int, np.ndarray]]:
+        """(basis-index offset, flat values) per diagonal; a sparse row sums
+        its terms in ascending column order, which is descending offset."""
+        strides = np.cumprod((1,) + self.layout.dims[:0:-1])[::-1]
+        flat = [(int(np.dot(s, strides)), v.reshape(-1)) for s, v in self.diagonals.items()]
+        return sorted(flat, key=lambda e: -e[0])
+
+    def apply(self, state: "StateVector") -> "StateVector":
+        """O |psi>.  A diagonal is zero where n + s leaves the layout, so it
+        acts as one flat slice at its offset, in the order of _flat."""
+        if state.layout != self.layout:
+            raise LayoutError("operator and state live on different layouts")
+        psi, out = state.amplitudes, np.zeros(len(state.amplitudes), dtype=np.complex128)
+        for k, values in self._flat:
+            lo, n = max(0, -k), max(0, len(psi) - abs(k))
+            out[lo + k : lo + k + n] += values[lo : lo + n] * psi[lo : lo + n]
+        return StateVector(self.layout, out)
 
     def max_abs(self) -> float:
-        if self.matrix.nnz == 0:
-            return 0.0
-        return float(np.max(np.abs(self.matrix.data)))
+        return max((float(np.max(np.abs(v))) for v in self.diagonals.values()), default=0.0)
 
     def hermiticity_residual(self) -> float:
         return (self - self.adjoint()).max_abs()
@@ -221,7 +259,7 @@ class StateVector:
 
 
 # ---------------------------------------------------------------------------
-# single-ladder blocks and tensor embedding
+# single-ladder blocks and words
 
 
 def lowering_block(cutoff: int) -> np.ndarray:
@@ -234,21 +272,14 @@ def raising_block(cutoff: int) -> np.ndarray:
     return lowering_block(cutoff).T.copy()
 
 
-def word_rows(rows: np.ndarray, daggers: Iterable[bool]) -> np.ndarray:
-    """rows @ word, for the ordered product of raising (True) and lowering
-    (False) blocks on a ladder with rows.shape[1] levels.
-
-    Every symbol moves each column by one level: column n of M @ a is
-    sqrt(n) times column n - 1 of M, column n of M @ a+ is sqrt(n + 1)
-    times column n + 1, and a column that runs off either end is zero.
-    Each column's weight is the left-to-right product of its factors, as
-    the dense chain from the identity forms it, and multiplies its source
-    column once.
-    """
-    dim = rows.shape[1]
+def word_weights(dim: int, daggers: Iterable[bool]) -> tuple[int, np.ndarray]:
+    """(shift, weights) of the ordered product of raising (True) and
+    lowering (False) blocks on dim levels: level n goes to n + shift with
+    weight weights[n], 0 where n + shift leaves the ladder.  Each weight is
+    the left-to-right product of its factors, as the dense chain forms it."""
     roots = np.sqrt(np.arange(1.0, dim))
     weight = np.ones(dim)
-    shift = 0  # column n of the product is column n + shift of rows
+    shift = 0
     for dagger in daggers:
         step = np.zeros(dim)
         if dagger:
@@ -257,7 +288,15 @@ def word_rows(rows: np.ndarray, daggers: Iterable[bool]) -> np.ndarray:
             step[1:] = weight[:-1] * roots
         weight = step
         shift += 1 if dagger else -1
-    out = rows.take(np.arange(shift, dim + shift), axis=1, mode="clip") * weight
+    return shift, weight
+
+
+def word_rows(rows: np.ndarray, daggers: Iterable[bool]) -> np.ndarray:
+    """rows @ word, for the ordered product of raising (True) and lowering
+    (False) blocks: column n is weights[n] times column n + shift of rows
+    (word_weights), and zero where that runs off either end."""
+    shift, weight = word_weights(rows.shape[1], daggers)
+    out = rows.take(np.arange(shift, rows.shape[1] + shift), axis=1, mode="clip") * weight
     out[:, weight == 0.0] = 0.0
     return out
 
@@ -268,26 +307,9 @@ def ladder_product(cutoff: int, daggers: Iterable[bool]) -> np.ndarray:
     return word_rows(np.eye(cutoff + 1), daggers)
 
 
-def embed(layout: FockLayout, blocks: Mapping[LadderId, np.ndarray]) -> sp.csr_matrix:
-    """Kronecker-embed per-ladder blocks (identity on absent ladders)."""
-    for lad in blocks:
-        layout.position(lad)
-    result = None
-    for lad, dim in zip(layout.ladders, layout.dims):
-        if lad in blocks:
-            block = blocks[lad]
-            if block.shape != (dim, dim):
-                raise LayoutError(f"block for {lad} has wrong shape {block.shape}")
-            factor = sp.csr_matrix(block.astype(np.complex128, copy=False))
-        else:
-            factor = sp.identity(dim, dtype=np.complex128, format="csr")
-        result = factor if result is None else sp.kron(result, factor, format="csr")
-    return result.tocsr()
-
-
 def number_operator(layout: FockLayout, ladder: LadderId) -> OperatorMatrix:
-    occ = layout.occupations()[:, layout.position(ladder)].astype(np.complex128)
-    return OperatorMatrix(layout, sp.diags(occ, format="csr"))
+    occ = np.indices(layout.dims)[layout.position(ladder)].astype(np.complex128)
+    return OperatorMatrix(layout, {(0,) * len(layout.dims): occ})
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +338,7 @@ def basis_state(layout: FockLayout, occupations: Mapping[LadderId, int] | Sequen
 
 
 def expectation(op: OperatorMatrix, state: StateVector) -> complex:
-    if op.layout != state.layout:
-        raise LayoutError("operator and state live on different layouts")
-    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+    return complex(np.vdot(state.amplitudes, op.apply(state).amplitudes))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ symbols always commute.  Box integration over x in [-L/2, L/2] keeps exactly
 the wave_index == 0 monomials and multiplies them by L.
 
 Realization maps a polynomial onto a truncated Fock layout: each monomial
-becomes the ordered product of its symbols' sparse matrices.  Because symbols
-on different ladders commute exactly (Kronecker factors), the product is
-assembled per ladder and tensor-embedded, preserving within-ladder order.
+becomes the ordered product of its symbols' ladder blocks.  Symbols on
+different ladders commute exactly (Kronecker factors), so the product is
+assembled per ladder, in within-ladder order, as one weighted diagonal.
 """
 
 from __future__ import annotations
@@ -27,15 +27,14 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, GridError
-from .fockspace import FockLayout, LadderId, OperatorMatrix, embed, ladder_product
+from .fockspace import FockLayout, LadderId, OperatorMatrix, word_weights
 
 PRUNE_TOL = 1e-14
-# One verify run realizes 49 distinct monomials on the default layout and 165
-# on the README's two-mode layout; the bound holds either without eviction.
-MONOMIAL_MATRIX_CACHE = 256
+# The default layout's 49 distinct monomials stay cached: a hit saves most of a call.  The
+# README two-mode layout's 165 (0.78 MB each) cycle through at no measured cost; all took 128 MB.
+MONOMIAL_MATRIX_CACHE = 64
 
 
 def mode_energy(momentum: float, mass: float) -> float:
@@ -209,12 +208,18 @@ def field_polynomial(field: str, config) -> LadderPolynomial:
 
 
 @lru_cache(maxsize=MONOMIAL_MATRIX_CACHE)
-def _monomial_matrix(layout: FockLayout, symbols: tuple[LadderSymbol, ...]) -> sp.csr_matrix:
-    blocks = {
-        lad: ladder_product(layout.cutoff(lad), [s.dagger for s in symbols if s.ladder == lad])
-        for lad in {s.ladder for s in symbols}
-    }
-    return embed(layout, blocks)
+def _monomial_matrix(layout: FockLayout, symbols: tuple[LadderSymbol, ...]) -> OperatorMatrix:
+    """The symbols' ordered product as one real, read-only diagonal: entry n
+    is the product, in layout order, of each ladder's word weights at n_l."""
+    for ladder in {s.ladder for s in symbols}:
+        layout.position(ladder)
+    shift, values = [], np.ones(())
+    for ladder, dim in zip(layout.ladders, layout.dims):
+        step, weights = word_weights(dim, [s.dagger for s in symbols if s.ladder == ladder])
+        shift.append(step)
+        values = np.multiply.outer(values, weights)
+    values.setflags(write=False)
+    return OperatorMatrix(layout, {tuple(shift): values})
 
 
 def realize(p: LadderPolynomial, layout: FockLayout) -> OperatorMatrix:
@@ -223,11 +228,11 @@ def realize(p: LadderPolynomial, layout: FockLayout) -> OperatorMatrix:
     This is the x = 0 value of an x-dependent polynomial and the natural
     form for integrated (wave_index == 0) polynomials.
     """
-    dim = layout.dimension
-    acc = sp.csr_matrix((dim, dim), dtype=np.complex128)
+    acc: dict[tuple[int, ...], np.ndarray] = {}
     for t in p.terms:
-        acc = acc + t.coefficient * _monomial_matrix(layout, t.symbols)
-    return OperatorMatrix(layout, acc.tocsr())
+        for shift, values in _monomial_matrix(layout, t.symbols).diagonals.items():
+            acc[shift] = acc.get(shift, 0.0) + t.coefficient * values
+    return OperatorMatrix(layout, acc)
 
 
 def quadrature_realize(p: LadderPolynomial, layout: FockLayout, box_length: float, n_x: int) -> OperatorMatrix:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -29,8 +30,8 @@ from .fockspace import FockLayout, LadderId, OperatorMatrix, number_operator
 from .ladderalg import LadderPolynomial, mode_energy
 
 FIELD_ALGEBRA_CACHE = 8
-# A run uses one Hamiltonian, and a multi-mode one is large (the README
-# two-mode layout has 97,104 states), so few are kept.
+# A run uses one Hamiltonian: one complex array per ladder shift, 3 arrays of
+# 97,104 states (4.7 MB) on the README two-mode layout, so few are kept.
 HAMILTONIAN_CACHE = 2
 
 
@@ -49,6 +50,8 @@ def _normalize_overrides(values) -> tuple[tuple[LadderId, int], ...]:
     pairs = tuple(sorted(((LadderId(l.family, l.mode_index), int(c)) for l, c in items)))
     if any(c < 1 for _, c in pairs):
         raise ConfigError("cutoff overrides must be >= 1")
+    if len(dict(pairs)) < len(pairs):
+        raise ConfigError(f"a ladder has two cutoff overrides: {', '.join(f'{l}={c}' for l, c in pairs)}")
     return pairs
 
 
@@ -233,15 +236,10 @@ def quartic_interaction_polynomial(config: ModelConfig) -> LadderPolynomial:
 
 def build_H0(config: ModelConfig, layout: FockLayout | None = None) -> OperatorMatrix:
     layout = layout or build_layout(config)
-    total = None
-    for n in config.neutral_modes:
-        term = config.omega(n) * number_operator(layout, LadderId("a", n))
-        total = term if total is None else total + term
+    terms = [config.omega(n) * number_operator(layout, LadderId("a", n)) for n in config.neutral_modes]
     for n in config.charged_modes:
-        e = config.charged_energy(n)
-        total = total + e * number_operator(layout, LadderId("b", n))
-        total = total + e * number_operator(layout, LadderId("d", n))
-    return total
+        terms += [config.charged_energy(n) * number_operator(layout, LadderId(f, n)) for f in "bd"]
+    return sum(terms[1:], terms[0])
 
 
 def build_H(config: ModelConfig, layout: FockLayout | None = None) -> OperatorMatrix:
@@ -257,19 +255,17 @@ def _build_H(config: ModelConfig, layout: FockLayout) -> OperatorMatrix:
         h = h + config.lambda1 * ladderalg.realize(cubic_interaction_polynomial(config), layout)
     if config.lambda2 != 0.0:
         h = h + config.lambda2 * ladderalg.realize(quartic_interaction_polynomial(config), layout)
-    for array in (h.matrix.data, h.matrix.indices, h.matrix.indptr):
+    for array in h.diagonals.values():
         array.setflags(write=False)
-    return h
+    return OperatorMatrix(layout, MappingProxyType(h.diagonals))
 
 
 def charge_operator(config: ModelConfig, layout: FockLayout | None = None) -> OperatorMatrix:
     """Conserved charge sum_p (b+_p b_p - d+_p d_p); commutes with H."""
     layout = layout or build_layout(config)
-    total = None
-    for n in config.charged_modes:
-        term = number_operator(layout, LadderId("b", n)) - number_operator(layout, LadderId("d", n))
-        total = term if total is None else total + term
-    return total
+    pairs = [(LadderId("b", n), LadderId("d", n)) for n in config.charged_modes]
+    charges = [number_operator(layout, b) - number_operator(layout, d) for b, d in pairs]
+    return sum(charges[1:], charges[0])
 
 
 def interaction_density_polynomial(config: ModelConfig) -> LadderPolynomial:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ from fockbox.errors import LayoutError, LeakageError
 from fockbox.fockspace import (
     FockLayout,
     LadderId,
+    StateVector,
     basis_state,
     displacement_block,
-    embed,
     lowering_block,
     max_admissible_amplitude,
     raising_block,
@@ -22,7 +23,6 @@ from fockbox.displace import (
     DisplacementParams,
     InterchangeChecker,
     ResidualCheck,
-    build_U,
     check_composition,
     check_field_shift,
     check_free_hamiltonian_shift,
@@ -80,17 +80,27 @@ def test_require_admissible():
     require_admissible(config, DisplacementParams(0.0, 0.0), tight)
 
 
-def test_build_U_is_unitary_and_factorizes():
+def kron_factors(layout, factors) -> np.ndarray:
+    """Dense U from per-ladder factors: their Kronecker product in layout
+    order, identity on absent ladders."""
+    blocks = [factors.get(lad, np.eye(dim)) for lad, dim in zip(layout.ladders, layout.dims)]
+    return functools.reduce(np.kron, blocks)
+
+
+def test_displacement_is_unitary_and_factorizes():
     config = default_config().with_cutoff(6)
     layout = build_layout(config)
     params = DisplacementParams(0.4, -0.3)
     disp = displacement(config, params, layout)
-    u = disp.as_operator().matrix.toarray()
+    u = kron_factors(layout, disp.factors)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(layout.dimension), atol=1e-13)
-    charged = embed(layout, {l: f for l, f in disp.factors.items() if l.family in ("b", "d")}).toarray()
-    neutral = embed(layout, {l: f for l, f in disp.factors.items() if l.family == "a"}).toarray()
+    charged = kron_factors(layout, {l: f for l, f in disp.factors.items() if l.family in ("b", "d")})
+    neutral = kron_factors(layout, {l: f for l, f in disp.factors.items() if l.family == "a"})
     np.testing.assert_allclose(charged @ neutral, u, atol=1e-13)
     np.testing.assert_allclose(neutral @ charged, u, atol=1e-13)
+    # apply is that product: its columns on the basis states are U's
+    columns = np.column_stack([disp.apply(StateVector(layout, e)).amplitudes for e in np.eye(layout.dimension)])
+    np.testing.assert_allclose(columns, u, rtol=0.0, atol=1e-15)
 
 
 def test_zero_displacement_is_identity():
@@ -101,7 +111,7 @@ def test_zero_displacement_is_identity():
     state = basis_state(layout, {B1: 2})
     out = disp.apply(state)
     np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
-    assert (disp.as_operator() - build_U(config, DisplacementParams(0.0, 0.0), layout)).max_abs() == 0.0
+    assert np.array_equal(kron_factors(layout, disp.factors), np.eye(layout.dimension))
 
 
 def test_apply_matches_materialized_operator():
@@ -110,13 +120,11 @@ def test_apply_matches_materialized_operator():
     params = DisplacementParams(0.2, 0.6)
     disp = displacement(config, params, layout)
     rng = np.random.default_rng(3)
-    from fockbox.fockspace import StateVector
-
     state = StateVector(
         layout, rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
     ).normalized()
     via_apply = disp.apply(state).amplitudes
-    via_matrix = disp.as_operator().matrix @ state.amplitudes
+    via_matrix = kron_factors(layout, disp.factors) @ state.amplitudes
     np.testing.assert_allclose(via_apply, via_matrix, atol=1e-13)
     np.testing.assert_allclose(
         displacement(config, params, state.layout).apply(state).amplitudes, via_matrix, atol=1e-13
@@ -142,13 +150,11 @@ def test_displaced_vacuum_is_poisson_product():
     np.testing.assert_allclose(tensor[:11, :11, :11], expected[:11, :11, :11], atol=1e-12)
 
 
-def test_materialize_cap_guards_large_layouts():
+def test_apply_keeps_the_norm_on_a_large_layout():
+    # 25^3 states: the factored form never builds the joint matrix
     config = default_config().with_cutoff(24)
     layout = build_layout(config)
     disp = displacement(config, DisplacementParams(1.0, 1.0), layout)
-    with pytest.raises(LayoutError):
-        disp.as_operator()
-    # application through the factored form still works
     out = disp.apply(vacuum(layout))
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
 

@@ -1,3 +1,4 @@
+import ast
 import functools
 import importlib
 import itertools
@@ -5,8 +6,10 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 import scipy.linalg
 
 import fockbox
-from fockbox import displace, fockspace
+from fockbox import displace, fockspace, ladderalg, model
 from fockbox.errors import LayoutError
 from fockbox.fockspace import (
     FockLayout,
@@ -23,7 +26,6 @@ from fockbox.fockspace import (
     StateVector,
     basis_state,
     displacement_block,
-    embed,
     expectation,
     ladder_product,
     leakage_admissible,
@@ -34,7 +36,9 @@ from fockbox.fockspace import (
     raising_block,
     vacuum,
     word_rows,
+    word_weights,
 )
+from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, constant, realize
 from fockbox.model import default_config
 from fockbox.probe import run_verification
 
@@ -45,6 +49,33 @@ D1 = LadderId("d", 1)
 
 def small_layout(cutoff=3):
     return FockLayout((A2, B1, D1), (cutoff, cutoff, cutoff))
+
+
+def dense(op: OperatorMatrix) -> np.ndarray:
+    """The full matrix of op: column j is op applied to basis state j."""
+    eye = np.eye(op.layout.dimension, dtype=np.complex128)
+    return np.column_stack([op.apply(StateVector(op.layout, column)).amplitudes for column in eye])
+
+
+def kron_oracle(poly: LadderPolynomial, layout: FockLayout) -> np.ndarray:
+    """Dense matrix of poly on layout, built independently of realize: each
+    monomial is the Kronecker product over the ladders of the explicit chain
+    of lowering and raising blocks its symbols name on that ladder."""
+    total = np.zeros((layout.dimension, layout.dimension), dtype=np.complex128)
+    for t in poly.terms:
+        for s in t.symbols:
+            layout.position(s.ladder)
+        factors = []
+        for ladder, cutoff in zip(layout.ladders, layout.cutoffs):
+            blocks = [raising_block(cutoff) if s.dagger else lowering_block(cutoff) for s in t.symbols if s.ladder == ladder]
+            factors.append(functools.reduce(np.matmul, blocks, np.eye(cutoff + 1)))
+        total += t.coefficient * functools.reduce(np.kron, factors)
+    return total
+
+
+def word(ladder, *daggers, coefficient=1.0) -> LadderPolynomial:
+    """One phase-free monomial on one ladder."""
+    return LadderPolynomial.from_terms([LadderMonomial(coefficient, tuple(LadderSymbol(ladder, d) for d in daggers))])
 
 
 def test_ladder_id_parse_and_str():
@@ -114,28 +145,35 @@ def test_commutator_below_cutoff():
 
 def test_number_operator_and_projector():
     layout = small_layout()
-    n_b = number_operator(layout, B1).matrix.toarray()
+    n_b = dense(number_operator(layout, B1))
     occ = layout.occupations()[:, 1]
-    assert np.array_equal(np.diag(n_b).real, occ)
-    # the projection onto occupations <= 1 on every ladder is a Kronecker product
-    low = np.diag([1.0, 1.0, 0.0, 0.0])
-    p = embed(layout, {A2: low, B1: low, D1: low}).toarray()
+    assert np.array_equal(n_b, np.diag(occ).astype(complex))
+    eye = np.eye(4)
+    # the dense chain a+ a squares each root, one rounding per entry
+    np.testing.assert_allclose(n_b, np.kron(np.kron(eye, raising_block(3) @ lowering_block(3)), eye), rtol=1e-15, atol=0)
+    # the projection onto occupations <= 1 on every ladder is the product of
+    # the per-ladder projections, each a zero-shift diagonal
+    zero = (0, 0, 0)
+    per_ladder = [
+        OperatorMatrix(layout, {zero: (np.indices(layout.dims)[i] <= 1).astype(complex)}) for i in range(3)
+    ]
+    p = dense(functools.reduce(lambda x, y: x @ y, per_ladder))
     expected = (layout.occupations() <= 1).all(axis=1)
     assert np.array_equal(p, np.diag(expected).astype(complex))
-    p_one = embed(layout, {A2: np.diag([1.0, 1.0, 1.0, 0.0])}).toarray()
-    assert np.array_equal(np.diag(p_one).real.astype(bool), layout.occupations()[:, 0] <= 2)
+    low = np.diag([1.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(p, np.kron(np.kron(low, low), low).astype(complex))
 
 
-def test_embed_matches_explicit_kron():
+def test_realize_matches_explicit_kron():
     layout = small_layout(2)
-    x = np.arange(9.0).reshape(3, 3)
     eye = np.eye(3)
-    embedded = embed(layout, {B1: x}).toarray()
-    assert np.array_equal(embedded, np.kron(np.kron(eye, x), eye).astype(complex))
+    for daggers in ((True,), (False, True), (True, True, False)):
+        x = functools.reduce(np.matmul, [raising_block(2) if d else lowering_block(2) for d in daggers])
+        realized = dense(realize(word(B1, *daggers), layout))
+        assert np.array_equal(realized, np.kron(np.kron(eye, x), eye).astype(complex))
+        assert np.array_equal(realized, kron_oracle(word(B1, *daggers), layout))
     with pytest.raises(LayoutError):
-        embed(layout, {B1: np.eye(4)})
-    with pytest.raises(LayoutError):
-        embed(layout, {LadderId("b", 7): x})
+        realize(word(LadderId("b", 7), True), layout)
 
 
 @pytest.mark.parametrize("cutoff", [1, 5, 16])
@@ -161,25 +199,41 @@ def test_word_rows_is_the_product_with_the_word(cutoff):
             assert got.tobytes() == want.tobytes(), word
 
 
+@pytest.mark.parametrize("cutoff", [1, 5, 16])
+def test_word_weights_are_the_columns_of_the_explicit_chain(cutoff):
+    levels = np.arange(cutoff + 1)
+    for length in range(5):
+        for daggers in itertools.product((False, True), repeat=length):
+            shift, weights = word_weights(cutoff + 1, daggers)
+            assert shift == sum(1 if d else -1 for d in daggers)
+            chain = ladder_product(cutoff, daggers)
+            inside = (levels + shift >= 0) & (levels + shift <= cutoff)
+            assert np.array_equal(chain[(levels + shift)[inside], levels[inside]], weights[inside]), daggers
+            assert not weights[~inside].any()
+            assert np.count_nonzero(chain) == np.count_nonzero(weights)
+
+
 def test_creator_annihilator_matrix_elements():
     layout = small_layout()
     state = basis_state(layout, {B1: 1})
-    raised = embed(layout, {B1: ladder_product(3, [True])}) @ state.amplitudes
+    raised = realize(word(B1, True), layout).apply(state).amplitudes
     target = basis_state(layout, {B1: 2})
     assert np.vdot(target.amplitudes, raised) == pytest.approx(math.sqrt(2))
-    lowered = embed(layout, {B1: ladder_product(3, [False])}) @ state.amplitudes
+    lowered = realize(word(B1, False), layout).apply(state).amplitudes
     assert np.vdot(vacuum(layout).amplitudes, lowered) == pytest.approx(1.0)
     # b+ b counts the quantum, b b+ counts it plus one
-    for word, count in (([True, False], 1.0), ([False, True], 2.0)):
-        op = OperatorMatrix(layout, embed(layout, {B1: ladder_product(3, word)}))
+    for daggers, count in (((True, False), 1.0), ((False, True), 2.0)):
+        op = realize(word(B1, *daggers), layout)
         assert expectation(op, state) == pytest.approx(count, rel=1e-15)
 
 
 def test_operator_layout_mismatch():
-    op = OperatorMatrix(small_layout(), embed(small_layout(), {}))
-    other = OperatorMatrix(small_layout(4), embed(small_layout(4), {}))
+    op = realize(constant(1.0), small_layout())
+    other = realize(constant(1.0), small_layout(4))
     with pytest.raises(LayoutError):
         op + other
+    with pytest.raises(LayoutError):
+        op @ other
     with pytest.raises(LayoutError):
         expectation(op, vacuum(small_layout(4)))
 
@@ -270,11 +324,15 @@ def test_run_verification_is_identical_on_cold_and_warm_block_cache():
         displace.work_frame_size,
         displace._work_frame,
         displace._shift_layers,
+        ladderalg._monomial_matrix,
+        model._build_H,
     ):
         cache.cache_clear()
     cold = summary()
     assert fockspace._displacement_block.cache_info().hits > 0
     assert summary() == cold
+    # the 49 distinct monomials of a run fit the bound: none is built twice
+    assert ladderalg._monomial_matrix.cache_info().misses == 49
 
 
 def test_every_lru_cache_is_bounded():
@@ -307,7 +365,10 @@ def test_every_lru_cache_is_bounded():
     # (window, word) keys: at most 31 words per window, 15 keys on the
     # built-in config and 34 on the two-mode README config
     assert caches["fockbox.displace._shift_layers"] == 128
-    assert caches["fockbox.model._build_H"] == 2
+    # 49 distinct monomials on the built-in config stay cached; the two-mode
+    # README config's 165 cycle through
+    assert caches["fockbox.ladderalg._monomial_matrix"] == ladderalg.MONOMIAL_MATRIX_CACHE == 64
+    assert caches["fockbox.model._build_H"] == model.HAMILTONIAN_CACHE == 2
 
 
 def test_poisson_tail_values():
@@ -407,10 +468,43 @@ def test_import_runs_every_openblas_on_one_thread():
     assert set(counts.values()) == {1}, counts
 
 
+# A default verify in a fresh process, then every scipy module it loaded.
+_SCIPY_PROBE = """
+import json, sys
+import fockbox
+fockbox.run_verification(fockbox.default_config())
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_fockbox_runs_on_numpy_alone_and_declares_exactly_its_imports():
+    src = Path(fockbox.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    # the third-party top-level imports of the package are its dependencies
+    imported = set()
+    for path in (src / "fockbox").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"fockbox"}
+    with open(src.parent / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in dependencies}
+    assert third_party == declared == {"numpy"}
+
+
 def test_max_abs_and_hermiticity_residual():
     layout = small_layout()
-    op = OperatorMatrix(layout, embed(layout, {A2: raising_block(3)}))
+    op = realize(word(A2, True), layout)
     zero = op - op
     assert zero.max_abs() == 0.0
+    assert op.max_abs() == np.max(np.abs(kron_oracle(word(A2, True), layout))) == math.sqrt(3)
     assert (op + op.adjoint()).hermiticity_residual() == 0.0
+    assert op.hermiticity_residual() == math.sqrt(3)
     assert isinstance(op, OperatorMatrix)

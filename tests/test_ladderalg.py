@@ -22,6 +22,7 @@ from fockbox.ladderalg import (
     realize,
 )
 from fockbox.model import default_config, interaction_density_polynomial
+from test_fockspace import dense, kron_oracle
 
 A2 = LadderId("a", 2)
 B1 = LadderId("b", 1)
@@ -145,15 +146,17 @@ def test_realize_monomial_order_within_ladder():
     ad = LadderPolynomial.from_terms([mono(1.0, sym(B1, False), sym(B1, True))])
     da = LadderPolynomial.from_terms([mono(1.0, sym(B1, True), sym(B1, False))])
     low, raise_ = lowering_block(5), raising_block(5)
-    np.testing.assert_allclose(realize(ad, layout).matrix.toarray(), low @ raise_)
-    np.testing.assert_allclose(realize(da, layout).matrix.toarray(), raise_ @ low)
+    np.testing.assert_allclose(dense(realize(ad, layout)), low @ raise_)
+    np.testing.assert_allclose(dense(realize(da, layout)), raise_ @ low)
+    np.testing.assert_allclose(dense(realize(ad, layout)), kron_oracle(ad, layout))
 
 
 def test_realize_cross_ladder_is_kron():
     layout = FockLayout((A2, B1), (2, 2))
     p = LadderPolynomial.from_terms([mono(2.0, sym(B1, False), sym(A2, True))])
     expected = 2.0 * np.kron(raising_block(2), lowering_block(2))
-    np.testing.assert_allclose(realize(p, layout).matrix.toarray(), expected)
+    np.testing.assert_allclose(dense(realize(p, layout)), expected)
+    np.testing.assert_allclose(dense(realize(p, layout)), kron_oracle(p, layout))
 
 
 def test_monomial_phase_is_the_plane_wave_factor():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fockbox.errors import ConfigError, LayoutError
-from fockbox.fockspace import LadderId
+from fockbox.fockspace import LadderId, StateVector, expectation, vacuum
 from fockbox.model import (
     ModelConfig,
     build_H,
@@ -23,6 +23,7 @@ from fockbox.model import (
 )
 from fockbox import ladderalg, model
 from fockbox.probe import SweepSpec, run_sweep
+from test_fockspace import dense
 
 GOOD_CONFIG = """
 # example model file
@@ -138,6 +139,7 @@ def test_parse_config_roundtrip():
         ("lambda2 = 0.5", "lambda2 = nan"),  # non-finite coupling
         ("box_length = 6.283185307179586", "box_length = inf"),  # non-finite box
         ("mass_charged = 1.0", "mass_charged = inf"),  # non-finite mass
+        ("cutoff_overrides = a2=8, b1=5", "cutoff_overrides = a2=8, b1=5, a2=7"),  # ladder overridden twice
     ],
 )
 def test_parse_config_rejects(mutation):
@@ -174,7 +176,7 @@ def test_shift_profiles():
 def test_free_hamiltonian_is_diagonal_number_sum():
     config = default_config().with_cutoff(3)
     layout = build_layout(config)
-    h0 = build_H0(config, layout).matrix.toarray()
+    h0 = dense(build_H0(config, layout))
     occ = layout.occupations()
     expected = config.omega_k * occ[:, 0] + config.energy_q * (occ[:, 1] + occ[:, 2])
     np.testing.assert_allclose(np.diag(h0).real, expected, rtol=1e-14)
@@ -194,7 +196,8 @@ def test_hamiltonian_hermitian_and_annihilates_vacuum_offset():
     h = build_H(config, layout)
     assert h.hermiticity_residual() <= 1e-12
     # normal ordering leaves no vacuum energy
-    assert abs(h.matrix.toarray()[0, 0]) <= 1e-14
+    assert abs(expectation(h, vacuum(layout))) <= 1e-14
+    assert abs(dense(h)[0, 0]) <= 1e-14
 
 
 # The README's two-mode example: ladders a2, a3, b1, d1, 97,104 states.
@@ -204,19 +207,51 @@ README_TWO_MODE = ModelConfig(neutral_modes=(2, 3), cutoff_overrides={LadderId("
 @pytest.mark.parametrize("config", [default_config(), README_TWO_MODE], ids=["default", "two_mode"])
 def test_cached_hamiltonian_is_bitwise_a_fresh_build(config):
     layout = build_layout(config)
-    cached = build_H(config, layout).matrix
-    fresh = model._build_H.__wrapped__(config, layout).matrix
-    assert build_H(config).matrix is cached
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(cached, name), getattr(fresh, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    cached = build_H(config, layout)
+    fresh = model._build_H.__wrapped__(config, layout)
+    assert build_H(config) is cached
+    assert list(cached.diagonals) == list(fresh.diagonals)
+    for shift, a in cached.diagonals.items():
+        b = fresh.diagonals[shift]
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), shift
 
 
 def test_cached_hamiltonian_is_read_only():
-    h = build_H(default_config()).matrix
-    for array in (h.data, h.indices, h.indptr):
+    h = build_H(default_config())
+    for array in h.diagonals.values():
         with pytest.raises(ValueError):
-            array[0] = array[0]
+            array.flat[0] = array.flat[0]
+    with pytest.raises(TypeError):
+        h.diagonals[(0, 0, 0)] = None
+
+
+def test_expectation_sums_each_row_as_a_sparse_row_does():
+    # a sparse matrix-vector product sums each row in ascending column
+    # order; expectation keeps that order, so it gives the same float
+    sparse = pytest.importorskip("scipy.sparse")
+    config = ModelConfig(neutral_modes=(1, 2, 3, 4), cutoff_default=3)
+    layout = build_layout(config)
+    h = build_H(config, layout)
+    dims = np.array(layout.dims)[:, None]
+    occupations = np.indices(layout.dims).reshape(len(layout.dims), -1)
+    rows, columns, values = [], [], []
+    for shift, diagonal in h.diagonals.items():
+        target = occupations + np.array(shift)[:, None]
+        inside = ((target >= 0) & (target < dims)).all(axis=0)
+        rows.append(np.ravel_multi_index(target[:, inside], layout.dims))
+        columns.append(np.flatnonzero(inside))
+        values.append(diagonal.reshape(-1)[inside])
+    matrix = sparse.csr_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
+        shape=(layout.dimension, layout.dimension),
+    )
+    matrix.sort_indices()
+    assert len(h.diagonals) == 13
+    rng = np.random.default_rng(5)
+    state = StateVector(layout, rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension))
+    product = matrix @ state.amplitudes
+    assert h.apply(state).amplitudes.tobytes() == product.tobytes()
+    assert expectation(h, state) == complex(np.vdot(state.amplitudes, product))
 
 
 def test_run_sweep_is_identical_on_cold_and_warm_hamiltonian_cache():
@@ -236,7 +271,7 @@ def test_charge_commutes_with_hamiltonian():
     h = build_H(config, layout)
     q = charge_operator(config, layout)
     assert (h @ q - q @ h).max_abs() <= 1e-10
-    vec = np.diag(q.matrix.toarray()).real
+    vec = np.diag(dense(q)).real
     occ = layout.occupations()
     np.testing.assert_allclose(vec, occ[:, 1] - occ[:, 2], atol=0)
 

@@ -16,9 +16,18 @@ from hypothesis import strategies as st
 from fockbox.coeffs import COEFFICIENT_NAMES, coefficients, reference_state
 from fockbox.displace import DisplacementParams, InterchangeChecker
 from fockbox.errors import ConfigError
-from fockbox.fockspace import displacement_block, leakage_admissible, max_admissible_amplitude
+from fockbox.fockspace import (
+    FockLayout,
+    LadderId,
+    StateVector,
+    displacement_block,
+    leakage_admissible,
+    max_admissible_amplitude,
+)
+from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, realize
 from fockbox.model import ModelConfig, build_layout, default_config
 from test_displace import dense_interchange_residuals
+from test_fockspace import dense, kron_oracle
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -102,6 +111,52 @@ def test_interchange_bound_covers_the_dense_residual(params):
     dense, floors = dense_interchange_residuals(config, params)
     for c, exact, floor in zip(checks, dense, floors, strict=True):
         assert exact <= c.residual + floor + np.finfo(np.float64).smallest_normal, (c.name, exact, c.residual)
+
+
+ORACLE_LADDERS = (LadderId("a", 2), LadderId("b", 1), LadderId("d", 1))
+# Each entry is a short sum of products, a few roundings each, measured
+# against the largest sum of the magnitudes of its terms.
+ORACLE_RTOL = 64 * np.finfo(np.float64).eps
+
+
+@st.composite
+def layouts_and_polynomials(draw):
+    """A three-ladder layout of at most 64 states and two polynomials of up
+    to four monomials, each a word of up to four symbols over its ladders."""
+    layout = FockLayout(ORACLE_LADDERS, tuple(draw(st.integers(min_value=1, max_value=3)) for _ in ORACLE_LADDERS))
+    part = st.floats(min_value=-2.0, max_value=2.0)
+    symbol = st.builds(LadderSymbol, st.sampled_from(ORACLE_LADDERS), st.booleans())
+    monomial = st.builds(
+        LadderMonomial, st.builds(complex, part, part), st.lists(symbol, max_size=4).map(tuple)
+    )
+    polynomial = st.lists(monomial, min_size=1, max_size=4).map(LadderPolynomial.from_terms)
+    return layout, draw(polynomial), draw(polynomial), draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(layouts_and_polynomials())
+def test_realized_operators_match_the_dense_kron_oracle(case):
+    layout, p, q, seed = case
+    op_p, op_q = realize(p, layout), realize(q, layout)
+    dense_p, dense_q = kron_oracle(p, layout), kron_oracle(q, layout)
+    # the same sums over the terms' magnitudes bound each entry's rounding
+    size_p, size_q = (
+        kron_oracle(LadderPolynomial(tuple(LadderMonomial(abs(t.coefficient), t.symbols) for t in poly.terms)), layout).real
+        for poly in (p, q)
+    )
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+
+    def close(got, want, size):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=ORACLE_RTOL * max(1.0, np.max(size)))
+
+    close(dense(op_p), dense_p, size_p)
+    close(op_p.apply(StateVector(layout, psi)).amplitudes, dense_p @ psi, size_p @ np.abs(psi))
+    close(dense(op_p.adjoint()), dense_p.conj().T, size_p)
+    close(dense(op_p @ op_q), dense_p @ dense_q, size_p @ size_q)
+    close(dense(op_p @ op_q - op_q @ op_p), dense_p @ dense_q - dense_q @ dense_p, size_p @ size_q + size_q @ size_p)
+    close(op_p.max_abs(), np.max(np.abs(dense_p)), size_p)
+    close(op_p.hermiticity_residual(), np.max(np.abs(dense_p - dense_p.conj().T)), size_p)
 
 
 _FALSIFIED_MODULE = """
