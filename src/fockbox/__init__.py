@@ -35,6 +35,7 @@ from .ladderalg import (
     power,
     quadrature_realize,
     realize,
+    shift,
 )
 from .model import (
     FieldAlgebra,
@@ -67,14 +68,10 @@ from .displace import (
 )
 from .coeffs import (
     CoefficientSet,
-    QuadratureGrid,
-    StateExpectations,
-    build_quadrature_grid,
     central_identity_checks,
     coefficients,
     descent_threshold,
     energy_polynomial,
-    expectations,
     reference_state,
     vacuum_closed_forms,
 )

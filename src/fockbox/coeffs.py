@@ -2,25 +2,31 @@
 
 For a normalized reference state psi, the displaced energy
 E(f1, f2) = <psi| U+ H U |psi> is an exact polynomial in the displacement
-amplitudes.  This module evaluates its coefficients from state expectation
-values at quadrature nodes, reconstructs the polynomial, and checks it
-against direct conjugated-Hamiltonian expectations.
+amplitudes.  U shifts every symbol on a displaced ladder by its amplitude,
+so U+ H U is H with b_q -> b_q + f1, d_q -> d_q + f1 and a_k -> a_k + f2
+(ladderalg.shift), exact on the box-integrated H.  Grouped by the powers of
+f1 and f2, its parts give the coefficients as state expectations, and
+central_identity_checks compares the polynomial with direct
+conjugated-Hamiltonian expectations.
 
 The f2^2, f2, and f2^4 contributions deserve care: conjugating the
 normal-ordered quartic produces *normal-ordered* lower powers, so the
 polynomial uses the normal-ordered second and third field moments
 (B1_ordered / B2_ordered) and a unit-weight quartic self-energy
-lambda2 * Int n2^4.  The bare-moment and four-fold-weight variants (B1, B2,
-B4) are also computed and reported so the two conventions can be compared
-numerically; central_identity_checks adjudicates the quartic weight and
-names the winner in its summary row.
+lambda2 * Int n2^4.  The bare-moment variants (B1, B2) come from the
+shifted bare quartic lambda2 * Int phihat^4, and the four-fold weight B4 is
+four times the self-energy; both are reported so the two conventions can be
+compared numerically.  central_identity_checks adjudicates the quartic
+weight and names the winner in its summary row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,8 +34,15 @@ from . import ladderalg
 from .displace import DisplacementParams, ResidualCheck, displacement, require_admissible
 from .errors import ConfigError, GeometryError
 from .fockspace import FockLayout, LadderId, StateVector, basis_state, expectation, vacuum
-from .ladderalg import LadderPolynomial
-from .model import ModelConfig, build_H, build_layout, field_algebra, shift_profiles
+from .ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol
+from .model import (
+    ModelConfig,
+    build_H,
+    build_layout,
+    cubic_interaction_polynomial,
+    field_algebra,
+    quartic_interaction_polynomial,
+)
 
 CENTRAL_IDENTITY_TOL = 1e-6
 CENTRAL_F_VALUES = (-0.5, -0.25, 0.0, 0.25, 0.5)
@@ -54,38 +67,6 @@ COEFFICIENT_NAMES = (
     "omega_k",
     "energy_q",
 )
-
-
-# ---------------------------------------------------------------------------
-# quadrature over the box
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Equal-weight nodes over one box period; exact for trigonometric
-    polynomials whose band limit stays under the node count."""
-
-    points: np.ndarray
-    weight: float
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.real(self.weight * np.sum(values)))
-
-
-def _band_bound(config: ModelConfig) -> int:
-    """Largest |wave index| an integrand can carry; mode indices may be negative."""
-    return 4 * (
-        abs(config.k_index)
-        + max(abs(n) for n in config.neutral_modes)
-        + abs(config.q_index)
-        + max(abs(n) for n in config.charged_modes)
-    )
-
-
-def build_quadrature_grid(config: ModelConfig) -> QuadratureGrid:
-    L = config.box_length
-    n_points = 2 * _band_bound(config) + 2
-    return QuadratureGrid(ladderalg.box_points(L, n_points), L / n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -128,90 +109,33 @@ def reference_state(config: ModelConfig, selector: str, layout: FockLayout | Non
 
 
 # ---------------------------------------------------------------------------
-# expectation profiles
+# the shifted Hamiltonian
+
+# A run uses one config; an entry holds 54 monomials on the built-in config
+# and 103 on the two-mode README config.
+SHIFTED_PARTS_CACHE = 8
+
+_Groups = Mapping[tuple[int, int], LadderPolynomial]
 
 
-def polynomial_profile(
-    poly: LadderPolynomial,
-    layout: FockLayout,
-    state: StateVector,
-    points: np.ndarray,
-    box_length: float,
-) -> np.ndarray:
-    """<psi| poly(x) |psi> at each node.
-
-    Each monomial's matrix element is evaluated once; the x dependence is the
-    monomial's plane-wave phase, summed over nodes afterwards.
-    """
-    values = np.zeros(len(points), dtype=np.complex128)
-    amps = state.amplitudes
-    for t in poly.terms:
-        element = complex(np.vdot(amps, ladderalg._monomial_matrix(layout, t.symbols).apply(state).amplitudes))
-        if element != 0.0:
-            values += (t.coefficient * element) * t.phase(points, box_length)
-    return values
-
-
-@dataclass(frozen=True)
-class StateExpectations:
-    """Real parts of the field moments of one state at the quadrature nodes.
-
-    phi_sq / phi_cube are the bare operator powers; the _ordered variants are
-    the normal-ordered powers.  max_imag records the largest imaginary part
-    discarded anywhere (nonzero only through rounding, since every profile
-    here is an expectation of a Hermitian combination).
-    """
-
-    grid: QuadratureGrid
-    phi: np.ndarray
-    phi_sq: np.ndarray
-    phi_sq_ordered: np.ndarray
-    phi_cube: np.ndarray
-    phi_cube_ordered: np.ndarray
-    charged_density: np.ndarray
-    charged_sum: np.ndarray
-    charged_sum_neutral: np.ndarray
-    neutral_ladder: float
-    charged_ladder: float
-    max_imag: float
-
-
-def expectations(
-    config: ModelConfig,
-    state: StateVector,
-    layout: FockLayout | None = None,
-    grid: QuadratureGrid | None = None,
-) -> StateExpectations:
-    layout = layout or build_layout(config)
-    grid = grid or build_quadrature_grid(config)
-    fa = field_algebra(config)
+@lru_cache(maxsize=SHIFTED_PARTS_CACHE)
+def _shifted_parts(config: ModelConfig) -> tuple[_Groups, _Groups, _Groups, _Groups]:
+    """U+ P U grouped by the powers (i, j) of (f1, f2) for four parts P of
+    H, couplings not included: the free Hamiltonian of the displaced
+    ladders omega_k a+_k a_k + E_q (b+_q b_q + d+_q d_q), Int :phi+ phi:
+    phihat, Int :phihat^4: and the bare Int phihat^4.  Read-only and
+    memoized on the config, since no part depends on the state."""
     a_k = LadderId("a", config.k_index)
     b_q, d_q = LadderId("b", config.q_index), LadderId("d", config.q_index)
-
-    profiles = {
-        "phi": fa.phihat,
-        "phi_sq": ladderalg.power(fa.phihat, 2),
-        "phi_sq_ordered": fa.ordered_powers[2],
-        "phi_cube": ladderalg.power(fa.phihat, 3),
-        "phi_cube_ordered": fa.ordered_powers[3],
-        "charged_density": fa.density,
-        "charged_sum": fa.charged_sum,
-        "charged_sum_neutral": fa.charged_sum_neutral,
-        # phase-free ladder sums: constant over the nodes
-        "neutral_ladder": ladderalg.ladder_sum([(a_k, True), (a_k, False)]),
-        "charged_ladder": ladderalg.ladder_sum([(b_q, True), (b_q, False), (d_q, True), (d_q, False)]),
-    }
-    values = {
-        name: polynomial_profile(poly, layout, state, grid.points, config.box_length)
-        for name, poly in profiles.items()
-    }
-    real = {name: v.real for name, v in values.items()}
-    return StateExpectations(
-        grid=grid,
-        neutral_ladder=float(real.pop("neutral_ladder")[0]),
-        charged_ladder=float(real.pop("charged_ladder")[0]),
-        max_imag=max(float(np.max(np.abs(v.imag))) for v in values.values()),
-        **real,
+    free = LadderPolynomial.from_terms(
+        LadderMonomial(energy, (LadderSymbol(lad, True), LadderSymbol(lad, False)))
+        for lad, energy in ((a_k, config.omega_k), (b_q, config.energy_q), (d_q, config.energy_q))
+    )
+    bare_quartic = ladderalg.integrate_box(ladderalg.power(field_algebra(config).phihat, 4), config.box_length)
+    amplitudes = {b_q: 0, d_q: 0, a_k: 1}
+    return tuple(
+        MappingProxyType(ladderalg.shift(part, amplitudes))
+        for part in (free, cubic_interaction_polynomial(config), quartic_interaction_polynomial(config), bare_quartic)
     )
 
 
@@ -246,41 +170,43 @@ class CoefficientSet:
     max_imag: float
 
 
-def coefficients(
-    config: ModelConfig,
-    state: StateVector,
-    layout: FockLayout | None = None,
-    grid: QuadratureGrid | None = None,
-) -> CoefficientSet:
+def coefficients(config: ModelConfig, state: StateVector, layout: FockLayout | None = None) -> CoefficientSet:
+    """Each coefficient is the expectation of a group of the shifted parts of
+    H (_shifted_parts), realized monomial by monomial, times its coupling;
+    E_ref is the expectation of H itself."""
     layout = layout or build_layout(config)
-    grid = grid or build_quadrature_grid(config)
-    ex = expectations(config, state, layout, grid)
-    n1, n2 = shift_profiles(config)
-    n1x = n1(grid.points)
-    n2x = n2(grid.points)
-    l1, l2 = config.lambda1, config.lambda2
-    e_q, w_k = config.energy_q, config.omega_k
-
+    free, cubic, quartic, bare_quartic = _shifted_parts(config)
     e_ref = expectation(build_H(config, layout), state)
-    max_imag = max(ex.max_imag, abs(complex(e_ref).imag))
+    imag = [abs(e_ref.imag)]
 
+    def value(groups: _Groups, powers: tuple[int, int]) -> float:
+        poly = groups.get(powers, LadderPolynomial(()))
+        total = sum(
+            (t.coefficient * expectation(ladderalg._monomial_matrix(layout, t.symbols), state) for t in poly.terms),
+            0j,
+        )
+        imag.append(abs(total.imag))
+        return float(total.real)
+
+    l1, l2 = config.lambda1, config.lambda2
+    quartic_self = l2 * value(quartic, (0, 4))
     cs = CoefficientSet(
-        A1=e_q * ex.charged_ladder + l1 * grid.integrate(ex.charged_sum_neutral * n1x),
-        A2=w_k * ex.neutral_ladder + l1 * grid.integrate(ex.charged_density * n2x),
-        A3=l1 * grid.integrate(ex.charged_sum * n1x * n2x),
-        A4=2.0 * e_q + l1 * grid.integrate(ex.phi * n1x * n1x),
-        A5=l1 * grid.integrate(n1x * n1x * n2x),
-        B1=6.0 * l2 * grid.integrate(ex.phi_sq * n2x * n2x),
-        B1_ordered=6.0 * l2 * grid.integrate(ex.phi_sq_ordered * n2x * n2x),
-        B2=4.0 * l2 * grid.integrate(ex.phi_cube * n2x),
-        B2_ordered=4.0 * l2 * grid.integrate(ex.phi_cube_ordered * n2x),
-        B3=4.0 * l2 * grid.integrate(ex.phi * n2x ** 3),
-        B4=4.0 * l2 * grid.integrate(n2x ** 4),
-        quartic_self_coefficient=l2 * grid.integrate(n2x ** 4),
-        E_ref=float(np.real(e_ref)),
-        omega_k=w_k,
-        energy_q=e_q,
-        max_imag=max_imag,
+        A1=value(free, (1, 0)) + l1 * value(cubic, (1, 0)),
+        A2=value(free, (0, 1)) + l1 * value(cubic, (0, 1)),
+        A3=l1 * value(cubic, (1, 1)),
+        A4=value(free, (2, 0)) + l1 * value(cubic, (2, 0)),
+        A5=l1 * value(cubic, (2, 1)),
+        B1=l2 * value(bare_quartic, (0, 2)),
+        B1_ordered=l2 * value(quartic, (0, 2)),
+        B2=l2 * value(bare_quartic, (0, 1)),
+        B2_ordered=l2 * value(quartic, (0, 1)),
+        B3=l2 * value(quartic, (0, 3)),
+        B4=4.0 * quartic_self,
+        quartic_self_coefficient=quartic_self,
+        E_ref=e_ref.real,
+        omega_k=config.omega_k,
+        energy_q=config.energy_q,
+        max_imag=max(imag),
     )
     if not all(math.isfinite(v) for v in vars(cs).values()):
         raise ConfigError("the displaced-energy coefficients of this configuration are not finite in float64")
@@ -365,14 +291,13 @@ def central_identity_checks(
     if state_selectors is None:
         state_selectors = ("vacuum", "one_a", "one_b", f"seeded:{DEFAULT_SEED}")
     H = build_H(config, layout)
-    grid = build_quadrature_grid(config)
 
     checks = []
     max_unit = 0.0
     max_times4 = 0.0
     for selector in state_selectors:
         state = reference_state(config, selector, layout)
-        cs = coefficients(config, state, layout, grid)
+        cs = coefficients(config, state, layout)
         for f1 in CENTRAL_F_VALUES:
             for f2 in CENTRAL_F_VALUES:
                 params = DisplacementParams(f1, f2)

@@ -52,7 +52,7 @@ from .fockspace import (
     poisson_tail,
     word_rows,
 )
-from .ladderalg import box_points
+from .ladderalg import box_points, subwords
 from .model import ModelConfig, build_layout, field_algebra, shift_profiles
 
 WORK_TAIL_BOUND = 1e-20
@@ -139,16 +139,6 @@ def displacement(config: ModelConfig, params: DisplacementParams, layout: FockLa
 # working spaces and projected-residual helpers
 
 
-def _subwords(daggers: tuple[bool, ...]) -> list[tuple[tuple[bool, ...], int]]:
-    """Every ordered sub-product of one ladder's word, with the number of
-    symbols it drops: prod_i (x_i + f) = sum of f^dropped * kept over them."""
-    k = len(daggers)
-    return [
-        (tuple(d for i, d in enumerate(daggers) if mask >> i & 1), k - bin(mask).count("1"))
-        for mask in range(1 << k)
-    ]
-
-
 # A verify run on the built-in config needs 15 (window, word) keys, on the
 # two-mode README config 34; a window has at most 31 words of up to four
 # symbols.
@@ -160,8 +150,9 @@ def _shift_layers(window: int, daggers: tuple[bool, ...]) -> tuple[np.ndarray, .
     exact on the window because no word carries more than WORK_BAND_MARGIN
     symbols."""
     layers = [np.zeros((window, window)) for _ in range(len(daggers) + 1)]
-    for kept, dropped in _subwords(daggers):
-        layers[dropped] = layers[dropped] + ladder_product(window - 1 + WORK_BAND_MARGIN, kept)[:window, :window]
+    for kept, dropped in subwords(daggers):
+        k = len(dropped)
+        layers[k] = layers[k] + ladder_product(window - 1 + WORK_BAND_MARGIN, kept)[:window, :window]
     for layer in layers:
         layer.setflags(write=False)
     return tuple(layers)
@@ -512,8 +503,8 @@ class InterchangeChecker:
         rows = []  # (base, exponents, word)
         for mono, w in zip(lhs_poly.terms, lhs_words):
             kappa = phased(mono)
-            for choice in itertools.product(*(_subwords(daggers) for daggers in w)):
-                dropped = [k for _, k in choice]
+            for choice in itertools.product(*(subwords(daggers) for daggers in w)):
+                dropped = [len(d) for _, d in choice]
                 rows.append((kappa, dropped + [0, 0], tuple(kept for kept, _ in choice)))
         for mono, weight, a, b in expanded:
             rows.append((-weight * phased(mono), [0] * len(ladders) + [a, b], word(mono.symbols)))

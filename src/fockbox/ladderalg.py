@@ -11,7 +11,10 @@ Normal ordering here is the definitional colon operation: daggered symbols
 move left of undaggered ones with *no* commutator terms, and each block is
 sorted by (family, mode index), which is exact for bosons since same-dagger
 symbols always commute.  Box integration over x in [-L/2, L/2] keeps exactly
-the wave_index == 0 monomials and multiplies them by L.
+the wave_index == 0 monomials and multiplies them by L.  A coherent
+displacement acts on a box-integrated polynomial symbolically: shift
+rewrites each symbol on a displaced ladder as symbol + f and groups the
+result by the powers of the amplitudes.
 
 Realization maps a polynomial onto a truncated Fock layout: each monomial
 becomes the ordered product of its symbols' ladder blocks.  Symbols on
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,8 +35,8 @@ from .errors import ConfigError, GridError
 from .fockspace import FockLayout, LadderId, OperatorMatrix, word_weights
 
 PRUNE_TOL = 1e-14
-# The default layout's 49 distinct monomials stay cached: a hit saves most of a call.  The
-# README two-mode layout's 165 (0.78 MB each) cycle through at no measured cost; all took 128 MB.
+# The distinct monomials of a run stay cached, so a hit saves most of a call: 26 on the
+# default layout and 42 (0.78 MB each) on the README two-mode layout.
 MONOMIAL_MATRIX_CACHE = 64
 
 
@@ -165,6 +168,44 @@ def integrate_box(p: LadderPolynomial, box_length: float) -> LadderPolynomial:
     )
 
 
+def subwords(word: tuple) -> list[tuple[tuple, tuple]]:
+    """Every ordered sub-product of a word, with the symbols it drops:
+    prod_i (x_i + f_i) = sum of prod(f_i over dropped) * kept over them."""
+    return [
+        (
+            tuple(x for i, x in enumerate(word) if mask >> i & 1),
+            tuple(x for i, x in enumerate(word) if not mask >> i & 1),
+        )
+        for mask in range(1 << len(word))
+    ]
+
+
+def shift(p: LadderPolynomial, amplitudes: Mapping[LadderId, int]) -> dict[tuple[int, ...], LadderPolynomial]:
+    """U+ p U for a displacement U that adds the real amplitude f_g to every
+    symbol, raising or lowering, on a ladder l with amplitudes[l] = g.
+
+    Returns the groups G keyed by powers (i_0, i_1, ...) of (f_0, f_1, ...),
+    with U+ p U = sum f_0^i_0 f_1^i_1 ... G.  Each symbol's shift is a
+    c-number, so only box-integrated (wave index 0) polynomials are accepted:
+    a monomial's total phase stays 0 whichever of its symbols become
+    c-numbers, and the groups are x-independent, with phase-free symbols.
+    """
+    count = max(amplitudes.values(), default=-1) + 1
+    groups: dict[tuple[int, ...], list[LadderMonomial]] = {}
+    for t in p.terms:
+        if t.wave_index != 0:
+            raise ValueError(f"shift needs a box-integrated polynomial; a monomial has wave index {t.wave_index}")
+        for kept, dropped in subwords(t.symbols):
+            if any(s.ladder not in amplitudes for s in dropped):
+                continue
+            powers = [0] * count
+            for s in dropped:
+                powers[amplitudes[s.ladder]] += 1
+            symbols = tuple(LadderSymbol(s.ladder, s.dagger) for s in kept)
+            groups.setdefault(tuple(powers), []).append(LadderMonomial(t.coefficient, symbols))
+    return {powers: LadderPolynomial.from_terms(terms) for powers, terms in sorted(groups.items())}
+
+
 # ---------------------------------------------------------------------------
 # field expansions
 
@@ -235,19 +276,28 @@ def realize(p: LadderPolynomial, layout: FockLayout) -> OperatorMatrix:
     return OperatorMatrix(layout, acc)
 
 
-def quadrature_realize(p: LadderPolynomial, layout: FockLayout, box_length: float, n_x: int) -> OperatorMatrix:
-    """Riemann-sum oracle for integrate_box: (L / N) sum_j p(x_j), realized.
+def quadrature_realize(p: LadderPolynomial, box_length: float, n_x: int) -> LadderPolynomial:
+    """Riemann-sum oracle for integrate_box: (L / N) sum_j p(x_j), term by term.
 
-    Each monomial's phases are summed over the nodes first and the weighted
-    polynomial is realized once.  The equal-weight sum over a full period is
-    exact once n_x exceeds the polynomial's band limit max|wave_index| (no
-    wave index can alias to 0); a grid at or under the band limit raises
-    GridError rather than silently corrupting a check.
+    Each monomial's coefficient is multiplied by its phase summed over the
+    nodes and by L / N; nothing is pruned, so each coefficient can be compared
+    with integrate_box's at the rounding floor.  The equal-weight sum over a
+    full period is exact once n_x exceeds the polynomial's band limit
+    max|wave_index| (no wave index can alias to 0); a grid at or under the
+    band limit raises GridError rather than silently corrupting a check.
     """
     band = max((abs(t.wave_index) for t in p.terms), default=0)
     if n_x <= band:
         raise GridError(f"n_x = {n_x} at or under band limit {band}")
     xs = box_points(box_length, n_x)
-    # Built directly, not through from_terms, so that no summed weight is pruned.
-    summed = LadderPolynomial(tuple(t.scaled(np.sum(t.phase(xs, box_length))) for t in p.terms))
-    return realize(summed, layout) * (box_length / n_x)
+    weight = box_length / n_x
+    return LadderPolynomial(tuple(t.scaled(np.sum(t.phase(xs, box_length)) * weight) for t in p.terms))
+
+
+def coefficient_gap(p: LadderPolynomial, q: LadderPolynomial) -> float:
+    """Largest |coefficient of p - coefficient of q| over their monomials,
+    a monomial missing from one side counting as 0; nothing is pruned."""
+    gaps = {t.symbols: complex(t.coefficient) for t in p.terms}
+    for t in q.terms:
+        gaps[t.symbols] = gaps.get(t.symbols, 0.0) - t.coefficient
+    return float(max((abs(g) for g in gaps.values()), default=0.0))

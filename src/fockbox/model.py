@@ -10,8 +10,9 @@ Hamiltonian is
 
 assembled symbolically (normal ordering, then box integration by momentum
 selection) and realized on the truncated layout.  An equal-weight Riemann
-quadrature of the realized interaction density provides an independent oracle
-for the symbolic assembly; both must agree to 1e-9 in max norm.
+quadrature of the interaction density, monomial by monomial, provides an
+independent oracle for the box integration; every coefficient must agree
+to 1e-9.
 """
 
 from __future__ import annotations
@@ -274,13 +275,12 @@ def interaction_density_polynomial(config: ModelConfig) -> LadderPolynomial:
     return config.lambda1 * fa.cubic + config.lambda2 * fa.ordered_powers[4]
 
 
-def interaction_quadrature(config: ModelConfig, layout: FockLayout | None = None) -> OperatorMatrix:
-    """Riemann-quadrature oracle for the interaction part of build_H."""
-    layout = layout or build_layout(config)
+def interaction_quadrature(config: ModelConfig) -> LadderPolynomial:
+    """Riemann-quadrature oracle for the box integral of the interaction
+    density, term by term, to compare with integrate_box's coefficients."""
     indices = [abs(n) for n in config.neutral_modes + config.charged_modes]
     n_x = 4 * max(indices) + 5
-    density = interaction_density_polynomial(config)
-    return ladderalg.quadrature_realize(density, layout, config.box_length, n_x)
+    return ladderalg.quadrature_realize(interaction_density_polynomial(config), config.box_length, n_x)
 
 
 # ---------------------------------------------------------------------------

@@ -143,16 +143,9 @@ def run_verification(
         selectors.append(extra_state)
     checks.extend(central_identity_checks(config, layout, state_selectors=selectors))
 
-    symbolic = ladderalg.realize(
-        ladderalg.integrate_box(interaction_density_polynomial(config), config.box_length),
-        layout,
-    )
-    quadrature = interaction_quadrature(config, layout)
-    checks.append(
-        ResidualCheck(
-            "hamiltonian_quadrature", None, None, (symbolic - quadrature).max_abs(), QUADRATURE_TOL
-        )
-    )
+    symbolic = ladderalg.integrate_box(interaction_density_polynomial(config), config.box_length)
+    gap = ladderalg.coefficient_gap(symbolic, interaction_quadrature(config))
+    checks.append(ResidualCheck("hamiltonian_quadrature", None, None, gap, QUADRATURE_TOL))
     h = build_H(config, layout)
     checks.append(
         ResidualCheck(
@@ -214,25 +207,17 @@ class SweepSpec:
             raise ConfigError("a sweep needs at least 3 distinct f1 values for its quadratic fit")
 
 
-def run_sweep(
-    config: ModelConfig,
-    spec: SweepSpec,
-    layout: FockLayout | None = None,
-    cs: CoefficientSet | None = None,
-) -> SweepResult:
+def run_sweep(config: ModelConfig, spec: SweepSpec, layout: FockLayout | None = None) -> SweepResult:
     """Energy polynomial along f1 at fixed f2, with direct expectations on
     every row whose amplitudes stay inside the direct-check limit.
 
     descent_certified asserts three facts at once: the fitted quadratic
     coefficient is negative, it matches A4 + f2 A5, and every direct
-    comparison that could be computed agrees with the polynomial.  A
-    precomputed coefficient set may be passed; it must belong to the same
-    reference state the sweep selects.
+    comparison that could be computed agrees with the polynomial.
     """
     layout = layout or build_layout(config)
     state = reference_state(config, spec.state_selector, layout)
-    if cs is None:
-        cs = coefficients(config, state, layout)
+    cs = coefficients(config, state, layout)
     limit = direct_check_limit(config, layout)
 
     H = None
@@ -421,7 +406,7 @@ def cmd_demo(args) -> int:
     f2 = -2.0 * threshold
     f1_values = parse_f1_range(f"{DEMO_F1_START}:{DEMO_F1_STOP}:{DEMO_F1_STEP}")
 
-    result = run_sweep(config, SweepSpec(tuple(f1_values), f2), layout, cs=cs)
+    result = run_sweep(config, SweepSpec(tuple(f1_values), f2), layout)
     checks = run_verification(config, layout)
 
     write_report_csv(os.path.join(out, "report.csv"), checks)

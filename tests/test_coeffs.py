@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from fockbox.coeffs import (
-    build_quadrature_grid,
     central_identity_checks,
     coefficients,
     descent_threshold,
     energy_polynomial,
-    expectations,
     reference_state,
     vacuum_closed_forms,
     COEFFICIENT_NAMES,
@@ -55,29 +53,35 @@ def test_reference_state_rejects_bad_selectors():
         reference_state(config, "seeded:x")
 
 
-def test_quadrature_grid_integrates_band_limited_functions():
+# The coefficients of the default config in COEFFICIENT_NAMES order, as the
+# earlier quadrature evaluation (field moments at nodes over the box) gave them.
+QUADRATURE_COEFFICIENTS = {
+    "vacuum": [0.0, 0.0, 0.0, 2.8284271247461903, 0.13339439113182167, 0.09549296585513722, 0.0, 0.0, 0.0,
+               0.0, 0.19098593171027445, 0.04774648292756861, 0.0, 2.23606797749979, 1.4142135623730951],
+    "one_a": [0.0, 0.0, 0.0, 2.8284271247461903, 0.13339439113182167, 0.2864788975654117, 0.19098593171027445,
+              0.0, 0.0, 0.0, 0.19098593171027445, 0.04774648292756861, 2.23606797749979, 2.23606797749979,
+              1.4142135623730951],
+    "one_b": [0.0, -1.7875326052294238e-17, 0.0, 2.8284271247461903, 0.13339439113182167, 0.09549296585513722,
+              0.0, 0.0, 0.0, 0.0, 0.19098593171027445, 0.04774648292756861, 1.4142135623730951, 2.23606797749979,
+              1.4142135623730951],
+    "seeded:7": [0.749192404796015, 1.376224334843907, 0.03431114597818324, 2.8694813531120804,
+                 0.13339439113182167, 0.25451777188550934, 0.1590248060303721, 0.09247054690329838,
+                 0.033691613332114304, 0.058778933571184085, 0.19098593171027445, 0.04774648292756861,
+                 3.1209794381727622, 2.23606797749979, 1.4142135623730951],
+}
+
+
+def within_rounding(got, want):
+    return abs(got - want) <= 1e-15 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("selector", sorted(QUADRATURE_COEFFICIENTS))
+def test_shifted_hamiltonian_gives_the_quadrature_coefficients(selector):
     config = default_config()
-    grid = build_quadrature_grid(config)
-    L = config.box_length
-    assert grid.weight * len(grid.points) == pytest.approx(L, rel=1e-14)
-    assert grid.integrate(np.cos(grid.points) ** 2) == pytest.approx(L / 2.0, rel=1e-13)
-    assert grid.integrate(np.cos(3.0 * grid.points)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_vacuum_expectations():
-    config = default_config().with_cutoff(6)
     layout = build_layout(config)
-    state = reference_state(config, "vacuum", layout)
-    ex = expectations(config, state, layout)
-    np.testing.assert_allclose(ex.phi, 0.0, atol=1e-15)
-    np.testing.assert_allclose(ex.phi_sq_ordered, 0.0, atol=1e-15)
-    np.testing.assert_allclose(ex.phi_cube, 0.0, atol=1e-15)
-    # bare <phi^2> on the vacuum is the zero-point constant 1 / (2 w_k L)
-    zero_point = 1.0 / (2.0 * config.omega_k * config.box_length)
-    np.testing.assert_allclose(ex.phi_sq, zero_point, rtol=1e-12)
-    assert ex.neutral_ladder == pytest.approx(0.0, abs=1e-15)
-    assert ex.charged_ladder == pytest.approx(0.0, abs=1e-15)
-    assert ex.max_imag <= 1e-14
+    cs = coefficients(config, reference_state(config, selector, layout), layout)
+    for name, want in zip(COEFFICIENT_NAMES, QUADRATURE_COEFFICIENTS[selector], strict=True):
+        assert within_rounding(getattr(cs, name), want), (name, getattr(cs, name), want)
 
 
 def test_vacuum_coefficients_match_closed_forms():
@@ -88,7 +92,7 @@ def test_vacuum_coefficients_match_closed_forms():
     closed = vacuum_closed_forms(config)
     assert set(closed) == set(COEFFICIENT_NAMES)
     for name, expected in closed.items():
-        assert getattr(cs, name) == pytest.approx(expected, abs=1e-12), name
+        assert within_rounding(getattr(cs, name), expected), (name, getattr(cs, name), expected)
     assert cs.max_imag <= 1e-13
 
 
@@ -180,8 +184,8 @@ def test_one_particle_states_shift_reference_energy():
 
 @pytest.mark.parametrize("neutral, k", [((2,), 2), ((3, 1), 3)])
 def test_mirrored_mode_indices_give_the_same_coefficients(neutral, k):
-    # p -> -p mirrors x -> -x; every box integral of the even cos profiles is
-    # unchanged, so a negative-index model needs the same quadrature band
+    # p -> -p mirrors x -> -x, which leaves every box integral of the even
+    # cos profiles unchanged
     positive = ModelConfig(neutral_modes=neutral, k_index=k, cutoff_default=4)
     mirrored = ModelConfig(
         neutral_modes=tuple(-n for n in neutral), k_index=-k, charged_modes=(-1,), q_index=-1, cutoff_default=4

@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 
 import fockbox
-from fockbox import displace, fockspace, ladderalg, model
+from fockbox import coeffs, displace, fockspace, ladderalg, model
 from fockbox.errors import LayoutError
 from fockbox.fockspace import (
     FockLayout,
@@ -326,13 +326,14 @@ def test_run_verification_is_identical_on_cold_and_warm_block_cache():
         displace._shift_layers,
         ladderalg._monomial_matrix,
         model._build_H,
+        coeffs._shifted_parts,
     ):
         cache.cache_clear()
     cold = summary()
     assert fockspace._displacement_block.cache_info().hits > 0
     assert summary() == cold
-    # the 49 distinct monomials of a run fit the bound: none is built twice
-    assert ladderalg._monomial_matrix.cache_info().misses == 49
+    # the 26 distinct monomials of a run fit the bound: none is built twice
+    assert ladderalg._monomial_matrix.cache_info().misses == 26
 
 
 def test_every_lru_cache_is_bounded():
@@ -353,6 +354,7 @@ def test_every_lru_cache_is_bounded():
         "fockbox.displace.work_frame_size",
         "fockbox.displace._work_frame",
         "fockbox.displace._shift_layers",
+        "fockbox.coeffs._shifted_parts",
     } <= set(caches)
     assert all(size is not None for size in caches.values()), caches
     assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE
@@ -365,10 +367,13 @@ def test_every_lru_cache_is_bounded():
     # (window, word) keys: at most 31 words per window, 15 keys on the
     # built-in config and 34 on the two-mode README config
     assert caches["fockbox.displace._shift_layers"] == 128
-    # 49 distinct monomials on the built-in config stay cached; the two-mode
-    # README config's 165 cycle through
+    # the distinct monomials of a run stay cached: 26 on the built-in config,
+    # 42 on the two-mode README config
     assert caches["fockbox.ladderalg._monomial_matrix"] == ladderalg.MONOMIAL_MATRIX_CACHE == 64
     assert caches["fockbox.model._build_H"] == model.HAMILTONIAN_CACHE == 2
+    # one config per run; an entry holds 54 monomials on the built-in config
+    # and 103 on the two-mode README config
+    assert caches["fockbox.coeffs._shifted_parts"] == coeffs.SHIFTED_PARTS_CACHE == 8
 
 
 def test_poisson_tail_values():

@@ -10,6 +10,7 @@ from fockbox.ladderalg import (
     LadderMonomial,
     LadderPolynomial,
     LadderSymbol,
+    coefficient_gap,
     constant,
     field_polynomial,
     integrate_box,
@@ -20,6 +21,7 @@ from fockbox.ladderalg import (
     power,
     quadrature_realize,
     realize,
+    shift,
 )
 from fockbox.model import default_config, interaction_density_polynomial
 from test_fockspace import dense, kron_oracle
@@ -172,26 +174,49 @@ def test_monomial_phase_is_the_plane_wave_factor():
     assert mono(1.0, sym(A2, True, 0)).phase(0.37, config.box_length) == 1.0
 
 
+def test_shift_of_the_number_operator():
+    # (a+ + f)(a + f) = a+ a + f (a+ + a) + f^2, grouped by the power of f
+    number = LadderPolynomial.from_terms([mono(2.0, sym(A2, True), sym(A2, False))])
+    assert shift(number, {B1: 0, A2: 1}) == {
+        (0, 0): number,
+        (0, 1): LadderPolynomial.from_terms([mono(2.0, sym(A2, True)), mono(2.0, sym(A2, False))]),
+        (0, 2): constant(2.0),
+    }
+    # an undisplaced ladder keeps its symbols
+    assert shift(number, {B1: 0}) == {(0,): number}
+
+
+def test_shift_drops_phases_and_rejects_x_dependent_polynomials():
+    config = default_config()
+    integrated = integrate_box(interaction_density_polynomial(config), config.box_length)
+    groups = shift(integrated, {A2: 0})
+    assert all(s.phase_sign == 0 for group in groups.values() for t in group.terms for s in t.symbols)
+    with pytest.raises(ValueError, match="box-integrated"):
+        shift(field_polynomial("neutral", config), {A2: 0})
+
+
 def test_quadrature_realize_matches_integrate_box():
     config = default_config()
-    layout = FockLayout((A2, B1, D1), (3, 3, 3))
     density = interaction_density_polynomial(config)
-    symbolic = realize(integrate_box(density, config.box_length), layout)
+    symbolic = integrate_box(density, config.box_length)
     band = max(abs(t.wave_index) for t in density.terms)
-    coarse = quadrature_realize(density, layout, config.box_length, band + 1)
-    fine = quadrature_realize(density, layout, config.box_length, 2 * (band + 1))
-    assert (symbolic - coarse).max_abs() <= 1e-12
-    assert (symbolic - fine).max_abs() <= 1e-12
-    assert (coarse - fine).max_abs() <= 1e-12
+    coarse = quadrature_realize(density, config.box_length, band + 1)
+    fine = quadrature_realize(density, config.box_length, 2 * (band + 1))
+    # nothing is pruned: the monomials that integrate to 0 keep their rounding
+    assert len(coarse.terms) == len(fine.terms) == len(density.terms) > len(symbolic.terms)
+    assert coefficient_gap(symbolic, coarse) <= 1e-12
+    assert coefficient_gap(symbolic, fine) <= 1e-12
+    assert coefficient_gap(coarse, fine) <= 1e-12
+    # a monomial missing from one side counts as 0 there
+    assert coefficient_gap(symbolic, LadderPolynomial(())) == max(abs(t.coefficient) for t in symbolic.terms)
 
 
 def test_quadrature_realize_rejects_coarse_grid():
     config = default_config()
-    layout = FockLayout((A2, B1, D1), (2, 2, 2))
     density = interaction_density_polynomial(config)
     band = max(abs(t.wave_index) for t in density.terms)
     with pytest.raises(GridError):
-        quadrature_realize(density, layout, config.box_length, band)
+        quadrature_realize(density, config.box_length, band)
 
 
 def test_ladder_sum_builds_phase_free_symbols():

@@ -4,6 +4,7 @@ Examples are derandomized and kept few, so the suite stays deterministic and
 fast; each property still covers inputs no fixed case names.
 """
 
+import functools
 import math
 import subprocess
 import sys
@@ -13,8 +14,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockbox import coeffs
 from fockbox.coeffs import COEFFICIENT_NAMES, coefficients, reference_state
-from fockbox.displace import DisplacementParams, InterchangeChecker
+from fockbox.displace import DisplacementParams, InterchangeChecker, work_frame_size
 from fockbox.errors import ConfigError
 from fockbox.fockspace import (
     FockLayout,
@@ -24,7 +26,7 @@ from fockbox.fockspace import (
     leakage_admissible,
     max_admissible_amplitude,
 )
-from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, realize
+from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, realize, shift
 from fockbox.model import ModelConfig, build_layout, default_config
 from test_displace import dense_interchange_residuals
 from test_fockspace import dense, kron_oracle
@@ -157,6 +159,60 @@ def test_realized_operators_match_the_dense_kron_oracle(case):
     close(dense(op_p @ op_q - op_q @ op_p), dense_p @ dense_q - dense_q @ dense_p, size_p @ size_q + size_q @ size_p)
     close(op_p.max_abs(), np.max(np.abs(dense_p)), size_p)
     close(op_p.hermiticity_residual(), np.max(np.abs(dense_p - dense_p.conj().T)), size_p)
+
+
+# b1 moves with f1 and a2 with f2, as b_q and a_k do in the model
+SHIFT_AMPLITUDES = {LadderId("b", 1): 0, LadderId("a", 2): 1}
+SHIFT_CUTOFF = 8
+
+
+@st.composite
+def shift_cases(draw):
+    """A polynomial of up to four monomials, each a word of up to four
+    phase-free symbols on one or two ladders, and an admissible (f1, f2)."""
+    ladders = draw(st.sampled_from([(LadderId("a", 2),), (LadderId("b", 1),), (LadderId("a", 2), LadderId("b", 1))]))
+    part = st.floats(min_value=-2.0, max_value=2.0)
+    symbol = st.builds(LadderSymbol, st.sampled_from(ladders), st.booleans())
+    monomial = st.builds(
+        LadderMonomial, st.builds(complex, part, part), st.lists(symbol, max_size=4).map(tuple)
+    )
+    polynomial = draw(st.lists(monomial, min_size=1, max_size=4).map(LadderPolynomial.from_terms))
+    limit = max_admissible_amplitude(SHIFT_CUTOFF)
+    amplitude = st.floats(min_value=-limit, max_value=limit)
+    return ladders, polynomial, (draw(amplitude), draw(amplitude))
+
+
+@PROPERTY_SETTINGS
+@given(shift_cases())
+def test_shift_groups_sum_to_the_conjugated_operator(case):
+    # U+ p U on the window of levels 0..cutoff/2, conjugated densely on a
+    # work frame whose window columns of U lose under 1e-20 of their weight
+    ladders, p, f = case
+    levels = work_frame_size(SHIFT_CUTOFF)
+    layout = FockLayout(ladders, (levels - 1,) * len(ladders))
+    u = functools.reduce(np.kron, [displacement_block(levels - 1, f[SHIFT_AMPLITUDES[lad]]) for lad in ladders])
+    window = np.flatnonzero(np.all(layout.occupations() <= SHIFT_CUTOFF // 2, axis=1))
+
+    def columns(poly, vectors):
+        op = realize(poly, layout)
+        return np.column_stack([op.apply(StateVector(layout, v)).amplitudes for v in vectors.T])
+
+    conjugated = u[:, window].T @ columns(p, u[:, window])
+    basis = np.eye(layout.dimension)[:, window]
+    shifted = sum(
+        f[0] ** i * f[1] ** j * columns(group, basis)[window] for (i, j), group in shift(p, SHIFT_AMPLITUDES).items()
+    )
+    magnitudes = LadderPolynomial(tuple(LadderMonomial(abs(t.coefficient), t.symbols) for t in p.terms))
+    size = np.abs(u[:, window]).T @ columns(magnitudes, np.abs(u[:, window])).real
+    np.testing.assert_allclose(shifted, conjugated, rtol=0.0, atol=ORACLE_RTOL * max(1.0, np.max(size)))
+
+
+def test_shifted_hamiltonian_has_the_groups_of_the_energy_polynomial():
+    free, cubic, quartic, _ = coeffs._shifted_parts(default_config())
+    # E_ref, f1, f2, f1 f2, f2^2, f2^3, f2^4, f1^2 and f1^2 f2
+    assert set(free) | set(cubic) | set(quartic) == {
+        (0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (0, 3), (0, 4), (2, 0), (2, 1)
+    }
 
 
 _FALSIFIED_MODULE = """
