@@ -15,11 +15,11 @@ from .fockspace import (
     OperatorMatrix,
     StateVector,
     basis_state,
+    basis_sum,
     displacement_block,
     expectation,
     leakage_admissible,
     max_admissible_amplitude,
-    number_operator,
     poisson_tail,
     vacuum,
 )
@@ -33,7 +33,7 @@ from .ladderalg import (
     multiply,
     normal_order,
     power,
-    quadrature_realize,
+    quadrature_integrate,
     realize,
     shift,
 )
@@ -42,12 +42,11 @@ from .model import (
     ModelConfig,
     ShiftProfile,
     build_H,
-    build_H0,
     build_layout,
-    charge_operator,
     cubic_interaction_polynomial,
     default_config,
     field_algebra,
+    hamiltonian_polynomial,
     interaction_quadrature,
     load_config,
     parse_config,

@@ -33,7 +33,7 @@ import numpy as np
 from . import ladderalg
 from .displace import DisplacementParams, ResidualCheck, displacement, require_admissible
 from .errors import ConfigError, GeometryError
-from .fockspace import FockLayout, LadderId, StateVector, basis_state, expectation, vacuum
+from .fockspace import FockLayout, LadderId, StateVector, basis_state, basis_sum, expectation, vacuum
 from .ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol
 from .model import (
     ModelConfig,
@@ -78,7 +78,8 @@ def reference_state(config: ModelConfig, selector: str, layout: FockLayout | Non
 
     one_a / one_b put a single quantum in the displaced neutral / charged-b
     ladder.  seeded draws complex amplitudes on every basis state of total
-    occupation at most 2 from a fixed generator (default seed 7).
+    occupation at most 2, in row-major order, from a fixed generator
+    (default seed 7): one product term per basis state.
     """
     layout = layout or build_layout(config)
     if selector == "vacuum":
@@ -98,11 +99,10 @@ def reference_state(config: ModelConfig, selector: str, layout: FockLayout | Non
             if seed < 0:
                 raise ConfigError(f"negative seed in state selector {selector!r}")
         rng = np.random.default_rng(seed)
-        mask = layout.occupations().sum(axis=1) <= SEEDED_SUPPORT_LEVEL
-        count = int(mask.sum())
-        amplitudes = np.zeros(layout.dimension, dtype=np.complex128)
-        amplitudes[mask] = rng.normal(size=count) + 1j * rng.normal(size=count)
-        return StateVector(layout, amplitudes).normalized()
+        support = layout.occupations(SEEDED_SUPPORT_LEVEL)
+        amplitudes = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+        # the terms are orthonormal basis states: the state's norm is its amplitudes'
+        return basis_sum(layout, support, amplitudes / np.linalg.norm(amplitudes))
     raise ConfigError(
         f"unknown state selector {selector!r}; use vacuum, one_a, one_b or seeded:<int>"
     )
@@ -172,19 +172,15 @@ class CoefficientSet:
 
 def coefficients(config: ModelConfig, state: StateVector, layout: FockLayout | None = None) -> CoefficientSet:
     """Each coefficient is the expectation of a group of the shifted parts of
-    H (_shifted_parts), realized monomial by monomial, times its coupling;
-    E_ref is the expectation of H itself."""
+    H (_shifted_parts), realized, times its coupling; E_ref is the
+    expectation of H itself."""
     layout = layout or build_layout(config)
     free, cubic, quartic, bare_quartic = _shifted_parts(config)
     e_ref = expectation(build_H(config, layout), state)
     imag = [abs(e_ref.imag)]
 
     def value(groups: _Groups, powers: tuple[int, int]) -> float:
-        poly = groups.get(powers, LadderPolynomial(()))
-        total = sum(
-            (t.coefficient * expectation(ladderalg._monomial_matrix(layout, t.symbols), state) for t in poly.terms),
-            0j,
-        )
+        total = expectation(ladderalg.realize(groups.get(powers, LadderPolynomial(())), layout), state)
         imag.append(abs(total.imag))
         return float(total.real)
 

@@ -117,13 +117,14 @@ class Displacement:
     factors: Mapping[LadderId, np.ndarray]
 
     def apply(self, state: StateVector) -> StateVector:
+        """U |psi>: each displaced ladder's factor array times its block."""
         if state.layout != self.layout:
             raise LayoutError("state lives on a different layout")
-        tensor = state.amplitudes.reshape(self.layout.dims)
+        factors = list(state.factors)
         for lad, u in self.factors.items():
-            axis = self.layout.position(lad)
-            tensor = np.moveaxis(np.tensordot(u, tensor, axes=(1, axis)), 0, axis)
-        return StateVector(self.layout, np.ascontiguousarray(tensor).reshape(-1))
+            position = self.layout.position(lad)
+            factors[position] = u @ factors[position]
+        return StateVector(self.layout, state.amplitudes, tuple(factors))
 
 
 def displacement(config: ModelConfig, params: DisplacementParams, layout: FockLayout | None = None) -> Displacement:
@@ -421,8 +422,8 @@ class _InterchangeSystem:
     expansion sum_m kappa_m(x) (x)_l e_{m,l} - S(x) over words has the
     x-coefficient base[:, r] * prod(factors(x) ** exponents[r]), where the
     factors are the ladder amplitudes followed by f1 n1(x) and f2 n2(x), and
-    the one-hot row words[r] names its word, whose largest windowed entry
-    is word_norms[w].
+    words[r] is the index w of its word, whose largest windowed entry is
+    word_norms[w].
     """
 
     name: str
@@ -525,7 +526,7 @@ class InterchangeChecker:
             lhs_words=lhs_words,
             base=np.stack([base for base, _, _ in rows], axis=1),
             exponents=np.array([exponents for _, exponents, _ in rows]),
-            words=np.eye(len(columns))[[columns[w] for _, _, w in rows]],
+            words=np.array([columns[w] for _, _, w in rows]),
             word_norms=np.array(norms),
         )
 
@@ -543,7 +544,9 @@ class InterchangeChecker:
                 [np.tile(amplitudes, (len(self.x_samples), 1)), params.f1 * self._n1x, params.f2 * self._n2x]
             )
             coefficients = system.base * np.prod(factors[:, None, :] ** system.exponents, axis=2)
-            residuals = conjugation_gap + np.abs(coefficients @ system.words) @ system.word_norms
+            per_word = np.zeros((len(self.x_samples), len(system.word_norms)), dtype=np.complex128)
+            np.add.at(per_word.T, system.words, coefficients.T)
+            residuals = conjugation_gap + np.abs(per_word) @ system.word_norms
             for j, residual in enumerate(residuals):
                 checks.append(
                     ResidualCheck(

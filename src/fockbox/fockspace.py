@@ -1,10 +1,14 @@
-"""Truncated multi-ladder bosonic Fock spaces.
+"""Truncated multi-ladder bosonic Fock spaces in product form.
 
 A layout is an ordered list of independent bosonic ladders, each truncated at
-a per-ladder occupation cutoff.  The joint basis is the tensor product of the
-single-ladder bases in row-major order, with the occupation of the *last*
-ladder varying fastest, so basis index i maps to occupations
-``np.unravel_index(i, dims)`` with ``dims = (cutoff + 1, ...)``.
+a per-ladder occupation cutoff.  Nothing here builds the joint space, the
+tensor product of the single-ladder bases: a state is a short sum of product
+terms, its amplitudes c and one factor array per ladder whose column t is
+term t's vector on that ladder, and an operator is a sum of monomials, each
+a coefficient times one word of raising and lowering symbols per ladder.  An
+expectation contracts one Gram matrix per distinct (ladder, word) over the
+terms, so its cost grows with the number of ladders and terms, not with the
+joint dimension.
 
 Ladder operators use a hard cutoff: the raising operator annihilates the top
 level.  Consequently ``[a, a+] = 1`` holds exactly only on the subspace that
@@ -28,7 +32,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -71,7 +75,12 @@ _one_blas_thread()
 
 FAMILIES = ("a", "b", "d")
 
-DIMENSION_CAP = 2_000_000
+# The largest cutoff a ladder may have, the bound on what a layout can make
+# the checks allocate: the work frames of cutoff N are sized on a probe of
+# r^2 + 8 r + 20 levels for the reach r = sqrt(N / 2) + f_max
+# (displace.work_frame_size), 2,990 at cutoff 1,000, where each dense matrix
+# takes 72 MB and the sizing about 8 s and 380 MB on a 2-vCPU x86-64 machine.
+CUTOFF_CAP = 1000
 LEAKAGE_TAIL_BOUND = 1e-12
 # A verify run on the built-in config needs 13 distinct displacement blocks:
 # 6 full ones at cutoff 16 (an undisplaced ladder needs none), 6 work-frame
@@ -82,6 +91,10 @@ DISPLACEMENT_BLOCK_CACHE = 32
 # frame and the frame-size probe, so 3 on the built-in config and 9 on the
 # two-mode README config.
 X_BASIS_CACHE = 16
+# Words of up to four symbols on the sizes of the ladders, their windows and
+# their work frames: a verify run asks for 37 on the built-in config, 78 on
+# the two-mode README config and 45 on twelve ladders of cutoff 16.
+WORD_WEIGHTS_CACHE = 128
 
 
 @dataclass(frozen=True, order=True)
@@ -126,11 +139,8 @@ class FockLayout:
             raise LayoutError("duplicate ladder in layout")
         if any(c < 1 for c in self.cutoffs):
             raise LayoutError("cutoffs must be >= 1")
-        dim = 1
-        for c in self.cutoffs:
-            dim *= c + 1
-            if dim > DIMENSION_CAP:
-                raise LayoutError(f"layout dimension exceeds cap {DIMENSION_CAP}")
+        if any(c > CUTOFF_CAP for c in self.cutoffs):
+            raise LayoutError(f"cutoffs must be <= {CUTOFF_CAP}")
 
     @cached_property
     def dims(self) -> tuple[int, ...]:
@@ -138,7 +148,8 @@ class FockLayout:
 
     @cached_property
     def dimension(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64))
+        """Size of the joint space, exact: nothing here allocates it."""
+        return math.prod(self.dims)
 
     def position(self, ladder: LadderId) -> int:
         try:
@@ -149,113 +160,46 @@ class FockLayout:
     def cutoff(self, ladder: LadderId) -> int:
         return self.cutoffs[self.position(ladder)]
 
-    def basis_index(self, occupations: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(occupations), self.dims))
-
-    def occupations(self) -> np.ndarray:
-        """(dimension, n_ladders) array of occupations per basis state."""
-        grids = np.indices(self.dims).reshape(len(self.dims), -1)
-        return grids.T
-
-
-def _translate(values: np.ndarray, shift: Sequence[int]) -> np.ndarray:
-    """out[n + shift] = values[n], zero where n - shift leaves the layout."""
-    out = np.zeros_like(values)
-    target = tuple(slice(max(0, k), max(0, d + k)) for k, d in zip(shift, values.shape))
-    out[target] = values[tuple(slice(max(0, -k), max(0, d - k)) for k, d in zip(shift, values.shape))]
-    return out
+    def occupations(self, total: int) -> list[tuple[int, ...]]:
+        """Occupations of every basis state with at most `total` quanta, in
+        row-major order: the last ladder varies fastest."""
+        states: list[tuple[int, ...]] = [()]
+        for dim in reversed(self.dims):
+            states = [(n,) + rest for n in range(min(dim - 1, total) + 1) for rest in states if n + sum(rest) <= total]
+        return states
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Operator bound to a layout, as one dims-shaped array per tuple s of
-    per-ladder shifts: entry n of diagonals[s] is <n + s| O |n>, zero where
-    n + s leaves the layout (a product of ladder words is one such array).
-    Each entry is formed as a sparse matrix forms it, so it is the same float.
-    """
+    """Operator bound to a layout as a sum of monomials, each a coefficient
+    times one word per ladder.  words[l] lists ladder l's distinct words as
+    (shift, weights) pairs (word_weights), the empty word first; each term
+    pairs a coefficient with the index of its word on every ladder."""
 
     layout: FockLayout
-    diagonals: Mapping[tuple[int, ...], np.ndarray]
-
-    def _check(self, other: "OperatorMatrix"):
-        if self.layout != other.layout:
-            raise LayoutError("operators live on different layouts")
-
-    def _merge(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
-        self._check(other)
-        a, b = self.diagonals, other.diagonals
-        return OperatorMatrix(self.layout, {s: op(a.get(s, 0.0), b.get(s, 0.0)) for s in dict.fromkeys([*a, *b])})
-
-    def __add__(self, other):
-        return self._merge(other, np.add)
-
-    def __sub__(self, other):
-        return self._merge(other, np.subtract)
-
-    def __mul__(self, scalar):
-        return OperatorMatrix(self.layout, {s: v * scalar for s, v in self.diagonals.items()})
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        """other moves n to n + t, then self moves n + t to n + t + s."""
-        self._check(other)
-        out: dict[tuple[int, ...], np.ndarray] = {}
-        for t, right in other.diagonals.items():
-            for s, left in self.diagonals.items():
-                shift = tuple(a + b for a, b in zip(s, t))
-                out[shift] = out.get(shift, 0.0) + _translate(left, [-k for k in t]) * right
-        return OperatorMatrix(self.layout, out)
-
-    def adjoint(self) -> "OperatorMatrix":
-        flipped = {tuple(-k for k in s): _translate(v.conj(), s) for s, v in self.diagonals.items()}
-        return OperatorMatrix(self.layout, flipped)
-
-    @cached_property
-    def _flat(self) -> list[tuple[int, np.ndarray]]:
-        """(basis-index offset, flat values) per diagonal; a sparse row sums
-        its terms in ascending column order, which is descending offset."""
-        strides = np.cumprod((1,) + self.layout.dims[:0:-1])[::-1]
-        flat = [(int(np.dot(s, strides)), v.reshape(-1)) for s, v in self.diagonals.items()]
-        return sorted(flat, key=lambda e: -e[0])
-
-    def apply(self, state: "StateVector") -> "StateVector":
-        """O |psi>.  A diagonal is zero where n + s leaves the layout, so it
-        acts as one flat slice at its offset, in the order of _flat."""
-        if state.layout != self.layout:
-            raise LayoutError("operator and state live on different layouts")
-        psi, out = state.amplitudes, np.zeros(len(state.amplitudes), dtype=np.complex128)
-        for k, values in self._flat:
-            lo, n = max(0, -k), max(0, len(psi) - abs(k))
-            out[lo + k : lo + k + n] += values[lo : lo + n] * psi[lo : lo + n]
-        return StateVector(self.layout, out)
-
-    def max_abs(self) -> float:
-        return max((float(np.max(np.abs(v))) for v in self.diagonals.values()), default=0.0)
-
-    def hermiticity_residual(self) -> float:
-        return (self - self.adjoint()).max_abs()
+    words: tuple[tuple[tuple[int, np.ndarray], ...], ...]
+    terms: tuple[tuple[complex, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Dense complex state bound to a layout."""
+    """sum_t amplitudes[t] (x)_l factors[l][:, t]: a short sum of product
+    terms, one (dim_l, T) factor array per ladder."""
 
     layout: FockLayout
     amplitudes: np.ndarray
+    factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.amplitudes.shape != (self.layout.dimension,):
-            raise LayoutError("state length does not match layout dimension")
+        shapes = tuple((dim,) + self.amplitudes.shape for dim in self.layout.dims)
+        if self.amplitudes.ndim != 1 or tuple(v.shape for v in self.factors) != shapes:
+            raise LayoutError("state factors do not match the layout and the amplitudes")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.layout, self.amplitudes / n)
+    @cached_property
+    def overlaps(self) -> tuple[np.ndarray, ...]:
+        """Each ladder's Gram v+ v of its factor columns, the Gram of the
+        empty word: one ladder's columns need not be orthogonal."""
+        return tuple(v.conj().T @ v for v in self.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +216,13 @@ def raising_block(cutoff: int) -> np.ndarray:
     return lowering_block(cutoff).T.copy()
 
 
-def word_weights(dim: int, daggers: Iterable[bool]) -> tuple[int, np.ndarray]:
+@lru_cache(maxsize=WORD_WEIGHTS_CACHE)
+def word_weights(dim: int, daggers: tuple[bool, ...]) -> tuple[int, np.ndarray]:
     """(shift, weights) of the ordered product of raising (True) and
     lowering (False) blocks on dim levels: level n goes to n + shift with
     weight weights[n], 0 where n + shift leaves the ladder.  Each weight is
-    the left-to-right product of its factors, as the dense chain forms it."""
+    the left-to-right product of its factors, as the dense chain forms it.
+    Memoized, and the weights are read-only."""
     roots = np.sqrt(np.arange(1.0, dim))
     weight = np.ones(dim)
     shift = 0
@@ -288,10 +234,11 @@ def word_weights(dim: int, daggers: Iterable[bool]) -> tuple[int, np.ndarray]:
             step[1:] = weight[:-1] * roots
         weight = step
         shift += 1 if dagger else -1
+    weight.setflags(write=False)
     return shift, weight
 
 
-def word_rows(rows: np.ndarray, daggers: Iterable[bool]) -> np.ndarray:
+def word_rows(rows: np.ndarray, daggers: tuple[bool, ...]) -> np.ndarray:
     """rows @ word, for the ordered product of raising (True) and lowering
     (False) blocks: column n is weights[n] times column n + shift of rows
     (word_weights), and zero where that runs off either end."""
@@ -301,25 +248,27 @@ def word_rows(rows: np.ndarray, daggers: Iterable[bool]) -> np.ndarray:
     return out
 
 
-def ladder_product(cutoff: int, daggers: Iterable[bool]) -> np.ndarray:
+def ladder_product(cutoff: int, daggers: tuple[bool, ...]) -> np.ndarray:
     """Ordered product of raising (True) and lowering (False) blocks on one
     ladder; the identity for an empty word."""
     return word_rows(np.eye(cutoff + 1), daggers)
 
 
-def number_operator(layout: FockLayout, ladder: LadderId) -> OperatorMatrix:
-    occ = np.indices(layout.dims)[layout.position(ladder)].astype(np.complex128)
-    return OperatorMatrix(layout, {(0,) * len(layout.dims): occ})
-
-
 # ---------------------------------------------------------------------------
-# states
+# states and expectations
 
 
-def vacuum(layout: FockLayout) -> StateVector:
-    amps = np.zeros(layout.dimension, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(layout, amps)
+def basis_sum(layout: FockLayout, occupations: Sequence[Sequence[int]], amplitudes: Sequence[complex]) -> StateVector:
+    """sum_t amplitudes[t] |occupations[t]>, one product term per basis state."""
+    occs = np.array(occupations, dtype=int).reshape(len(amplitudes), len(layout.dims))
+    if np.any((occs < 0) | (occs > np.array(layout.cutoffs))):
+        raise LayoutError(f"occupations outside 0..cutoff: {occupations}")
+    factors = []
+    for column, dim in zip(occs.T, layout.dims):
+        v = np.zeros((dim, len(column)), dtype=np.complex128)
+        v[column, np.arange(len(column))] = 1.0
+        factors.append(v)
+    return StateVector(layout, np.asarray(amplitudes, dtype=np.complex128), tuple(factors))
 
 
 def basis_state(layout: FockLayout, occupations: Mapping[LadderId, int] | Sequence[int]) -> StateVector:
@@ -329,16 +278,42 @@ def basis_state(layout: FockLayout, occupations: Mapping[LadderId, int] | Sequen
             occs[layout.position(lad)] = n
     else:
         occs = list(occupations)
-    for n, cutoff in zip(occs, layout.cutoffs):
-        if not 0 <= n <= cutoff:
-            raise LayoutError(f"occupation {n} outside 0..{cutoff}")
-    amps = np.zeros(layout.dimension, dtype=np.complex128)
-    amps[layout.basis_index(occs)] = 1.0
-    return StateVector(layout, amps)
+    return basis_sum(layout, [occs], [1.0])
+
+
+def vacuum(layout: FockLayout) -> StateVector:
+    return basis_state(layout, {})
+
+
+def _grams(v: np.ndarray, overlap: np.ndarray, words: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
+    """(words, T, T) stack of one ladder's Grams v+ W v, one per word W
+    that takes level n to n + shift with weight weights[n] (word_weights);
+    the empty word, first, has the overlap v+ v."""
+    vh, dim = v.conj().T, len(v)
+    grams = [overlap]
+    for shift, weights in words[1:]:
+        lo = min(dim, max(0, -shift))
+        hi = max(lo, dim - max(0, shift))
+        grams.append(vh[:, lo + shift : hi + shift] @ (weights[lo:hi, None] * v[lo:hi]))
+    return np.stack(grams)
 
 
 def expectation(op: OperatorMatrix, state: StateVector) -> complex:
-    return complex(np.vdot(state.amplitudes, op.apply(state).amplitudes))
+    """<psi| O |psi> = sum_m coefficient_m c+ (G_m,1 * G_m,2 * ...) c, summed
+    over the monomials in term order from 0j, with * elementwise.  G_m,l is
+    the T x T Gram v_l+ W v_l of monomial m's word W on ladder l, formed once
+    per distinct (ladder, word); the empty word's is the state's overlaps."""
+    if op.layout != state.layout:
+        raise LayoutError("operator and state live on different layouts")
+    rows = np.array([index for _, index in op.terms], dtype=int).reshape(len(op.terms), len(op.words))
+    product = 1.0
+    for column, v, overlap, words in zip(rows.T, state.factors, state.overlaps, op.words):
+        product = product * _grams(v, overlap, words)[column]
+    values = (product @ state.amplitudes) @ state.amplitudes.conj()
+    total = 0j
+    for (coefficient, _), value in zip(op.terms, values.tolist()):
+        total += coefficient * value
+    return complex(total)
 
 
 # ---------------------------------------------------------------------------

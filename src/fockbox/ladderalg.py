@@ -16,18 +16,17 @@ displacement acts on a box-integrated polynomial symbolically: shift
 rewrites each symbol on a displaced ladder as symbol + f and groups the
 result by the powers of the amplitudes.
 
-Realization maps a polynomial onto a truncated Fock layout: each monomial
-becomes the ordered product of its symbols' ladder blocks.  Symbols on
-different ladders commute exactly (Kronecker factors), so the product is
-assembled per ladder, in within-ladder order, as one weighted diagonal.
+Realization maps a polynomial onto a truncated Fock layout in product
+form: symbols on different ladders commute exactly, so each monomial keeps
+its coefficient and, per ladder, the ordered product of its symbols there as
+one word, stored as the shift and weights of word_weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -35,9 +34,6 @@ from .errors import ConfigError, GridError
 from .fockspace import FockLayout, LadderId, OperatorMatrix, word_weights
 
 PRUNE_TOL = 1e-14
-# The distinct monomials of a run stay cached, so a hit saves most of a call: 26 on the
-# default layout and 42 (0.78 MB each) on the README two-mode layout.
-MONOMIAL_MATRIX_CACHE = 64
 
 
 def mode_energy(momentum: float, mass: float) -> float:
@@ -120,13 +116,6 @@ def constant(value: complex) -> LadderPolynomial:
     return LadderPolynomial.from_terms([LadderMonomial(value, ())])
 
 
-def ladder_sum(entries: Sequence[tuple[LadderId, bool]], coefficient: complex = 1.0) -> LadderPolynomial:
-    """Phase-free sum like a+_k + a_k from (ladder, dagger) pairs."""
-    return LadderPolynomial.from_terms(
-        LadderMonomial(coefficient, (LadderSymbol(lad, dag, 0),)) for lad, dag in entries
-    )
-
-
 def multiply(p: LadderPolynomial, q: LadderPolynomial) -> LadderPolynomial:
     """Operator product; symbol order is concatenation, never reordered."""
     return LadderPolynomial.from_terms(
@@ -151,6 +140,18 @@ def normal_order(p: LadderPolynomial) -> LadderPolynomial:
         plain = sorted((s for s in t.symbols if not s.dagger), key=LadderSymbol.sort_key)
         out.append(LadderMonomial(t.coefficient, tuple(daggered + plain)))
     return LadderPolynomial.from_terms(out)
+
+
+def adjoint(p: LadderPolynomial) -> LadderPolynomial:
+    """p+: each monomial reversed, with every symbol's dagger flipped and its
+    phase negated, and its coefficient conjugated."""
+    return LadderPolynomial.from_terms(
+        LadderMonomial(
+            complex(t.coefficient).conjugate(),
+            tuple(LadderSymbol(s.ladder, not s.dagger, -s.phase_sign) for s in reversed(t.symbols)),
+        )
+        for t in p.terms
+    )
 
 
 def box_points(box_length: float, n: int) -> np.ndarray:
@@ -248,35 +249,26 @@ def field_polynomial(field: str, config) -> LadderPolynomial:
 # realization on a truncated layout
 
 
-@lru_cache(maxsize=MONOMIAL_MATRIX_CACHE)
-def _monomial_matrix(layout: FockLayout, symbols: tuple[LadderSymbol, ...]) -> OperatorMatrix:
-    """The symbols' ordered product as one real, read-only diagonal: entry n
-    is the product, in layout order, of each ladder's word weights at n_l."""
-    for ladder in {s.ladder for s in symbols}:
-        layout.position(ladder)
-    shift, values = [], np.ones(())
-    for ladder, dim in zip(layout.ladders, layout.dims):
-        step, weights = word_weights(dim, [s.dagger for s in symbols if s.ladder == ladder])
-        shift.append(step)
-        values = np.multiply.outer(values, weights)
-    values.setflags(write=False)
-    return OperatorMatrix(layout, {tuple(shift): values})
-
-
 def realize(p: LadderPolynomial, layout: FockLayout) -> OperatorMatrix:
-    """Sum of coefficient times ordered matrix product, phases ignored.
-
-    This is the x = 0 value of an x-dependent polynomial and the natural
-    form for integrated (wave_index == 0) polynomials.
-    """
-    acc: dict[tuple[int, ...], np.ndarray] = {}
+    """Each monomial's coefficient and its word on every ladder, phases
+    ignored: the x = 0 value of an x-dependent polynomial and the natural
+    form for integrated (wave_index == 0) polynomials.  Each ladder lists
+    its distinct words once, the empty word first."""
+    indices: list[dict[tuple[bool, ...], int]] = [{(): 0} for _ in layout.ladders]
+    terms = []
     for t in p.terms:
-        for shift, values in _monomial_matrix(layout, t.symbols).diagonals.items():
-            acc[shift] = acc.get(shift, 0.0) + t.coefficient * values
-    return OperatorMatrix(layout, acc)
+        daggers: dict[LadderId, tuple[bool, ...]] = {}
+        for s in t.symbols:
+            daggers[s.ladder] = daggers.get(s.ladder, ()) + (s.dagger,)
+        for ladder in daggers:
+            layout.position(ladder)
+        index = tuple(seen.setdefault(daggers.get(ladder, ()), len(seen)) for ladder, seen in zip(layout.ladders, indices))
+        terms.append((t.coefficient, index))
+    words = tuple(tuple(word_weights(dim, word) for word in seen) for dim, seen in zip(layout.dims, indices))
+    return OperatorMatrix(layout, words, tuple(terms))
 
 
-def quadrature_realize(p: LadderPolynomial, box_length: float, n_x: int) -> LadderPolynomial:
+def quadrature_integrate(p: LadderPolynomial, box_length: float, n_x: int) -> LadderPolynomial:
     """Riemann-sum oracle for integrate_box: (L / N) sum_j p(x_j), term by term.
 
     Each monomial's coefficient is multiplied by its phase summed over the

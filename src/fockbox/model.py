@@ -9,10 +9,12 @@ Hamiltonian is
         + lambda1 * Int :phi+ phi: phihat dx + lambda2 * Int :phihat^4: dx
 
 assembled symbolically (normal ordering, then box integration by momentum
-selection) and realized on the truncated layout.  An equal-weight Riemann
+selection) as one ladder polynomial, which build_H realizes in product form.
+The structural checks read that polynomial: an equal-weight Riemann
 quadrature of the interaction density, monomial by monomial, provides an
-independent oracle for the box integration; every coefficient must agree
-to 1e-9.
+independent oracle for the box integration (every coefficient must agree to
+1e-9), and each monomial's adjoint and charge show that H is Hermitian and
+conserves charge.
 """
 
 from __future__ import annotations
@@ -20,20 +22,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from . import ladderalg
 from .errors import ConfigError
-from .fockspace import FockLayout, LadderId, OperatorMatrix, number_operator
-from .ladderalg import LadderPolynomial, mode_energy
+from .fockspace import FockLayout, LadderId, OperatorMatrix
+from .ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, mode_energy
 
 FIELD_ALGEBRA_CACHE = 8
-# A run uses one Hamiltonian: one complex array per ladder shift, 3 arrays of
-# 97,104 states (4.7 MB) on the README two-mode layout, so few are kept.
-HAMILTONIAN_CACHE = 2
+# Charge a raising symbol adds on each ladder family; a lowering one removes it.
+_RAISED_CHARGE = {"a": 0, "b": 1, "d": -1}
 
 
 def _normalize_modes(values) -> tuple[int, ...]:
@@ -235,38 +235,29 @@ def quartic_interaction_polynomial(config: ModelConfig) -> LadderPolynomial:
     return ladderalg.integrate_box(field_algebra(config).ordered_powers[4], config.box_length)
 
 
-def build_H0(config: ModelConfig, layout: FockLayout | None = None) -> OperatorMatrix:
-    layout = layout or build_layout(config)
-    terms = [config.omega(n) * number_operator(layout, LadderId("a", n)) for n in config.neutral_modes]
-    for n in config.charged_modes:
-        terms += [config.charged_energy(n) * number_operator(layout, LadderId(f, n)) for f in "bd"]
-    return sum(terms[1:], terms[0])
+def hamiltonian_polynomial(config: ModelConfig) -> LadderPolynomial:
+    """The box-integrated H: the free part over every mode, then lambda1
+    Int :phi+ phi: phihat and lambda2 Int :phihat^4:.  The parts share no
+    monomial (two, three and four symbols), so their terms are joined as
+    they are, none pruned."""
+    free = [(LadderId("a", n), config.omega(n)) for n in config.neutral_modes]
+    free += [(LadderId(f, n), config.charged_energy(n)) for n in config.charged_modes for f in "bd"]
+    terms = tuple(LadderMonomial(e, (LadderSymbol(lad, True), LadderSymbol(lad, False))) for lad, e in free)
+    for coupling, part in ((config.lambda1, cubic_interaction_polynomial), (config.lambda2, quartic_interaction_polynomial)):
+        if coupling != 0.0:
+            terms += tuple(t.scaled(coupling) for t in part(config).terms)
+    return LadderPolynomial(terms)
 
 
 def build_H(config: ModelConfig, layout: FockLayout | None = None) -> OperatorMatrix:
-    """The Hamiltonian on the layout; read-only and memoized on (config,
-    layout), so a sweep or a verify run assembles it once."""
-    return _build_H(config, layout or build_layout(config))
+    """The Hamiltonian realized on the layout."""
+    return ladderalg.realize(hamiltonian_polynomial(config), layout or build_layout(config))
 
 
-@lru_cache(maxsize=HAMILTONIAN_CACHE)
-def _build_H(config: ModelConfig, layout: FockLayout) -> OperatorMatrix:
-    h = build_H0(config, layout)
-    if config.lambda1 != 0.0:
-        h = h + config.lambda1 * ladderalg.realize(cubic_interaction_polynomial(config), layout)
-    if config.lambda2 != 0.0:
-        h = h + config.lambda2 * ladderalg.realize(quartic_interaction_polynomial(config), layout)
-    for array in h.diagonals.values():
-        array.setflags(write=False)
-    return OperatorMatrix(layout, MappingProxyType(h.diagonals))
-
-
-def charge_operator(config: ModelConfig, layout: FockLayout | None = None) -> OperatorMatrix:
-    """Conserved charge sum_p (b+_p b_p - d+_p d_p); commutes with H."""
-    layout = layout or build_layout(config)
-    pairs = [(LadderId("b", n), LadderId("d", n)) for n in config.charged_modes]
-    charges = [number_operator(layout, b) - number_operator(layout, d) for b, d in pairs]
-    return sum(charges[1:], charges[0])
+def charge(monomial: LadderMonomial) -> int:
+    """Charge a monomial adds: +1 for each raised b and lowered d, -1 for
+    each lowered b and raised d."""
+    return sum((1 if s.dagger else -1) * _RAISED_CHARGE[s.ladder.family] for s in monomial.symbols)
 
 
 def interaction_density_polynomial(config: ModelConfig) -> LadderPolynomial:
@@ -280,7 +271,7 @@ def interaction_quadrature(config: ModelConfig) -> LadderPolynomial:
     density, term by term, to compare with integrate_box's coefficients."""
     indices = [abs(n) for n in config.neutral_modes + config.charged_modes]
     n_x = 4 * max(indices) + 5
-    return ladderalg.quadrature_realize(interaction_density_polynomial(config), config.box_length, n_x)
+    return ladderalg.quadrature_integrate(interaction_density_polynomial(config), config.box_length, n_x)
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,29 @@ from fockbox.coeffs import (
     COEFFICIENT_NAMES,
 )
 from fockbox.errors import ConfigError, GeometryError
-from fockbox.fockspace import LadderId
-from fockbox.model import ModelConfig, build_layout, default_config
+from fockbox.fockspace import LadderId, expectation
+from fockbox.ladderalg import constant, realize
+from fockbox.model import ModelConfig, build_H, build_layout, default_config, hamiltonian_polynomial
+from test_fockspace import dense_state, row_major_occupations
+from test_model import README_TWO_MODE
+
+
+def norm(state):
+    return math.sqrt(expectation(realize(constant(1.0), state.layout), state).real)
 
 
 def test_reference_state_selectors():
     config = default_config().with_cutoff(4)
     layout = build_layout(config)
     vac = reference_state(config, "vacuum", layout)
-    assert vac.amplitudes[0] == 1.0
+    assert dense_state(vac)[0] == 1.0
     one_a = reference_state(config, "one_a", layout)
-    assert one_a.amplitudes[layout.basis_index((1, 0, 0))] == 1.0
+    assert dense_state(one_a)[np.ravel_multi_index((1, 0, 0), layout.dims)] == 1.0
     one_b = reference_state(config, "one_b", layout)
-    assert one_b.amplitudes[layout.basis_index((0, 1, 0))] == 1.0
+    assert dense_state(one_b)[np.ravel_multi_index((0, 1, 0), layout.dims)] == 1.0
     for state in (vac, one_a, one_b):
-        assert state.norm() == pytest.approx(1.0, abs=1e-14)
+        assert len(state.amplitudes) == 1
+        assert norm(state) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_seeded_state_support_and_reproducibility():
@@ -38,11 +46,29 @@ def test_seeded_state_support_and_reproducibility():
     np.testing.assert_array_equal(s7a.amplitudes, s7b.amplitudes)
     s3 = reference_state(config, "seeded:3", layout)
     assert not np.allclose(s3.amplitudes, s7a.amplitudes)
-    occ = layout.occupations().sum(axis=1)
-    assert np.all(np.abs(s7a.amplitudes[occ > 2]) == 0.0)
-    assert s7a.norm() == pytest.approx(1.0, abs=1e-14)
+    occ = row_major_occupations(layout).sum(axis=1)
+    assert np.all(np.abs(dense_state(s7a)[occ > 2]) == 0.0)
+    assert len(s7a.amplitudes) == np.count_nonzero(occ <= 2) == 10
+    assert norm(s7a) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ConfigError, match="negative seed"):
         reference_state(config, "seeded:-1", layout)
+
+
+@pytest.mark.parametrize("config", [default_config(), README_TWO_MODE], ids=["default", "two_mode"])
+def test_seeded_terms_take_the_draws_of_the_full_layout_mask(config):
+    # the joint-space state drew its amplitudes onto the row-major mask of
+    # occupations <= 2; the product terms take the same draws in that order
+    layout = build_layout(config)
+    occ = row_major_occupations(layout)
+    mask = occ.sum(axis=1) <= 2
+    rng = np.random.default_rng(7)
+    draws = rng.normal(size=int(mask.sum())) + 1j * rng.normal(size=int(mask.sum()))
+    state = reference_state(config, "seeded:7", layout)
+    assert len(state.amplitudes) == {3: 10, 4: 15}[len(layout.ladders)]
+    assert layout.occupations(2) == [tuple(n) for n in occ[mask]]
+    for v, column in zip(state.factors, occ[mask].T):
+        assert np.array_equal(v, np.eye(len(v))[:, column])
+    np.testing.assert_array_equal(state.amplitudes, draws / np.linalg.norm(draws))
 
 
 def test_reference_state_rejects_bad_selectors():
@@ -201,3 +227,31 @@ def test_coefficients_reject_a_box_that_overflows():
     config = ModelConfig(box_length=1.7976931348623157e308, cutoff_default=3)
     with pytest.raises(ConfigError):
         coefficients(config, reference_state(config, "vacuum", build_layout(config)))
+
+
+# Neutral and charged modes 1-4: twelve ladders of 17 levels, 17^12 (5.8e14)
+# joint states, which no array here has.
+TWELVE_LADDERS = ModelConfig(neutral_modes=(1, 2, 3, 4), charged_modes=(1, 2, 3, 4), q_index=1, k_index=2)
+
+
+def test_twelve_ladder_config_runs_without_the_joint_space():
+    config = TWELVE_LADDERS
+    layout = build_layout(config)
+    assert len(layout.ladders) == 12 and layout.dimension == 17**12
+    # 68 monomials over 48 distinct non-empty ladder words
+    h = build_H(config, layout)
+    assert len(hamiltonian_polynomial(config).terms) == len(h.terms) == 68
+    assert sum(len(words) - 1 for words in h.words) == 48
+    closed = vacuum_closed_forms(config)
+    for selector in ("vacuum", "one_a", "one_b", "seeded:7"):
+        state = reference_state(config, selector, layout)
+        assert len(state.amplitudes) == {"seeded:7": 91}.get(selector, 1)
+        cs = coefficients(config, state, layout)
+        assert all(math.isfinite(getattr(cs, name)) for name in COEFFICIENT_NAMES)
+        if selector == "vacuum":
+            for name, want in closed.items():
+                assert within_rounding(getattr(cs, name), want), (name, getattr(cs, name), want)
+    checks = central_identity_checks(config, layout)
+    assert len(checks) == 4 * 25 + 1
+    assert all(c.passed and c.residual <= 1e-13 for c in checks), max(c.residual for c in checks)
+    assert checks[-1].name == "quartic_coefficient[unit]"

@@ -12,6 +12,7 @@ from fockbox.fockspace import (
     StateVector,
     basis_state,
     displacement_block,
+    expectation,
     lowering_block,
     max_admissible_amplitude,
     raising_block,
@@ -34,9 +35,10 @@ from fockbox.displace import (
     work_frame_size,
     _work_frames,
 )
-from fockbox.ladderalg import box_points
+from fockbox.ladderalg import box_points, constant, realize
 from fockbox.model import ShiftProfile, default_config, build_layout, field_algebra, parse_config, shift_profiles
 from fockbox.probe import run_verification
+from test_fockspace import dense_state, row_major_occupations
 
 A2 = LadderId("a", 2)
 B1 = LadderId("b", 1)
@@ -99,7 +101,7 @@ def test_displacement_is_unitary_and_factorizes():
     np.testing.assert_allclose(charged @ neutral, u, atol=1e-13)
     np.testing.assert_allclose(neutral @ charged, u, atol=1e-13)
     # apply is that product: its columns on the basis states are U's
-    columns = np.column_stack([disp.apply(StateVector(layout, e)).amplitudes for e in np.eye(layout.dimension)])
+    columns = np.column_stack([dense_state(disp.apply(basis_state(layout, n))) for n in row_major_occupations(layout)])
     np.testing.assert_allclose(columns, u, rtol=0.0, atol=1e-15)
 
 
@@ -111,6 +113,7 @@ def test_zero_displacement_is_identity():
     state = basis_state(layout, {B1: 2})
     out = disp.apply(state)
     np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+    assert all(np.array_equal(a, b) for a, b in zip(out.factors, state.factors))
     assert np.array_equal(kron_factors(layout, disp.factors), np.eye(layout.dimension))
 
 
@@ -120,14 +123,17 @@ def test_apply_matches_materialized_operator():
     params = DisplacementParams(0.2, 0.6)
     disp = displacement(config, params, layout)
     rng = np.random.default_rng(3)
+    terms = 3
     state = StateVector(
-        layout, rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
-    ).normalized()
-    via_apply = disp.apply(state).amplitudes
-    via_matrix = kron_factors(layout, disp.factors) @ state.amplitudes
+        layout,
+        rng.normal(size=terms) + 1j * rng.normal(size=terms),
+        tuple(rng.normal(size=(dim, terms)) + 1j * rng.normal(size=(dim, terms)) for dim in layout.dims),
+    )
+    via_apply = dense_state(disp.apply(state))
+    via_matrix = kron_factors(layout, disp.factors) @ dense_state(state)
     np.testing.assert_allclose(via_apply, via_matrix, atol=1e-13)
     np.testing.assert_allclose(
-        displacement(config, params, state.layout).apply(state).amplitudes, via_matrix, atol=1e-13
+        dense_state(displacement(config, params, state.layout).apply(state)), via_matrix, atol=1e-13
     )
 
 
@@ -136,7 +142,7 @@ def test_displaced_vacuum_is_poisson_product():
     layout = build_layout(config)
     f1, f2 = 0.5, 0.8
     out = displacement(config, DisplacementParams(f1, f2), layout).apply(vacuum(layout))
-    tensor = out.amplitudes.reshape(layout.dims)
+    tensor = dense_state(out).reshape(layout.dims)
 
     def poisson(f, dim):
         return np.array([math.exp(-0.5 * f * f) * f ** n / math.sqrt(math.factorial(n)) for n in range(dim)])
@@ -151,12 +157,12 @@ def test_displaced_vacuum_is_poisson_product():
 
 
 def test_apply_keeps_the_norm_on_a_large_layout():
-    # 25^3 states: the factored form never builds the joint matrix
-    config = default_config().with_cutoff(24)
+    # 1001^3 states: the product form never builds the joint space
+    config = default_config().with_cutoff(1000)
     layout = build_layout(config)
     disp = displacement(config, DisplacementParams(1.0, 1.0), layout)
     out = disp.apply(vacuum(layout))
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    assert expectation(realize(constant(1.0), layout), out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_rejects_foreign_layout():

@@ -17,21 +17,22 @@ import pytest
 import scipy.linalg
 
 import fockbox
-from fockbox import coeffs, displace, fockspace, ladderalg, model
+from fockbox import coeffs, displace, fockspace
 from fockbox.errors import LayoutError
 from fockbox.fockspace import (
+    CUTOFF_CAP,
     FockLayout,
     LadderId,
     OperatorMatrix,
     StateVector,
     basis_state,
+    basis_sum,
     displacement_block,
     expectation,
     ladder_product,
     leakage_admissible,
     lowering_block,
     max_admissible_amplitude,
-    number_operator,
     poisson_tail,
     raising_block,
     vacuum,
@@ -51,10 +52,35 @@ def small_layout(cutoff=3):
     return FockLayout((A2, B1, D1), (cutoff, cutoff, cutoff))
 
 
+def word_matrix(shift: int, weights: np.ndarray) -> np.ndarray:
+    """The single-ladder matrix of a word: column n holds weights[n] in row
+    n + shift."""
+    dim = len(weights)
+    matrix = np.zeros((dim, dim))
+    for n, weight in enumerate(weights):
+        if 0 <= n + shift < dim:
+            matrix[n + shift, n] = weight
+    return matrix
+
+
 def dense(op: OperatorMatrix) -> np.ndarray:
-    """The full matrix of op: column j is op applied to basis state j."""
-    eye = np.eye(op.layout.dimension, dtype=np.complex128)
-    return np.column_stack([op.apply(StateVector(op.layout, column)).amplitudes for column in eye])
+    """The full matrix of op on the joint space: each term's coefficient
+    times the Kronecker product of its words."""
+    total = np.zeros((op.layout.dimension, op.layout.dimension), dtype=np.complex128)
+    for coefficient, index in op.terms:
+        total += coefficient * functools.reduce(np.kron, [word_matrix(*words[k]) for words, k in zip(op.words, index)])
+    return total
+
+
+def dense_state(state: StateVector) -> np.ndarray:
+    """The full vector of a product-form state on the joint space."""
+    columns = [functools.reduce(np.kron, [v[:, t] for v in state.factors]) for t in range(len(state.amplitudes))]
+    return np.column_stack(columns) @ state.amplitudes
+
+
+def row_major_occupations(layout: FockLayout) -> np.ndarray:
+    """(dimension, ladders) occupations of the joint basis, last ladder fastest."""
+    return np.indices(layout.dims).reshape(len(layout.dims), -1).T
 
 
 def kron_oracle(poly: LadderPolynomial, layout: FockLayout) -> np.ndarray:
@@ -94,13 +120,28 @@ def test_layout_row_major_last_ladder_fastest():
     layout = small_layout()
     assert layout.dims == (4, 4, 4)
     assert layout.dimension == 64
+    # the low-occupation states come in the joint basis order, in which the
     # occupation of the last ladder advances the basis index by 1
-    assert layout.basis_index((0, 0, 1)) == 1
-    assert layout.basis_index((0, 1, 0)) == 4
-    assert layout.basis_index((1, 0, 0)) == 16
-    occ = layout.occupations()
-    for i in range(layout.dimension):
-        assert tuple(occ[i]) == tuple(np.unravel_index(i, layout.dims))
+    everything = [tuple(np.unravel_index(i, layout.dims)) for i in range(layout.dimension)]
+    for total in range(10):
+        assert layout.occupations(total) == [occ for occ in everything if sum(occ) <= total], total
+    assert layout.occupations(1) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def test_layout_dimension_is_exact_past_int64():
+    # an int64 product of 16 ladders of 17 levels wraps to -6679040345461786367
+    layout = FockLayout(tuple(LadderId("a", n) for n in range(1, 17)), (16,) * 16)
+    assert layout.dimension == 17**16 > np.iinfo(np.int64).max
+    assert len(layout.occupations(2)) == 1 + 16 + 16 * 17 // 2
+
+
+def test_layout_bounds_each_cutoff():
+    # the joint size is no bound: one ladder at 6,000 beside two at 16 gives
+    # 1.7e6 states, yet its work frames would diagonalize 17,670 levels
+    assert FockLayout((A2, B1, D1), (CUTOFF_CAP,) * 3).dimension == (CUTOFF_CAP + 1) ** 3
+    for cutoffs in ((CUTOFF_CAP + 1,), (16, 6000, 16)):
+        with pytest.raises(LayoutError, match=f"<= {CUTOFF_CAP}"):
+            FockLayout((A2, B1, D1)[: len(cutoffs)], cutoffs)
 
 
 def test_layout_validation():
@@ -113,7 +154,7 @@ def test_layout_validation():
     with pytest.raises(LayoutError):
         FockLayout((), ())
     with pytest.raises(LayoutError):
-        FockLayout((A2, B1, D1), (200, 200, 200))  # over the dimension cap
+        FockLayout((A2, B1, D1), (200, 200, CUTOFF_CAP + 1))  # over the cutoff bound
     with pytest.raises(LayoutError):
         small_layout().position(LadderId("b", 9))
 
@@ -145,23 +186,22 @@ def test_commutator_below_cutoff():
 
 def test_number_operator_and_projector():
     layout = small_layout()
-    n_b = dense(number_operator(layout, B1))
-    occ = layout.occupations()[:, 1]
-    assert np.array_equal(n_b, np.diag(occ).astype(complex))
+    number = realize(word(B1, True, False), layout)
+    n_b = dense(number)
+    occ = row_major_occupations(layout)[:, 1]
+    # the chain b+ b squares each root, one rounding per entry
+    np.testing.assert_allclose(n_b, np.diag(occ).astype(complex), rtol=1e-15, atol=0)
     eye = np.eye(4)
-    # the dense chain a+ a squares each root, one rounding per entry
-    np.testing.assert_allclose(n_b, np.kron(np.kron(eye, raising_block(3) @ lowering_block(3)), eye), rtol=1e-15, atol=0)
-    # the projection onto occupations <= 1 on every ladder is the product of
-    # the per-ladder projections, each a zero-shift diagonal
-    zero = (0, 0, 0)
-    per_ladder = [
-        OperatorMatrix(layout, {zero: (np.indices(layout.dims)[i] <= 1).astype(complex)}) for i in range(3)
-    ]
-    p = dense(functools.reduce(lambda x, y: x @ y, per_ladder))
-    expected = (layout.occupations() <= 1).all(axis=1)
-    assert np.array_equal(p, np.diag(expected).astype(complex))
-    low = np.diag([1.0, 1.0, 0.0, 0.0])
-    assert np.array_equal(p, np.kron(np.kron(low, low), low).astype(complex))
+    assert np.array_equal(n_b, np.kron(np.kron(eye, raising_block(3) @ lowering_block(3)), eye))
+    # it counts the quanta of every basis state
+    for occupations in row_major_occupations(layout):
+        assert expectation(number, basis_state(layout, occupations)) == pytest.approx(occupations[1], rel=1e-15)
+    # distinct basis states are orthonormal terms, though one ladder's
+    # columns are not: |000> and |001> share a2's and b1's
+    low = basis_sum(layout, layout.occupations(1), [1.0, 2.0, 3.0, 4.0])
+    assert not np.array_equal(low.overlaps[0], np.eye(4))
+    assert np.array_equal(functools.reduce(np.multiply, low.overlaps), np.eye(4))
+    assert expectation(realize(constant(1.0), layout), low) == 30.0
 
 
 def test_realize_matches_explicit_kron():
@@ -213,43 +253,65 @@ def test_word_weights_are_the_columns_of_the_explicit_chain(cutoff):
             assert np.count_nonzero(chain) == np.count_nonzero(weights)
 
 
+def test_word_weights_are_memoized_and_read_only():
+    shift, weights = word_weights(17, (True, False))
+    assert word_weights(17, (True, False))[1] is weights
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
+    assert shift == 0 and weights[0] == 0.0
+
+
 def test_creator_annihilator_matrix_elements():
     layout = small_layout()
     state = basis_state(layout, {B1: 1})
-    raised = realize(word(B1, True), layout).apply(state).amplitudes
-    target = basis_state(layout, {B1: 2})
-    assert np.vdot(target.amplitudes, raised) == pytest.approx(math.sqrt(2))
-    lowered = realize(word(B1, False), layout).apply(state).amplitudes
-    assert np.vdot(vacuum(layout).amplitudes, lowered) == pytest.approx(1.0)
+    # <psi| b+ |psi> of (|1> + |2>) / sqrt 2 is <2| b+ |1> / 2
+    pair = basis_sum(layout, [(0, 1, 0), (0, 2, 0)], [math.sqrt(0.5)] * 2)
+    assert expectation(realize(word(B1, True), layout), pair) == pytest.approx(math.sqrt(2) / 2)
+    # and <psi| b |psi> of (|0> + |1>) / sqrt 2 is <0| b |1> / 2
+    pair = basis_sum(layout, [(0, 0, 0), (0, 1, 0)], [math.sqrt(0.5)] * 2)
+    assert expectation(realize(word(B1, False), layout), pair) == pytest.approx(0.5)
     # b+ b counts the quantum, b b+ counts it plus one
     for daggers, count in (((True, False), 1.0), ((False, True), 2.0)):
         op = realize(word(B1, *daggers), layout)
         assert expectation(op, state) == pytest.approx(count, rel=1e-15)
 
 
+def test_words_that_leave_every_level_have_zero_expectation():
+    # on two levels, three raising or lowering symbols move every level off
+    # the ladder, whatever the sign of the shift
+    layout = FockLayout((A2,), (1,))
+    state = basis_sum(layout, [(0,), (1,)], [0.6, 0.8])
+    for daggers in ((True,) * 3, (False,) * 3, (True, True), (False, False)):
+        assert expectation(realize(word(A2, *daggers), layout), state) == 0.0
+    assert expectation(realize(word(A2, True, False), layout), state) == pytest.approx(0.64, rel=1e-15)
+
+
 def test_operator_layout_mismatch():
     op = realize(constant(1.0), small_layout())
-    other = realize(constant(1.0), small_layout(4))
-    with pytest.raises(LayoutError):
-        op + other
-    with pytest.raises(LayoutError):
-        op @ other
+    assert expectation(op, vacuum(small_layout())) == 1.0
     with pytest.raises(LayoutError):
         expectation(op, vacuum(small_layout(4)))
 
 
 def test_state_vector_basics():
     layout = small_layout()
+    factors = tuple(np.zeros((4, 2), dtype=complex) for _ in range(3))
+    StateVector(layout, np.zeros(2, dtype=complex), factors)
     with pytest.raises(LayoutError):
-        StateVector(layout, np.zeros(3, dtype=complex))
+        StateVector(layout, np.zeros(3, dtype=complex), factors)
+    with pytest.raises(LayoutError):
+        StateVector(layout, np.zeros(2, dtype=complex), factors[:2])
+    with pytest.raises(LayoutError):
+        StateVector(small_layout(4), np.zeros(2, dtype=complex), factors)
     with pytest.raises(LayoutError):
         basis_state(layout, (0, 0, 4))
-    rng = np.random.default_rng(11)
-    amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
-    state = StateVector(layout, amps).normalized()
-    assert state.norm() == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        StateVector(layout, np.zeros(layout.dimension, dtype=complex)).normalized()
+    with pytest.raises(LayoutError):
+        basis_state(layout, {LadderId("b", 9): 1})
+    state = basis_state(layout, {B1: 2, D1: 1})
+    want = np.zeros(layout.dimension)
+    want[np.ravel_multi_index((0, 2, 1), layout.dims)] = 1.0
+    assert np.array_equal(dense_state(state), want)
+    assert np.array_equal(dense_state(vacuum(layout)), np.eye(layout.dimension)[0])
 
 
 def test_displacement_block_vacuum_column_is_poisson():
@@ -324,16 +386,16 @@ def test_run_verification_is_identical_on_cold_and_warm_block_cache():
         displace.work_frame_size,
         displace._work_frame,
         displace._shift_layers,
-        ladderalg._monomial_matrix,
-        model._build_H,
+        fockspace.word_weights,
         coeffs._shifted_parts,
     ):
         cache.cache_clear()
     cold = summary()
     assert fockspace._displacement_block.cache_info().hits > 0
     assert summary() == cold
-    # the 26 distinct monomials of a run fit the bound: none is built twice
-    assert ladderalg._monomial_matrix.cache_info().misses == 26
+    # the distinct words of a run fit the bound: none is built twice
+    words = fockspace.word_weights.cache_info()
+    assert words.misses == words.currsize < fockspace.WORD_WEIGHTS_CACHE
 
 
 def test_every_lru_cache_is_bounded():
@@ -347,15 +409,14 @@ def test_every_lru_cache_is_bounded():
                 caches[f"{value.__module__}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
     assert {
         "fockbox.fockspace._displacement_block",
-        "fockbox.ladderalg._monomial_matrix",
+        "fockbox.fockspace.word_weights",
         "fockbox.model.field_algebra",
-        "fockbox.model._build_H",
         "fockbox.fockspace._x_basis",
         "fockbox.displace.work_frame_size",
         "fockbox.displace._work_frame",
         "fockbox.displace._shift_layers",
         "fockbox.coeffs._shifted_parts",
-    } <= set(caches)
+    } == set(caches)
     assert all(size is not None for size in caches.values()), caches
     assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE
     assert caches["fockbox.fockspace._x_basis"] == fockspace.X_BASIS_CACHE
@@ -367,10 +428,9 @@ def test_every_lru_cache_is_bounded():
     # (window, word) keys: at most 31 words per window, 15 keys on the
     # built-in config and 34 on the two-mode README config
     assert caches["fockbox.displace._shift_layers"] == 128
-    # the distinct monomials of a run stay cached: 26 on the built-in config,
-    # 42 on the two-mode README config
-    assert caches["fockbox.ladderalg._monomial_matrix"] == ladderalg.MONOMIAL_MATRIX_CACHE == 64
-    assert caches["fockbox.model._build_H"] == model.HAMILTONIAN_CACHE == 2
+    # the words of a run: 37 on the built-in config, 78 on the two-mode
+    # README config
+    assert caches["fockbox.fockspace.word_weights"] == fockspace.WORD_WEIGHTS_CACHE == 128
     # one config per run; an entry holds 54 monomials on the built-in config
     # and 103 on the two-mode README config
     assert caches["fockbox.coeffs._shifted_parts"] == coeffs.SHIFTED_PARTS_CACHE == 8
@@ -502,14 +562,3 @@ def test_fockbox_runs_on_numpy_alone_and_declares_exactly_its_imports():
         dependencies = tomllib.load(fh)["project"]["dependencies"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in dependencies}
     assert third_party == declared == {"numpy"}
-
-
-def test_max_abs_and_hermiticity_residual():
-    layout = small_layout()
-    op = realize(word(A2, True), layout)
-    zero = op - op
-    assert zero.max_abs() == 0.0
-    assert op.max_abs() == np.max(np.abs(kron_oracle(word(A2, True), layout))) == math.sqrt(3)
-    assert (op + op.adjoint()).hermiticity_residual() == 0.0
-    assert op.hermiticity_residual() == math.sqrt(3)
-    assert isinstance(op, OperatorMatrix)

@@ -5,21 +5,21 @@ import pytest
 
 from fockbox import ladderalg
 from fockbox.errors import GridError
-from fockbox.fockspace import FockLayout, LadderId, lowering_block, raising_block
+from fockbox.fockspace import FockLayout, LadderId, lowering_block, raising_block, word_weights
 from fockbox.ladderalg import (
     LadderMonomial,
     LadderPolynomial,
     LadderSymbol,
+    adjoint,
     coefficient_gap,
     constant,
     field_polynomial,
     integrate_box,
-    ladder_sum,
     mode_energy,
     multiply,
     normal_order,
     power,
-    quadrature_realize,
+    quadrature_integrate,
     realize,
     shift,
 )
@@ -62,7 +62,7 @@ def test_from_terms_combines_and_prunes():
 
 
 def test_polynomial_arithmetic():
-    p = ladder_sum([(B1, True), (B1, False)])
+    p = LadderPolynomial.from_terms([mono(1.0, sym(B1, True)), mono(1.0, sym(B1, False))])
     q = 2.0 * p
     assert all(t.coefficient == 2.0 for t in q.terms)
     assert not (q - p - p).terms
@@ -153,6 +153,30 @@ def test_realize_monomial_order_within_ladder():
     np.testing.assert_allclose(dense(realize(ad, layout)), kron_oracle(ad, layout))
 
 
+def test_realize_lists_each_ladder_word_once():
+    layout = FockLayout((A2, B1, D1), (3, 3, 3))
+    p = LadderPolynomial.from_terms(
+        [
+            mono(1.0, sym(B1, True), sym(B1, False)),
+            mono(2.0, sym(A2, True), sym(B1, True), sym(B1, False)),
+            mono(3.0, sym(D1, False)),
+        ]
+    )
+    op = realize(p, layout)
+    # the empty word first on every ladder, then the words in term order
+    assert [[shift for shift, _ in words] for words in op.words] == [[0, 1], [0, 0], [0, -1]]
+    assert op.words[1][1] == word_weights(4, (True, False))
+    assert [(complex(c), index) for c, index in op.terms] == [(3.0, (0, 0, 1)), (1.0, (0, 1, 0)), (2.0, (1, 1, 0))]
+
+
+def test_adjoint_reverses_flips_and_conjugates():
+    p = LadderPolynomial.from_terms([mono(1.0 + 2.0j, sym(A2, True, -1), sym(B1, False, +1))])
+    (t,) = adjoint(p).terms
+    assert t.coefficient == 1.0 - 2.0j
+    assert t.symbols == (sym(B1, True, -1), sym(A2, False, +1))
+    assert adjoint(adjoint(p)) == p
+
+
 def test_realize_cross_ladder_is_kron():
     layout = FockLayout((A2, B1), (2, 2))
     p = LadderPolynomial.from_terms([mono(2.0, sym(B1, False), sym(A2, True))])
@@ -195,13 +219,13 @@ def test_shift_drops_phases_and_rejects_x_dependent_polynomials():
         shift(field_polynomial("neutral", config), {A2: 0})
 
 
-def test_quadrature_realize_matches_integrate_box():
+def test_quadrature_integrate_matches_integrate_box():
     config = default_config()
     density = interaction_density_polynomial(config)
     symbolic = integrate_box(density, config.box_length)
     band = max(abs(t.wave_index) for t in density.terms)
-    coarse = quadrature_realize(density, config.box_length, band + 1)
-    fine = quadrature_realize(density, config.box_length, 2 * (band + 1))
+    coarse = quadrature_integrate(density, config.box_length, band + 1)
+    fine = quadrature_integrate(density, config.box_length, 2 * (band + 1))
     # nothing is pruned: the monomials that integrate to 0 keep their rounding
     assert len(coarse.terms) == len(fine.terms) == len(density.terms) > len(symbolic.terms)
     assert coefficient_gap(symbolic, coarse) <= 1e-12
@@ -211,18 +235,9 @@ def test_quadrature_realize_matches_integrate_box():
     assert coefficient_gap(symbolic, LadderPolynomial(())) == max(abs(t.coefficient) for t in symbolic.terms)
 
 
-def test_quadrature_realize_rejects_coarse_grid():
+def test_quadrature_integrate_rejects_coarse_grid():
     config = default_config()
     density = interaction_density_polynomial(config)
     band = max(abs(t.wave_index) for t in density.terms)
     with pytest.raises(GridError):
-        quadrature_realize(density, config.box_length, band)
-
-
-def test_ladder_sum_builds_phase_free_symbols():
-    p = ladder_sum([(B1, True), (D1, False)], coefficient=0.5)
-    assert len(p.terms) == 2
-    for t in p.terms:
-        assert t.coefficient == 0.5
-        assert t.symbols[0].phase_sign == 0
-        assert t.wave_index == 0
+        quadrature_integrate(density, config.box_length, band)

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from fockbox.errors import ConfigError, LayoutError
-from fockbox.fockspace import LadderId, StateVector, expectation, vacuum
+from fockbox.fockspace import CUTOFF_CAP, LadderId, expectation, vacuum
+from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol
 from fockbox.model import (
     ModelConfig,
     build_H,
-    build_H0,
     build_layout,
-    charge_operator,
+    charge,
     cubic_interaction_polynomial,
     default_config,
     field_algebra,
+    hamiltonian_polynomial,
     interaction_density_polynomial,
     interaction_quadrature,
     load_config,
@@ -21,9 +22,9 @@ from fockbox.model import (
     quartic_interaction_polynomial,
     shift_profiles,
 )
-from fockbox import ladderalg, model
+from fockbox import fockspace, ladderalg
 from fockbox.probe import SweepSpec, run_sweep
-from test_fockspace import dense
+from test_fockspace import dense, row_major_occupations
 
 GOOD_CONFIG = """
 # example model file
@@ -112,9 +113,14 @@ def test_build_layout_and_overrides():
 
 
 def test_layout_dimension_cap():
-    config = default_config().with_cutoff(200)
-    with pytest.raises(LayoutError):
-        build_layout(config)
+    # each ladder's cutoff is bounded, not the joint dimension
+    assert build_layout(default_config().with_cutoff(CUTOFF_CAP)).dimension == (CUTOFF_CAP + 1) ** 3
+    for config in (
+        default_config().with_cutoff(CUTOFF_CAP + 1),
+        ModelConfig(cutoff_overrides={LadderId("a", 2): 6000}),
+    ):
+        with pytest.raises(LayoutError):
+            build_layout(config)
 
 
 def test_parse_config_roundtrip():
@@ -174,30 +180,37 @@ def test_shift_profiles():
 
 
 def test_free_hamiltonian_is_diagonal_number_sum():
-    config = default_config().with_cutoff(3)
+    config = ModelConfig(lambda1=0.0, lambda2=0.0, cutoff_default=3)
     layout = build_layout(config)
-    h0 = dense(build_H0(config, layout))
-    occ = layout.occupations()
+    h0 = dense(build_H(config, layout))
+    occ = row_major_occupations(layout)
     expected = config.omega_k * occ[:, 0] + config.energy_q * (occ[:, 1] + occ[:, 2])
     np.testing.assert_allclose(np.diag(h0).real, expected, rtol=1e-14)
     assert np.count_nonzero(h0 - np.diag(np.diag(h0))) == 0
 
 
 def test_zero_couplings_reduce_to_free_hamiltonian():
-    config = ModelConfig(lambda1=0.0, lambda2=0.0, cutoff_default=4)
-    layout = build_layout(config)
-    diff = build_H(config, layout) - build_H0(config, layout)
-    assert diff.max_abs() == 0.0
+    config = ModelConfig(lambda1=0.0, lambda2=0.0, neutral_modes=(2, 3), cutoff_default=4)
+    free = [(LadderId("a", 2), config.omega(2)), (LadderId("a", 3), config.omega(3))]
+    free += [(LadderId(f, 1), config.energy_q) for f in "bd"]
+    assert hamiltonian_polynomial(config) == LadderPolynomial(
+        tuple(LadderMonomial(e, (LadderSymbol(lad, True), LadderSymbol(lad, False))) for lad, e in free)
+    )
+    interacting = hamiltonian_polynomial(ModelConfig(neutral_modes=(2, 3), cutoff_default=4))
+    assert interacting.terms[:4] == hamiltonian_polynomial(config).terms
 
 
 def test_hamiltonian_hermitian_and_annihilates_vacuum_offset():
     config = default_config().with_cutoff(5)
     layout = build_layout(config)
     h = build_H(config, layout)
-    assert h.hermiticity_residual() <= 1e-12
+    matrix = dense(h)
+    assert np.max(np.abs(matrix - matrix.conj().T)) <= 1e-12
+    poly = hamiltonian_polynomial(config)
+    assert ladderalg.normal_order(ladderalg.adjoint(poly)) == ladderalg.normal_order(poly)
     # normal ordering leaves no vacuum energy
     assert abs(expectation(h, vacuum(layout))) <= 1e-14
-    assert abs(dense(h)[0, 0]) <= 1e-14
+    assert abs(matrix[0, 0]) <= 1e-14
 
 
 # The README's two-mode example: ladders a2, a3, b1, d1, 97,104 states.
@@ -206,74 +219,62 @@ README_TWO_MODE = ModelConfig(neutral_modes=(2, 3), cutoff_overrides={LadderId("
 
 @pytest.mark.parametrize("config", [default_config(), README_TWO_MODE], ids=["default", "two_mode"])
 def test_cached_hamiltonian_is_bitwise_a_fresh_build(config):
+    # build_H reads its words from the word-weights cache
     layout = build_layout(config)
     cached = build_H(config, layout)
-    fresh = model._build_H.__wrapped__(config, layout)
-    assert build_H(config) is cached
-    assert list(cached.diagonals) == list(fresh.diagonals)
-    for shift, a in cached.diagonals.items():
-        b = fresh.diagonals[shift]
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), shift
+    fockspace.word_weights.cache_clear()
+    fresh = build_H(config, layout)
+    assert cached.terms == fresh.terms
+    assert len(cached.words) == len(fresh.words) == len(layout.ladders)
+    for a, b in zip(cached.words, fresh.words):
+        assert [shift for shift, _ in a] == [shift for shift, _ in b]
+        assert all(x.tobytes() == y.tobytes() for (_, x), (_, y) in zip(a, b))
+    # one word list per ladder, the empty word first
+    assert all(words[0][0] == 0 and np.array_equal(words[0][1], np.ones(dim)) for words, dim in zip(cached.words, layout.dims))
 
 
 def test_cached_hamiltonian_is_read_only():
     h = build_H(default_config())
-    for array in h.diagonals.values():
-        with pytest.raises(ValueError):
-            array.flat[0] = array.flat[0]
-    with pytest.raises(TypeError):
-        h.diagonals[(0, 0, 0)] = None
-
-
-def test_expectation_sums_each_row_as_a_sparse_row_does():
-    # a sparse matrix-vector product sums each row in ascending column
-    # order; expectation keeps that order, so it gives the same float
-    sparse = pytest.importorskip("scipy.sparse")
-    config = ModelConfig(neutral_modes=(1, 2, 3, 4), cutoff_default=3)
-    layout = build_layout(config)
-    h = build_H(config, layout)
-    dims = np.array(layout.dims)[:, None]
-    occupations = np.indices(layout.dims).reshape(len(layout.dims), -1)
-    rows, columns, values = [], [], []
-    for shift, diagonal in h.diagonals.items():
-        target = occupations + np.array(shift)[:, None]
-        inside = ((target >= 0) & (target < dims)).all(axis=0)
-        rows.append(np.ravel_multi_index(target[:, inside], layout.dims))
-        columns.append(np.flatnonzero(inside))
-        values.append(diagonal.reshape(-1)[inside])
-    matrix = sparse.csr_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
-        shape=(layout.dimension, layout.dimension),
-    )
-    matrix.sort_indices()
-    assert len(h.diagonals) == 13
-    rng = np.random.default_rng(5)
-    state = StateVector(layout, rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension))
-    product = matrix @ state.amplitudes
-    assert h.apply(state).amplitudes.tobytes() == product.tobytes()
-    assert expectation(h, state) == complex(np.vdot(state.amplitudes, product))
+    for words in h.words:
+        for _, weights in words:
+            with pytest.raises(ValueError):
+                weights[0] = weights[0]
 
 
 def test_run_sweep_is_identical_on_cold_and_warm_hamiltonian_cache():
     config = default_config()
     layout = build_layout(config)
     spec = SweepSpec((-0.5, 0.0, 0.25, 0.5), -0.5, "one_b")
-    model._build_H.cache_clear()
+    fockspace.word_weights.cache_clear()
     cold = run_sweep(config, spec, layout)
-    assert model._build_H.cache_info().misses == 1
+    misses = fockspace.word_weights.cache_info().misses
     assert run_sweep(config, spec, layout) == cold
-    assert model._build_H.cache_info().misses == 1
+    assert fockspace.word_weights.cache_info().misses == misses
 
 
 def test_charge_commutes_with_hamiltonian():
     config = default_config().with_cutoff(5)
     layout = build_layout(config)
-    h = build_H(config, layout)
-    q = charge_operator(config, layout)
-    assert (h @ q - q @ h).max_abs() <= 1e-10
-    vec = np.diag(dense(q)).real
-    occ = layout.occupations()
-    np.testing.assert_allclose(vec, occ[:, 1] - occ[:, 2], atol=0)
+    # every monomial of H conserves charge ...
+    assert all(charge(t) == 0 for t in hamiltonian_polynomial(config).terms)
+    # ... so H commutes with the charge sum_p (b+_p b_p - d+_p d_p)
+    occ = row_major_occupations(layout)
+    q = np.diag(occ[:, 1] - occ[:, 2]).astype(complex)
+    h = dense(build_H(config, layout))
+    assert np.max(np.abs(h @ q - q @ h)) <= 1e-10
+    assert np.max(np.abs(h)) > 0.1
+
+
+def test_charge_counts_raised_b_and_lowered_d():
+    b, d, a = LadderId("b", 1), LadderId("d", 1), LadderId("a", 2)
+
+    def monomial(*symbols):
+        return LadderMonomial(1.0, tuple(LadderSymbol(lad, dagger) for lad, dagger in symbols))
+
+    assert charge(monomial((b, True), (d, False), (a, True))) == 2
+    assert charge(monomial((b, False), (d, True))) == -2
+    assert charge(monomial((b, True), (d, True), (a, False))) == 0
+    assert charge(monomial((b, True), (b, False))) == 0
 
 
 def test_interaction_polynomials_momentum_conserving():

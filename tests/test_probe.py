@@ -9,7 +9,9 @@ from fockbox.coeffs import coefficients, descent_threshold, reference_state, vac
 from fockbox.displace import DisplacementParams, InterchangeChecker, ResidualCheck, require_admissible
 from fockbox.errors import ConfigError
 from fockbox.fockspace import LadderId, max_admissible_amplitude
+from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol
 from fockbox.model import ModelConfig, build_layout, default_config, parse_config
+from fockbox import probe
 from fockbox.probe import (
     VERIFY_GRID,
     SweepSpec,
@@ -193,6 +195,32 @@ def test_cli_rejects_unusable_configs(tmp_path, capsys):
     capsys.readouterr()
     assert main(["coeffs", "--config", tight, "--state", "bogus", "--out", str(tmp_path / "o3")]) == 2
     assert "state selector" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_cutoff_past_the_bound(tmp_path, capsys):
+    # one ladder at 1,001 levels past the bound; the joint size (2.9e5) is small
+    text = FREE_CONFIG_TEXT + "cutoff_overrides = a2=1001\n"
+    out = tmp_path / "out"
+    assert main(["coeffs", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cutoffs must be <= 1000"]
+    assert not out.exists()
+
+
+def test_structural_rows_catch_a_non_hermitian_charged_monomial(monkeypatch):
+    # b+ b+ a with a real coefficient: its adjoint a+ b b is missing, and it
+    # adds two units of charge
+    config = ModelConfig(lambda1=0.0, lambda2=0.0)
+    b, a = LadderId("b", 1), LadderId("a", 2)
+    stray = LadderMonomial(0.25, (LadderSymbol(b, True), LadderSymbol(b, True), LadderSymbol(a, False)))
+    honest = probe.hamiltonian_polynomial
+    monkeypatch.setattr(probe, "hamiltonian_polynomial", lambda c: LadderPolynomial(honest(c).terms + (stray,)))
+    monkeypatch.setattr(probe, "central_identity_checks", lambda *args, **kwargs: [])
+    monkeypatch.setattr(probe, "VERIFY_GRID", (0.0,))
+    rows = {c.name: c for c in run_verification(config)}
+    assert rows["hamiltonian_hermiticity"].residual == 0.25
+    assert rows["charge_commutator"].residual == 0.5
+    assert not rows["hamiltonian_hermiticity"].passed and not rows["charge_commutator"].passed
 
 
 def test_cli_demo_requires_descent_geometry(tmp_path, capsys):

@@ -16,20 +16,21 @@ from hypothesis import strategies as st
 
 from fockbox import coeffs
 from fockbox.coeffs import COEFFICIENT_NAMES, coefficients, reference_state
-from fockbox.displace import DisplacementParams, InterchangeChecker, work_frame_size
+from fockbox.displace import Displacement, DisplacementParams, InterchangeChecker, work_frame_size
 from fockbox.errors import ConfigError
 from fockbox.fockspace import (
     FockLayout,
     LadderId,
     StateVector,
     displacement_block,
+    expectation,
     leakage_admissible,
     max_admissible_amplitude,
 )
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, realize, shift
 from fockbox.model import ModelConfig, build_layout, default_config
-from test_displace import dense_interchange_residuals
-from test_fockspace import dense, kron_oracle
+from test_displace import dense_interchange_residuals, kron_factors
+from test_fockspace import dense, dense_state, kron_oracle, row_major_occupations
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -123,42 +124,54 @@ ORACLE_RTOL = 64 * np.finfo(np.float64).eps
 
 @st.composite
 def layouts_and_polynomials(draw):
-    """A three-ladder layout of at most 64 states and two polynomials of up
-    to four monomials, each a word of up to four symbols over its ladders."""
-    layout = FockLayout(ORACLE_LADDERS, tuple(draw(st.integers(min_value=1, max_value=3)) for _ in ORACLE_LADDERS))
+    """A layout of up to three ladders and at most 64 states, a polynomial of
+    up to four monomials, each a word of up to four symbols over its
+    ladders, a sum of up to four product terms and a displacement."""
+    ladders = ORACLE_LADDERS[: draw(st.integers(min_value=1, max_value=3))]
+    layout = FockLayout(ladders, tuple(draw(st.integers(min_value=1, max_value=3)) for _ in ladders))
     part = st.floats(min_value=-2.0, max_value=2.0)
-    symbol = st.builds(LadderSymbol, st.sampled_from(ORACLE_LADDERS), st.booleans())
+    symbol = st.builds(LadderSymbol, st.sampled_from(ladders), st.booleans())
     monomial = st.builds(
         LadderMonomial, st.builds(complex, part, part), st.lists(symbol, max_size=4).map(tuple)
     )
     polynomial = st.lists(monomial, min_size=1, max_size=4).map(LadderPolynomial.from_terms)
-    return layout, draw(polynomial), draw(polynomial), draw(st.integers(min_value=0, max_value=2**32 - 1))
+    amplitudes = tuple(draw(part) for _ in ladders)
+    terms = st.integers(min_value=1, max_value=4)
+    return layout, draw(polynomial), draw(terms), amplitudes, draw(st.integers(min_value=0, max_value=2**32 - 1))
 
 
 @PROPERTY_SETTINGS
 @given(layouts_and_polynomials())
 def test_realized_operators_match_the_dense_kron_oracle(case):
-    layout, p, q, seed = case
-    op_p, op_q = realize(p, layout), realize(q, layout)
-    dense_p, dense_q = kron_oracle(p, layout), kron_oracle(q, layout)
-    # the same sums over the terms' magnitudes bound each entry's rounding
-    size_p, size_q = (
-        kron_oracle(LadderPolynomial(tuple(LadderMonomial(abs(t.coefficient), t.symbols) for t in poly.terms)), layout).real
-        for poly in (p, q)
-    )
+    layout, p, terms, amplitudes, seed = case
+    op = realize(p, layout)
+    dense_p = kron_oracle(p, layout)
+    # the sums over the terms' magnitudes bound each entry's rounding
+    size = kron_oracle(LadderPolynomial(tuple(LadderMonomial(abs(t.coefficient), t.symbols) for t in p.terms)), layout).real
     rng = np.random.default_rng(seed)
-    psi = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+    plain = StateVector(
+        layout,
+        rng.normal(size=terms) + 1j * rng.normal(size=terms),
+        tuple(rng.normal(size=(dim, terms)) + 1j * rng.normal(size=(dim, terms)) for dim in layout.dims),
+    )
+    blocks = {lad: displacement_block(cutoff, f) for lad, cutoff, f in zip(layout.ladders, layout.cutoffs, amplitudes)}
+    # one amplitude per ladder; the params only label a Displacement
+    disp = Displacement(layout, DisplacementParams(0.0, 0.0), blocks)
+    u = kron_factors(layout, disp.factors)
 
     def close(got, want, size):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=ORACLE_RTOL * max(1.0, np.max(size)))
 
-    close(dense(op_p), dense_p, size_p)
-    close(op_p.apply(StateVector(layout, psi)).amplitudes, dense_p @ psi, size_p @ np.abs(psi))
-    close(dense(op_p.adjoint()), dense_p.conj().T, size_p)
-    close(dense(op_p @ op_q), dense_p @ dense_q, size_p @ size_q)
-    close(dense(op_p @ op_q - op_q @ op_p), dense_p @ dense_q - dense_q @ dense_p, size_p @ size_q + size_q @ size_p)
-    close(op_p.max_abs(), np.max(np.abs(dense_p)), size_p)
-    close(op_p.hermiticity_residual(), np.max(np.abs(dense_p - dense_p.conj().T)), size_p)
+    def magnitude(state):
+        """The dense vector of the state's terms' magnitudes, which bounds
+        the rounding of any sum over its terms."""
+        return dense_state(StateVector(layout, np.abs(state.amplitudes), tuple(np.abs(v) for v in state.factors)))
+
+    close(dense(op), dense_p, size)
+    for state in (plain, disp.apply(plain)):
+        psi = dense_state(state)
+        close(expectation(op, state), np.vdot(psi, dense_p @ psi), magnitude(state) @ size @ magnitude(state))
+    close(dense_state(disp.apply(plain)), u @ dense_state(plain), np.abs(u) @ magnitude(plain))
 
 
 # b1 moves with f1 and a2 with f2, as b_q and a_k do in the model
@@ -191,11 +204,10 @@ def test_shift_groups_sum_to_the_conjugated_operator(case):
     levels = work_frame_size(SHIFT_CUTOFF)
     layout = FockLayout(ladders, (levels - 1,) * len(ladders))
     u = functools.reduce(np.kron, [displacement_block(levels - 1, f[SHIFT_AMPLITUDES[lad]]) for lad in ladders])
-    window = np.flatnonzero(np.all(layout.occupations() <= SHIFT_CUTOFF // 2, axis=1))
+    window = np.flatnonzero(np.all(row_major_occupations(layout) <= SHIFT_CUTOFF // 2, axis=1))
 
     def columns(poly, vectors):
-        op = realize(poly, layout)
-        return np.column_stack([op.apply(StateVector(layout, v)).amplitudes for v in vectors.T])
+        return kron_oracle(poly, layout) @ vectors
 
     conjugated = u[:, window].T @ columns(p, u[:, window])
     basis = np.eye(layout.dimension)[:, window]
