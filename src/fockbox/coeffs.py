@@ -111,8 +111,8 @@ def reference_state(config: ModelConfig, selector: str, layout: FockLayout | Non
 # ---------------------------------------------------------------------------
 # the shifted Hamiltonian
 
-# A run uses one config; an entry holds 54 monomials on the built-in config
-# and 103 on the two-mode README config.
+# A run uses one config; an entry holds 42 monomials on the built-in config
+# and 59 on the two-mode README config.
 SHIFTED_PARTS_CACHE = 8
 
 _Groups = Mapping[tuple[int, int], LadderPolynomial]
@@ -123,8 +123,10 @@ def _shifted_parts(config: ModelConfig) -> tuple[_Groups, _Groups, _Groups, _Gro
     """U+ P U grouped by the powers (i, j) of (f1, f2) for four parts P of
     H, couplings not included: the free Hamiltonian of the displaced
     ladders omega_k a+_k a_k + E_q (b+_q b_q + d+_q d_q), Int :phi+ phi:
-    phihat, Int :phihat^4: and the bare Int phihat^4.  Read-only and
-    memoized on the config, since no part depends on the state."""
+    phihat, Int :phihat^4: and the bare Int phihat^4.  The (0, 0) groups,
+    the parts themselves, are left out: E_ref is the expectation of H
+    (build_H).  Read-only and memoized on the config, since no part depends
+    on the state."""
     a_k = LadderId("a", config.k_index)
     b_q, d_q = LadderId("b", config.q_index), LadderId("d", config.q_index)
     free = LadderPolynomial.from_terms(
@@ -134,7 +136,7 @@ def _shifted_parts(config: ModelConfig) -> tuple[_Groups, _Groups, _Groups, _Gro
     bare_quartic = ladderalg.integrate_box(ladderalg.power(field_algebra(config).phihat, 4), config.box_length)
     amplitudes = {b_q: 0, d_q: 0, a_k: 1}
     return tuple(
-        MappingProxyType(ladderalg.shift(part, amplitudes))
+        MappingProxyType({powers: g for powers, g in ladderalg.shift(part, amplitudes).items() if powers != (0, 0)})
         for part in (free, cubic_interaction_polynomial(config), quartic_interaction_polynomial(config), bare_quartic)
     )
 
@@ -243,32 +245,37 @@ def vacuum_closed_forms(config: ModelConfig) -> dict[str, float]:
 
     Odd moments and normal-ordered moments vanish in the vacuum; A4 is the
     pair rest energy; A5 survives the box integral only when k = 2q; the bare
-    B1 picks up the zero-point constant sum_p 1/(2 omega_p L).
+    B1 picks up the zero-point constant sum_p 1/(2 omega_p L).  lambda2
+    multiplies last, so a value that fits float64 is not lost to an
+    overflowing intermediate; one that does not fit is a ConfigError.
     """
     L = config.box_length
-    w_k, e_q = config.omega_k, config.energy_q
+    w_k, e_q, l2 = config.omega_k, config.energy_q, config.lambda2
     zero_point = sum(1.0 / (2.0 * config.omega(n) * L) for n in config.neutral_modes)
     if config.k_index == 2 * config.q_index:
         a5 = config.lambda1 / (e_q * math.sqrt(2.0 * w_k * L))
     else:
         a5 = 0.0
-    return {
+    forms = {
         "A1": 0.0,
         "A2": 0.0,
         "A3": 0.0,
         "A4": 2.0 * e_q,
         "A5": a5,
-        "B1": 6.0 * config.lambda2 * zero_point / w_k,
+        "B1": l2 * (6.0 * zero_point / w_k),
         "B1_ordered": 0.0,
         "B2": 0.0,
         "B2_ordered": 0.0,
         "B3": 0.0,
-        "B4": 6.0 * config.lambda2 / (w_k * w_k * L),
-        "quartic_self_coefficient": 1.5 * config.lambda2 / (w_k * w_k * L),
+        "B4": l2 * (6.0 / (w_k * w_k * L)),
+        "quartic_self_coefficient": l2 * (1.5 / (w_k * w_k * L)),
         "E_ref": 0.0,
         "omega_k": w_k,
         "energy_q": e_q,
     }
+    if not all(math.isfinite(v) for v in forms.values()):
+        raise ConfigError("the vacuum closed forms of this configuration are not finite in float64")
+    return forms
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,11 @@ from .fockspace import (
     LadderId,
     StateVector,
     displacement_block,
-    ladder_product,
     leakage_admissible,
     max_admissible_amplitude,
     poisson_tail,
-    word_rows,
+    word_gram,
+    word_weights,
 )
 from .ladderalg import box_points, subwords
 from .model import ModelConfig, build_layout, field_algebra, shift_profiles
@@ -113,7 +113,6 @@ class Displacement:
     """Per-ladder dense factors of U; absent ladders are identity."""
 
     layout: FockLayout
-    params: DisplacementParams
     factors: Mapping[LadderId, np.ndarray]
 
     def apply(self, state: StateVector) -> StateVector:
@@ -133,7 +132,7 @@ def displacement(config: ModelConfig, params: DisplacementParams, layout: FockLa
     for lad, f in displaced_amplitudes(config, params).items():
         if f != 0.0:
             factors[lad] = displacement_block(layout.cutoff(lad), f)
-    return Displacement(layout, params, factors)
+    return Displacement(layout, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +148,14 @@ def _shift_layers(window: int, daggers: tuple[bool, ...]) -> tuple[np.ndarray, .
     sub-products of one ladder's word that drop k symbols, so e_0 is the
     word itself and prod_i (x_i + f) = sum_k f^k e_k.  Each sub-product is
     exact on the window because no word carries more than WORK_BAND_MARGIN
-    symbols."""
+    symbols; on identity columns each Gram is the exact window of the
+    sub-product's matrix."""
+    levels = window + WORK_BAND_MARGIN
+    eye = np.eye(levels)[:, :window]
     layers = [np.zeros((window, window)) for _ in range(len(daggers) + 1)]
     for kept, dropped in subwords(daggers):
         k = len(dropped)
-        layers[k] = layers[k] + ladder_product(window - 1 + WORK_BAND_MARGIN, kept)[:window, :window]
+        layers[k] = layers[k] + word_gram(eye, word_weights(levels, kept))
     for layer in layers:
         layer.setflags(write=False)
     return tuple(layers)
@@ -189,8 +191,8 @@ class _WorkFrame:
         return self.maxima[daggers]
 
     def _shift_gap(self, daggers: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """c is v+ (word v) for v the window columns of U, with word v
-        applied by index shifts.  c - e is formed as
+        """c is the Gram v+ word v (word_gram) of the window columns v of
+        U.  c - e is formed as
         (((c - e_0) - f e_1) - f^2 e_2) ..., so each subtraction cancels
         the leading part of what is left and the gap keeps its own
         relative precision, even where it is far below the rounding of c."""
@@ -198,10 +200,7 @@ class _WorkFrame:
         if self.columns is None:
             c = layers[0]
         else:
-            # word v is (v.T word+).T, and word+ reverses the word and flips
-            # each symbol
-            adjoint = tuple(not d for d in reversed(daggers))
-            c = self.columns.T @ word_rows(self.columns.T, adjoint).T
+            c = word_gram(self.columns, word_weights(self.dim, daggers))
         e, gap = 0.0, c
         for k, layer in enumerate(layers):
             e = e + self.amplitude**k * layer
@@ -338,11 +337,10 @@ def check_free_hamiltonian_shift(
         blocks = {lad: (energy * frames[lad].shift_gap((True, False))[1])[None] for lad, energy in energies}
         residual = float(_window_sum_max(blocks, np.zeros(1))[0])
         shifts.append(ResidualCheck(f"free_shift[{sector}]", f1, f2, residual, FREE_SHIFT_TOL))
+        # <0| U+ a+a U |0> is the corner of each ladder's conjugated a+a
         value = 0.0
         for lad, energy in energies:
-            frame = frames[lad]
-            if frame.columns is not None:
-                value += energy * float(np.sum(np.arange(frame.dim) * np.abs(frame.columns[:, 0]) ** 2))
+            value += energy * float(frames[lad].shift_gap((True, False))[2][0, 0])
         vacua.append(ResidualCheck(f"free_shift_vacuum[{sector}]", f1, f2, abs(value - vacuum_shift), FREE_SHIFT_TOL))
     return shifts + vacua
 

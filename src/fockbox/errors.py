@@ -1,9 +1,7 @@
 """Exception taxonomy.
 
-The CLI maps configuration-class errors (ConfigError, GeometryError,
-GridError, LayoutError, LeakageError) to exit code 2; failed identity checks
-are reported, not raised, and map to exit code 1 in the commands that own
-them.
+The CLI maps every FockboxError to exit code 2; failed identity checks are
+reported, not raised, and map to exit code 1 in the commands that own them.
 """
 
 

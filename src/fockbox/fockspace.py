@@ -206,16 +206,6 @@ class StateVector:
 # single-ladder blocks and words
 
 
-def lowering_block(cutoff: int) -> np.ndarray:
-    """Dense single-ladder lowering block: <n-1|a|n> = sqrt(n), top row kept."""
-    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
-
-
-def raising_block(cutoff: int) -> np.ndarray:
-    """Exact transpose of the lowering block (real entries)."""
-    return lowering_block(cutoff).T.copy()
-
-
 @lru_cache(maxsize=WORD_WEIGHTS_CACHE)
 def word_weights(dim: int, daggers: tuple[bool, ...]) -> tuple[int, np.ndarray]:
     """(shift, weights) of the ordered product of raising (True) and
@@ -238,20 +228,15 @@ def word_weights(dim: int, daggers: tuple[bool, ...]) -> tuple[int, np.ndarray]:
     return shift, weight
 
 
-def word_rows(rows: np.ndarray, daggers: tuple[bool, ...]) -> np.ndarray:
-    """rows @ word, for the ordered product of raising (True) and lowering
-    (False) blocks: column n is weights[n] times column n + shift of rows
-    (word_weights), and zero where that runs off either end."""
-    shift, weight = word_weights(rows.shape[1], daggers)
-    out = rows.take(np.arange(shift, rows.shape[1] + shift), axis=1, mode="clip") * weight
-    out[:, weight == 0.0] = 0.0
-    return out
-
-
-def ladder_product(cutoff: int, daggers: tuple[bool, ...]) -> np.ndarray:
-    """Ordered product of raising (True) and lowering (False) blocks on one
-    ladder; the identity for an empty word."""
-    return word_rows(np.eye(cutoff + 1), daggers)
+def word_gram(v: np.ndarray, word: tuple[int, np.ndarray]) -> np.ndarray:
+    """v+ W v for a (dim, T) array of columns v and the word W that takes
+    level n to n + shift with weight weights[n] (word_weights): a product of
+    two slices of v, each level n paired with level n + shift."""
+    shift, weights = word
+    dim = len(v)
+    lo = min(dim, max(0, -shift))
+    hi = max(lo, dim - max(0, shift))
+    return v[lo + shift : hi + shift].conj().T @ (weights[lo:hi, None] * v[lo:hi])
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +271,9 @@ def vacuum(layout: FockLayout) -> StateVector:
 
 
 def _grams(v: np.ndarray, overlap: np.ndarray, words: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
-    """(words, T, T) stack of one ladder's Grams v+ W v, one per word W
-    that takes level n to n + shift with weight weights[n] (word_weights);
-    the empty word, first, has the overlap v+ v."""
-    vh, dim = v.conj().T, len(v)
-    grams = [overlap]
-    for shift, weights in words[1:]:
-        lo = min(dim, max(0, -shift))
-        hi = max(lo, dim - max(0, shift))
-        grams.append(vh[:, lo + shift : hi + shift] @ (weights[lo:hi, None] * v[lo:hi]))
-    return np.stack(grams)
+    """(words, T, T) stack of one ladder's Grams v+ W v (word_gram); the
+    empty word, first, has the overlap v+ v."""
+    return np.stack([overlap] + [word_gram(v, word) for word in words[1:]])
 
 
 def expectation(op: OperatorMatrix, state: StateVector) -> complex:
@@ -359,7 +337,8 @@ def _displacement_block(levels: int, amplitude: float, columns: int) -> np.ndarr
 @lru_cache(maxsize=X_BASIS_CACHE)
 def _x_basis(levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of a + a+ on `levels` levels."""
-    mu, v = np.linalg.eigh(lowering_block(levels - 1) + raising_block(levels - 1))
+    roots = np.sqrt(np.arange(1.0, levels))
+    mu, v = np.linalg.eigh(np.diag(roots, 1) + np.diag(roots, -1))
     mu.setflags(write=False)
     v.setflags(write=False)
     return mu, v

@@ -43,7 +43,7 @@ from .displace import (
     displacement,
     require_admissible,
 )
-from .errors import ConfigError, GeometryError, GridError, LayoutError, LeakageError
+from .errors import ConfigError, FockboxError
 from .fockspace import FockLayout, expectation, max_admissible_amplitude
 from .model import (
     ModelConfig,
@@ -470,7 +470,7 @@ def main(argv=None) -> int:
     new_dirs = _missing_dirs(args.out)
     try:
         return args.func(args)
-    except (ConfigError, GeometryError, GridError, LayoutError, LeakageError) as exc:
+    except FockboxError as exc:
         # a failed run leaves behind no --out it created, unless it wrote there
         for path in new_dirs:
             try:

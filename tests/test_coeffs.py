@@ -122,6 +122,12 @@ def test_vacuum_coefficients_match_closed_forms():
     assert cs.max_imag <= 1e-13
 
 
+def test_closed_forms_past_float64_are_rejected():
+    # B4 = 6 lambda2 / (omega_k^2 L) is 1.9 lambda2 here, past float64
+    with pytest.raises(ConfigError, match="closed forms"):
+        vacuum_closed_forms(ModelConfig(lambda2=1e308, box_length=50.0, mass_neutral=0.0))
+
+
 def test_closed_form_values_are_the_advertised_formulas():
     config = default_config()
     closed = vacuum_closed_forms(config)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -13,9 +14,7 @@ from fockbox.fockspace import (
     basis_state,
     displacement_block,
     expectation,
-    lowering_block,
     max_admissible_amplitude,
-    raising_block,
     vacuum,
 )
 from fockbox.displace import (
@@ -38,7 +37,7 @@ from fockbox.displace import (
 from fockbox.ladderalg import box_points, constant, realize
 from fockbox.model import ShiftProfile, default_config, build_layout, field_algebra, parse_config, shift_profiles
 from fockbox.probe import run_verification
-from test_fockspace import dense_state, row_major_occupations
+from test_fockspace import chain, dense_state, row_major_occupations
 
 A2 = LadderId("a", 2)
 B1 = LadderId("b", 1)
@@ -263,7 +262,7 @@ def test_windowed_conjugation_is_the_window_of_the_full_one(cutoff, sign):
         assert frame.amplitude == amplitude and m == cutoff // 2 + 1 and frame.dim > m
         u = displacement_block(frame.dim - 1, frame.amplitude)
         for word in ((False,), (True,), (True, False), (True, False, True, False)):
-            block = _full_word(frame, word)
+            block = chain(frame.dim - 1, word)
             full = (u.T @ block @ u)[:m, :m]
             _, _, windowed = frame.shift_gap(word)
             assert windowed.shape == (m, m)
@@ -272,12 +271,22 @@ def test_windowed_conjugation_is_the_window_of_the_full_one(cutoff, sign):
             assert np.max(np.abs(windowed - full)) <= tol, (cutoff, amplitude, lad, word)
 
 
-def _full_word(frame, daggers):
-    """Dense chain of the frame's full lowering and raising blocks."""
-    mat = np.eye(frame.dim)
-    for dagger in daggers:
-        mat = mat @ (raising_block(frame.dim - 1) if dagger else lowering_block(frame.dim - 1))
-    return mat
+def test_shift_layers_expand_the_shifted_word_on_the_window():
+    # a word that raises before it lowers reaches past the window, so every
+    # sub-word is formed on WORK_BAND_MARGIN more levels than the window
+    window, f = 5, -0.7
+    dim = window + displace.WORK_BAND_MARGIN
+    eye = np.eye(dim)
+    for length in range(5):
+        for daggers in itertools.product((False, True), repeat=length):
+            layers = displace._shift_layers(window, daggers)
+            assert len(layers) == length + 1
+            assert layers[0].tobytes() == chain(dim - 1, daggers)[:window, :window].tobytes(), daggers
+            steps = [chain(dim - 1, (dagger,)) for dagger in daggers]
+            shifted = functools.reduce(np.matmul, [step + f * eye for step in steps], eye)[:window, :window]
+            size = functools.reduce(np.matmul, [step + abs(f) * eye for step in steps], eye)[:window, :window]
+            got = sum(f**k * layer for k, layer in enumerate(layers))
+            assert np.all(np.abs(got - shifted) <= 16 * np.finfo(np.float64).eps * size), daggers
 
 
 def _window_sum_max_per_sample(blocks, scalar):
@@ -347,7 +356,7 @@ def test_field_shift_equals_the_per_x_loop(cutoff, params):
                 (sym,) = t.symbols
                 frame = frames[sym.ladder]
                 m = frame.window
-                block = _full_word(frame, (sym.dagger,))
+                block = chain(frame.dim - 1, (sym.dagger,))
                 if frame.amplitude == 0.0:
                     v = np.eye(frame.dim)[:, :m]
                 else:
@@ -413,7 +422,7 @@ def _frame_block(frame, symbols, conjugated):
     conjugation runs on the full frame, independent of _WorkFrame.shift_gap."""
     if not symbols:
         return np.eye(frame.window)
-    mat = _full_word(frame, [s.dagger for s in symbols])
+    mat = chain(frame.dim - 1, [s.dagger for s in symbols])
     if conjugated and frame.amplitude != 0.0:
         u = displacement_block(frame.dim - 1, frame.amplitude)
         mat = u.T @ mat @ u

@@ -29,14 +29,11 @@ from fockbox.fockspace import (
     basis_sum,
     displacement_block,
     expectation,
-    ladder_product,
     leakage_admissible,
-    lowering_block,
     max_admissible_amplitude,
     poisson_tail,
-    raising_block,
     vacuum,
-    word_rows,
+    word_gram,
     word_weights,
 )
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, constant, realize
@@ -50,6 +47,23 @@ D1 = LadderId("d", 1)
 
 def small_layout(cutoff=3):
     return FockLayout((A2, B1, D1), (cutoff, cutoff, cutoff))
+
+
+def lowering_block(cutoff: int) -> np.ndarray:
+    """Dense single-ladder lowering block: <n-1|a|n> = sqrt(n), top row kept."""
+    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+
+
+def raising_block(cutoff: int) -> np.ndarray:
+    """Exact transpose of the lowering block (real entries)."""
+    return lowering_block(cutoff).T.copy()
+
+
+def chain(cutoff: int, daggers) -> np.ndarray:
+    """The explicit left-to-right product of raising (True) and lowering
+    (False) blocks on one ladder; the identity for an empty word."""
+    blocks = [raising_block(cutoff) if dagger else lowering_block(cutoff) for dagger in daggers]
+    return functools.reduce(np.matmul, blocks, np.eye(cutoff + 1))
 
 
 def word_matrix(shift: int, weights: np.ndarray) -> np.ndarray:
@@ -91,10 +105,10 @@ def kron_oracle(poly: LadderPolynomial, layout: FockLayout) -> np.ndarray:
     for t in poly.terms:
         for s in t.symbols:
             layout.position(s.ladder)
-        factors = []
-        for ladder, cutoff in zip(layout.ladders, layout.cutoffs):
-            blocks = [raising_block(cutoff) if s.dagger else lowering_block(cutoff) for s in t.symbols if s.ladder == ladder]
-            factors.append(functools.reduce(np.matmul, blocks, np.eye(cutoff + 1)))
+        factors = [
+            chain(cutoff, [s.dagger for s in t.symbols if s.ladder == ladder])
+            for ladder, cutoff in zip(layout.ladders, layout.cutoffs)
+        ]
         total += t.coefficient * functools.reduce(np.kron, factors)
     return total
 
@@ -208,7 +222,7 @@ def test_realize_matches_explicit_kron():
     layout = small_layout(2)
     eye = np.eye(3)
     for daggers in ((True,), (False, True), (True, True, False)):
-        x = functools.reduce(np.matmul, [raising_block(2) if d else lowering_block(2) for d in daggers])
+        x = chain(2, daggers)
         realized = dense(realize(word(B1, *daggers), layout))
         assert np.array_equal(realized, np.kron(np.kron(eye, x), eye).astype(complex))
         assert np.array_equal(realized, kron_oracle(word(B1, *daggers), layout))
@@ -218,25 +232,34 @@ def test_realize_matches_explicit_kron():
 
 @pytest.mark.parametrize("cutoff", [1, 5, 16])
 def test_ladder_product_is_the_explicit_chain(cutoff):
+    # on two levels a word of three symbols runs off either end entirely;
+    # on identity columns every entry of word_gram is one product of exact
+    # factors, so it is the chain bit for bit
+    dim = cutoff + 1
     for length in range(5):
-        for word in itertools.product((False, True), repeat=length):
-            blocks = [raising_block(cutoff) if dagger else lowering_block(cutoff) for dagger in word]
-            chain = functools.reduce(np.matmul, blocks) if blocks else np.eye(cutoff + 1)
-            got = ladder_product(cutoff, word)
-            assert got.dtype == chain.dtype and got.shape == chain.shape
-            assert got.tobytes() == chain.tobytes(), word
+        for daggers in itertools.product((False, True), repeat=length):
+            word, matrix = word_weights(dim, daggers), chain(cutoff, daggers)
+            for window in sorted({1, dim // 2 + 1, dim}):
+                got = word_gram(np.eye(dim)[:, :window], word)
+                want = matrix[:window, :window]
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (daggers, window)
 
 
 @pytest.mark.parametrize("cutoff", [1, 5, 16])
 def test_word_rows_is_the_product_with_the_word(cutoff):
+    # v+ W v on random complex columns: a sum of at most dim products, each
+    # a few roundings from the chain's, bounded by the Gram of the magnitudes
+    dim = cutoff + 1
     rng = np.random.default_rng(cutoff)
-    rows = rng.normal(size=(7, cutoff + 1))
+    v = rng.normal(size=(dim, 7)) + 1j * rng.normal(size=(dim, 7))
     for length in range(5):
-        for word in itertools.product((False, True), repeat=length):
-            got = word_rows(rows, word)
-            want = rows @ ladder_product(cutoff, word)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), word
+        for daggers in itertools.product((False, True), repeat=length):
+            word, matrix = word_weights(dim, daggers), chain(cutoff, daggers)
+            got, want = word_gram(v, word), v.conj().T @ matrix @ v
+            size = np.abs(v).T @ np.abs(matrix) @ np.abs(v)
+            assert got.shape == want.shape == (7, 7)
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(np.float64).eps * size), daggers
 
 
 @pytest.mark.parametrize("cutoff", [1, 5, 16])
@@ -246,11 +269,11 @@ def test_word_weights_are_the_columns_of_the_explicit_chain(cutoff):
         for daggers in itertools.product((False, True), repeat=length):
             shift, weights = word_weights(cutoff + 1, daggers)
             assert shift == sum(1 if d else -1 for d in daggers)
-            chain = ladder_product(cutoff, daggers)
+            matrix = chain(cutoff, daggers)
             inside = (levels + shift >= 0) & (levels + shift <= cutoff)
-            assert np.array_equal(chain[(levels + shift)[inside], levels[inside]], weights[inside]), daggers
+            assert np.array_equal(matrix[(levels + shift)[inside], levels[inside]], weights[inside]), daggers
             assert not weights[~inside].any()
-            assert np.count_nonzero(chain) == np.count_nonzero(weights)
+            assert np.count_nonzero(matrix) == np.count_nonzero(weights)
 
 
 def test_word_weights_are_memoized_and_read_only():
@@ -431,8 +454,8 @@ def test_every_lru_cache_is_bounded():
     # the words of a run: 37 on the built-in config, 78 on the two-mode
     # README config
     assert caches["fockbox.fockspace.word_weights"] == fockspace.WORD_WEIGHTS_CACHE == 128
-    # one config per run; an entry holds 54 monomials on the built-in config
-    # and 103 on the two-mode README config
+    # one config per run; an entry holds 42 monomials on the built-in config
+    # and 59 on the two-mode README config
     assert caches["fockbox.coeffs._shifted_parts"] == coeffs.SHIFTED_PARTS_CACHE == 8
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from fockbox import ladderalg
 from fockbox.errors import GridError
-from fockbox.fockspace import FockLayout, LadderId, lowering_block, raising_block, word_weights
+from fockbox.fockspace import FockLayout, LadderId, word_weights
 from fockbox.ladderalg import (
     LadderMonomial,
     LadderPolynomial,
@@ -24,7 +24,7 @@ from fockbox.ladderalg import (
     shift,
 )
 from fockbox.model import default_config, interaction_density_polynomial
-from test_fockspace import dense, kron_oracle
+from test_fockspace import dense, kron_oracle, lowering_block, raising_block
 
 A2 = LadderId("a", 2)
 B1 = LadderId("b", 1)

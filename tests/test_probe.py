@@ -1,3 +1,4 @@
+import csv
 import math
 import pathlib
 import re
@@ -397,6 +398,21 @@ def test_readme_config_example_is_admissible():
     config = parse_config(block)
     extreme = max(abs(f) for f in VERIFY_GRID)
     require_admissible(config, DisplacementParams(extreme, extreme), build_layout(config))
+
+
+def test_cli_coeffs_writes_finite_closed_forms_near_the_float64_limit(tmp_path, capsys):
+    # 6 lambda2 overflows at lambda2 = 1e308, but the closed forms of B1 and
+    # B4, 9.5e306 and 1.9e307, fit float64
+    text = FREE_CONFIG_TEXT.replace("lambda1 = 0.0", "lambda1 = 1.0").replace("lambda2 = 0.0", "lambda2 = 1e308")
+    out = tmp_path / "out"
+    assert main(["coeffs", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    with open(out / "coefficients.csv", encoding="utf-8", newline="") as fh:
+        rows = {row["name"]: row for row in csv.DictReader(fh)}
+    assert all(math.isfinite(float(v)) for row in rows.values() for k, v in row.items() if k != "name")
+    for name, closed in (("B1", 9.549296585513720e306), ("B4", 1.9098593171027437e307)):
+        assert float(rows[name]["closed_form_value"]) == pytest.approx(closed, rel=1e-15)
+        assert float(rows[name]["abs_difference"]) <= 1e-15 * closed
+    assert "inf" not in capsys.readouterr().out
 
 
 def test_cli_coeffs_prints_closed_forms(tmp_path, capsys):
