@@ -25,6 +25,7 @@ from .coeffs import (
     central_identity_checks,
     coefficients,
     descent_threshold,
+    displaced_energies,
     energy_polynomial,
     reference_state,
     vacuum_closed_forms,
@@ -40,14 +41,12 @@ from .displace import (
     check_ladder_shifts,
     check_unitarity,
     displaced_amplitudes,
-    displacement,
     require_admissible,
 )
 from .errors import ConfigError, FockboxError
-from .fockspace import FockLayout, expectation, max_admissible_amplitude
+from .fockspace import FockLayout, max_admissible_amplitude
 from .model import (
     ModelConfig,
-    build_H,
     build_layout,
     charge,
     default_config,
@@ -216,21 +215,22 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, layout: FockLayout | None = 
     cs = coefficients(config, state, layout)
     limit = direct_check_limit(config, layout)
 
-    H = None
-    rows = []
+    f2 = spec.f2
+    polynomial = []
     for f1 in spec.f1_values:
-        f2 = spec.f2
         try:
             e_poly = energy_polynomial(cs, f1, f2)
         except OverflowError:
             e_poly = math.inf
         if not math.isfinite(e_poly):
             raise ConfigError(f"the energy polynomial overflows float64 at f1 = {f1!r}, f2 = {f2!r}")
-        if max(abs(f1), abs(f2)) <= limit:
-            if H is None:
-                H = build_H(config, layout)
-            displaced = displacement(config, DisplacementParams(f1, f2), layout).apply(state)
-            e_direct = float(np.real(expectation(H, displaced)))
+        polynomial.append(e_poly)
+    inside = [max(abs(f1), abs(f2)) <= limit for f1 in spec.f1_values]
+    direct = iter(displaced_energies(config, state, [(f1, f2) for f1, ok in zip(spec.f1_values, inside) if ok], layout))
+    rows = []
+    for f1, e_poly, ok in zip(spec.f1_values, polynomial, inside):
+        if ok:
+            e_direct = next(direct)
             residual = abs(e_poly - e_direct) / (1.0 + abs(e_direct))
         else:
             e_direct = None
@@ -456,7 +456,11 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="sweep the energy along f1, write sweep.csv")
     add_common(p_sweep)
-    p_sweep.add_argument("--f1", required=True, help="START:STOP:STEP, inclusive")
+    p_sweep.add_argument(
+        "--f1",
+        required=True,
+        help="START:STOP:STEP, inclusive; a negative START needs the = form, as in --f1=-1:1:0.5",
+    )
     p_sweep.add_argument("--f2", type=float, required=True, help="fixed neutral amplitude")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from fockbox import coeffs, fockspace
 from fockbox.coeffs import (
+    CENTRAL_F_VALUES,
+    CoefficientSet,
     central_identity_checks,
     coefficients,
     descent_threshold,
+    displaced_energies,
     energy_polynomial,
     reference_state,
     vacuum_closed_forms,
     COEFFICIENT_NAMES,
 )
+from fockbox.displace import DisplacementParams, displacement
 from fockbox.errors import ConfigError, GeometryError
 from fockbox.fockspace import LadderId, expectation
-from fockbox.ladderalg import constant, realize
+from fockbox.ladderalg import LadderPolynomial, constant, realize
 from fockbox.model import ModelConfig, build_H, build_layout, default_config, hamiltonian_polynomial
 from test_fockspace import dense_state, row_major_occupations
 from test_model import README_TWO_MODE
@@ -261,3 +266,81 @@ def test_twelve_ladder_config_runs_without_the_joint_space():
     assert len(checks) == 4 * 25 + 1
     assert all(c.passed and c.residual <= 1e-13 for c in checks), max(c.residual for c in checks)
     assert checks[-1].name == "quartic_coefficient[unit]"
+
+
+def per_group_coefficients(config, state, layout):
+    """The coefficient set from one expectation per realized group of the
+    shifted parts, each summed on its own, and one of H for E_ref."""
+    free, cubic, quartic, bare_quartic = coeffs._shifted_parts(config)
+    e_ref = expectation(build_H(config, layout), state)
+    imag = [abs(e_ref.imag)]
+
+    def value(groups, powers):
+        total = expectation(realize(groups.get(powers, LadderPolynomial(())), layout), state)
+        imag.append(abs(total.imag))
+        return float(total.real)
+
+    l1, l2 = config.lambda1, config.lambda2
+    quartic_self = l2 * value(quartic, (0, 4))
+    return CoefficientSet(
+        A1=value(free, (1, 0)) + l1 * value(cubic, (1, 0)),
+        A2=value(free, (0, 1)) + l1 * value(cubic, (0, 1)),
+        A3=l1 * value(cubic, (1, 1)),
+        A4=value(free, (2, 0)) + l1 * value(cubic, (2, 0)),
+        A5=l1 * value(cubic, (2, 1)),
+        B1=l2 * value(bare_quartic, (0, 2)),
+        B1_ordered=l2 * value(quartic, (0, 2)),
+        B2=l2 * value(bare_quartic, (0, 1)),
+        B2_ordered=l2 * value(quartic, (0, 1)),
+        B3=l2 * value(quartic, (0, 3)),
+        B4=4.0 * quartic_self,
+        quartic_self_coefficient=quartic_self,
+        E_ref=e_ref.real,
+        omega_k=config.omega_k,
+        energy_q=config.energy_q,
+        max_imag=max(imag),
+    )
+
+
+def per_state_direct_energies(config, state, points, layout):
+    H = build_H(config, layout)
+    return [expectation(H, displacement(config, DisplacementParams(f1, f2), layout).apply(state)).real for f1, f2 in points]
+
+
+CENTRAL_POINTS = [(f1, f2) for f1 in CENTRAL_F_VALUES for f2 in CENTRAL_F_VALUES]
+REFERENCE_SELECTORS = ("vacuum", "one_a", "one_b", "seeded:7")
+
+
+@pytest.mark.parametrize("selector", REFERENCE_SELECTORS)
+@pytest.mark.parametrize("config", [default_config(), README_TWO_MODE], ids=["default", "two_mode"])
+def test_one_pass_coefficients_equal_the_per_group_expectations(config, selector):
+    # bit for bit, the imaginary parts that max_imag reads included
+    layout = build_layout(config)
+    state = reference_state(config, selector, layout)
+    assert coefficients(config, state, layout) == per_group_coefficients(config, state, layout)
+
+
+@pytest.mark.parametrize("selector", REFERENCE_SELECTORS)
+@pytest.mark.parametrize("config", [default_config(), README_TWO_MODE], ids=["default", "two_mode"])
+def test_batched_direct_energies_equal_the_per_state_expectations(config, selector):
+    layout = build_layout(config)
+    state = reference_state(config, selector, layout)
+    assert displaced_energies(config, state, CENTRAL_POINTS, layout) == per_state_direct_energies(
+        config, state, CENTRAL_POINTS, layout
+    )
+
+
+@pytest.mark.parametrize("bound", [1, 50_000], ids=["one_monomial", "few_monomials"])
+def test_contraction_blocks_change_no_bit(monkeypatch, bound):
+    config = default_config()
+    layout = build_layout(config)
+    state = reference_state(config, "seeded:7", layout)
+    whole = coefficients(config, state, layout), displaced_energies(config, state, CENTRAL_POINTS, layout)
+    blocks = []
+    row_dots = fockspace._row_dots
+    monkeypatch.setattr(fockspace, "CONTRACTION_BLOCK_BYTES", bound)
+    monkeypatch.setattr(fockspace, "_row_dots", lambda w, x: blocks.append(len(w)) or row_dots(w, x))
+    split = coefficients(config, state, layout), displaced_energies(config, state, CENTRAL_POINTS, layout)
+    # the one-pass operator and the batch of 25 states both take several blocks
+    assert len(blocks) > 2 and min(blocks) < 25
+    assert split == whole

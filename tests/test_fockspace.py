@@ -316,6 +316,17 @@ def test_operator_layout_mismatch():
         expectation(op, vacuum(small_layout(4)))
 
 
+def test_a_batch_shares_its_amplitudes_and_an_empty_state_has_zero_expectation():
+    layout = small_layout()
+    op = realize(constant(1.0), layout)
+    assert expectation(op, basis_sum(layout, [], [])) == 0.0
+    pair = [basis_sum(layout, [(0, 1, 0)], [1.0]), basis_sum(layout, [(0, 2, 0)], [0.5])]
+    with pytest.raises(LayoutError, match="share their amplitudes"):
+        fockspace.monomial_values(op, pair)
+    with pytest.raises(LayoutError, match="different layouts"):
+        fockspace.monomial_values(op, [pair[0], vacuum(small_layout(4))])
+
+
 def test_state_vector_basics():
     layout = small_layout()
     factors = tuple(np.zeros((4, 2), dtype=complex) for _ in range(3))
@@ -410,7 +421,9 @@ def test_run_verification_is_identical_on_cold_and_warm_block_cache():
         displace._work_frame,
         displace._shift_layers,
         fockspace.word_weights,
+        fockspace.max_admissible_amplitude,
         coeffs._shifted_parts,
+        coeffs._realized_parts,
     ):
         cache.cache_clear()
     cold = summary()
@@ -439,6 +452,8 @@ def test_every_lru_cache_is_bounded():
         "fockbox.displace._work_frame",
         "fockbox.displace._shift_layers",
         "fockbox.coeffs._shifted_parts",
+        "fockbox.fockspace.max_admissible_amplitude",
+        "fockbox.coeffs._realized_parts",
     } == set(caches)
     assert all(size is not None for size in caches.values()), caches
     assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE
@@ -457,6 +472,10 @@ def test_every_lru_cache_is_bounded():
     # one config per run; an entry holds 42 monomials on the built-in config
     # and 59 on the two-mode README config
     assert caches["fockbox.coeffs._shifted_parts"] == coeffs.SHIFTED_PARTS_CACHE == 8
+    # keyed on the config and its layout, sized like the shifted parts
+    assert caches["fockbox.coeffs._realized_parts"] == coeffs.SHIFTED_PARTS_CACHE
+    # one entry per distinct cutoff
+    assert caches["fockbox.fockspace.max_admissible_amplitude"] == fockspace.ADMISSIBLE_AMPLITUDE_CACHE == 16
 
 
 def test_poisson_tail_values():

@@ -251,6 +251,21 @@ def test_cli_sweep_writes_rows(tmp_path, capsys):
     assert lines[0] == "f1,f2,E_polynomial,E_direct,residual"
 
 
+def test_cli_sweep_takes_a_negative_f1_start_in_the_equals_form(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--f1=-1:1:0.5", "--f2", "-0.25", "--out", str(out)]) == 0
+    with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["f1"]) for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert all(r["E_direct"] for r in rows)
+    assert "rows: 5  with direct comparison: 5" in capsys.readouterr().out
+    # with a space, argparse reads the leading '-' as the start of an option
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--f1", "-1:1:0.5", "--f2", "-0.25", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def _grid_must_not_run(self, params):
     raise AssertionError("the verification grid ran")
 

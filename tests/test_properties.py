@@ -4,17 +4,21 @@ Examples are derandomized and kept few, so the suite stays deterministic and
 fast; each property still covers inputs no fixed case names.
 """
 
+import contextlib
+import csv
 import functools
+import io
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockbox import coeffs
+from fockbox import coeffs, probe
 from fockbox.coeffs import COEFFICIENT_NAMES, coefficients, reference_state, vacuum_closed_forms
 from fockbox.displace import Displacement, DisplacementParams, InterchangeChecker, work_frame_size
 from fockbox.errors import ConfigError
@@ -93,6 +97,67 @@ def test_random_config_is_rejected_or_gives_finite_coefficients(values):
         return
     assert all(math.isfinite(getattr(cs, name)) for name in COEFFICIENT_NAMES), cs
     assert all(math.isfinite(value) for value in closed_forms.values()), closed_forms
+
+
+def config_text(values):
+    """A config file stating values, one `key = value` line each."""
+
+    def field(value):
+        return ", ".join(map(str, value)) if isinstance(value, list) else repr(value)
+
+    return "".join(f"{key} = {field(value)}\n" for key, value in values.items())
+
+
+@st.composite
+def cli_runs(draw):
+    """A config from config_values and a coeffs or sweep command line; about
+    one amplitude in ten is any float and one state selector in four is
+    unusable."""
+
+    def pick(usable, anything):
+        return draw(anything if draw(st.integers(min_value=0, max_value=9)) == 0 else usable)
+
+    usable_states = st.sampled_from(["vacuum", "one_a", "one_b", "seeded", "seeded:7", "seeded:123"])
+    state = pick(usable_states, st.sampled_from(["seeded:-1", "seeded:x", "two_a", ""]))
+    if draw(st.booleans()):
+        return draw(config_values()), ["coeffs", f"--state={state}"]
+    start = pick(st.floats(min_value=-2.0, max_value=2.0), st.floats())
+    step = pick(st.floats(min_value=0.01, max_value=1.0), st.floats())
+    stop = start + draw(st.integers(min_value=0, max_value=40)) * step
+    f2 = pick(st.floats(min_value=-2.0, max_value=2.0), st.floats())
+    return draw(config_values()), ["sweep", f"--state={state}", f"--f1={start!r}:{stop!r}:{step!r}", f"--f2={f2!r}"]
+
+
+def is_finite_field(field):
+    try:
+        return math.isfinite(float(field))
+    except ValueError:  # a name, a flag or an empty field
+        return True
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(cli_runs())
+def test_cli_exits_0_1_or_2_with_one_error_line_and_finite_csv_fields(run):
+    values, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "model.cfg"
+        config.write_text(config_text(values), encoding="utf-8")
+        out = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = probe.main(argv + ["--config", str(config), "--out", str(out)])
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, stderr.getvalue())
+        if code == 2:
+            assert sum("error:" in line for line in stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+            assert not out.exists()
+        if code == 0:
+            for path in out.glob("*.csv"):
+                with open(path, encoding="utf-8", newline="") as fh:
+                    fields = [field for row in csv.reader(fh) for field in row]
+                assert all(map(is_finite_field, fields)), (argv, path.name, fields)
 
 
 BOUND_CUTOFF = 8
