@@ -115,23 +115,21 @@ def reference_state(config: ModelConfig, selector: str, layout: FockLayout | Non
 # ---------------------------------------------------------------------------
 # the shifted Hamiltonian
 
-# A run uses one config; an entry holds 42 monomials on the built-in config
-# and 59 on the two-mode README config.  _realized_parts, keyed on the
-# config and its layout, holds as many.
+# Entries of _realized_parts, keyed on a config and its layout: a run uses
+# one of each.  The shifted groups of an entry hold 42 monomials on the
+# built-in config and 59 on the two-mode README config.
 SHIFTED_PARTS_CACHE = 8
 
 _Groups = Mapping[tuple[int, int], LadderPolynomial]
 
 
-@lru_cache(maxsize=SHIFTED_PARTS_CACHE)
 def _shifted_parts(config: ModelConfig) -> tuple[_Groups, _Groups, _Groups, _Groups]:
     """U+ P U grouped by the powers (i, j) of (f1, f2) for four parts P of
     H, couplings not included: the free Hamiltonian of the displaced
     ladders omega_k a+_k a_k + E_q (b+_q b_q + d+_q d_q), Int :phi+ phi:
     phihat, Int :phihat^4: and the bare Int phihat^4.  The (0, 0) groups,
     the parts themselves, are left out: E_ref is the expectation of H
-    (build_H).  Read-only and memoized on the config, since no part depends
-    on the state."""
+    (build_H)."""
     a_k = LadderId("a", config.k_index)
     b_q, d_q = LadderId("b", config.q_index), LadderId("d", config.q_index)
     free = LadderPolynomial.from_terms(
@@ -141,7 +139,7 @@ def _shifted_parts(config: ModelConfig) -> tuple[_Groups, _Groups, _Groups, _Gro
     bare_quartic = ladderalg.integrate_box(ladderalg.power(field_algebra(config).phihat, 4), config.box_length)
     amplitudes = {b_q: 0, d_q: 0, a_k: 1}
     return tuple(
-        MappingProxyType({powers: g for powers, g in ladderalg.shift(part, amplitudes).items() if powers != (0, 0)})
+        {powers: g for powers, g in ladderalg.shift(part, amplitudes).items() if powers != (0, 0)}
         for part in (free, cubic_interaction_polynomial(config), quartic_interaction_polynomial(config), bare_quartic)
     )
 

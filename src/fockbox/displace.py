@@ -20,9 +20,9 @@ words the checks apply.  Residuals scale with the square root of that
 weight, so every windowed residual stays at the float64 noise floor at every
 admissible amplitude.  The window's top level matters most: a displaced
 level m reaches about (sqrt(m) + |f|)^2, far past the displaced vacuum.
-Frames and their shift gaps are memoized on (window, dim, amplitude), so the
-check families at one grid point, and the grid points that share a ladder
-amplitude, compute each gap once.
+A shift gap depends only on the cutoff, the amplitude and the word, and is
+memoized on them (_frame_gap), so the check families at one grid point, and
+the grid points that share a ladder amplitude, compute each gap once.
 
 Verification-mode routines enforce the coherent-leakage policy on the
 configured space itself: a displaced ladder must have a cutoff above f^2
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
@@ -98,14 +98,18 @@ def displaced_amplitudes(config: ModelConfig, params: DisplacementParams) -> dic
     }
 
 
-def require_admissible(config: ModelConfig, params: DisplacementParams, layout: FockLayout) -> None:
-    for lad, f in displaced_amplitudes(config, params).items():
+def require_admissible(config: ModelConfig, params: DisplacementParams, layout: FockLayout) -> dict[LadderId, float]:
+    """displaced_amplitudes, once every one of them is admissible on its
+    ladder's cutoff."""
+    amplitudes = displaced_amplitudes(config, params)
+    for lad, f in amplitudes.items():
         cutoff = layout.cutoff(lad)
         if not leakage_admissible(f, cutoff):
             raise LeakageError(
                 f"amplitude {f} on ladder {lad} (cutoff {cutoff}) leaks: admissible needs"
                 f" f^2 < {cutoff} and a Poisson tail under 1e-12, here {poisson_tail(f, cutoff):.3e}"
             )
+    return amplitudes
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,55 +165,6 @@ def _shift_layers(window: int, daggers: tuple[bool, ...]) -> tuple[np.ndarray, .
     return tuple(layers)
 
 
-@dataclass(frozen=True, eq=False)
-class _WorkFrame:
-    """Single-ladder evaluation space: window plus headroom above it, the
-    first window columns of U there (None when undisplaced), and the shift
-    gaps and their maxima computed so far, one per word (the checks ask for
-    at most 31)."""
-
-    amplitude: float
-    window: int
-    dim: int
-    columns: np.ndarray | None
-    gaps: dict = field(default_factory=dict, init=False, repr=False)
-    maxima: dict = field(default_factory=dict, init=False, repr=False)
-
-    def shift_gap(self, daggers: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(e, c - e, c) on the window, read-only and computed once per word,
-        for c = U+ word U on the working space and
-        e = prod_i (x_i + f) = sum_k f^k e_k (see _shift_layers)."""
-        if daggers not in self.gaps:
-            self.gaps[daggers] = self._shift_gap(daggers)
-        return self.gaps[daggers]
-
-    def shift_maxima(self, daggers: tuple[bool, ...]) -> tuple[float, float, float]:
-        """(max|e|, max|c - e|, max|c|) of shift_gap(daggers), computed once
-        per word."""
-        if daggers not in self.maxima:
-            self.maxima[daggers] = tuple(float(np.max(np.abs(g))) for g in self.shift_gap(daggers))
-        return self.maxima[daggers]
-
-    def _shift_gap(self, daggers: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """c is the Gram v+ word v (word_gram) of the window columns v of
-        U.  c - e is formed as
-        (((c - e_0) - f e_1) - f^2 e_2) ..., so each subtraction cancels
-        the leading part of what is left and the gap keeps its own
-        relative precision, even where it is far below the rounding of c."""
-        layers = _shift_layers(self.window, daggers)
-        if self.columns is None:
-            c = layers[0]
-        else:
-            c = word_gram(self.columns, word_weights(self.dim, daggers))
-        e, gap = 0.0, c
-        for k, layer in enumerate(layers):
-            e = e + self.amplitude**k * layer
-            gap = gap - self.amplitude**k * layer
-        for block in (e, gap, c):
-            block.setflags(write=False)
-        return e, gap, c
-
-
 def _window(cutoff: int) -> int:
     """Levels 0..cutoff/2 of a ladder, where every residual is compared."""
     return cutoff // 2 + 1
@@ -245,24 +200,34 @@ def work_frame_size(cutoff: int) -> int:
         probe *= 2
 
 
-# One verify run on the built-in config works on 7 frames: the grid has 7
-# amplitudes, and a2 and b1/d1 share cutoff 16, so equal amplitudes share a
-# frame.  The two-mode README config keeps 10 frames live across a row of
-# the grid: 7 on a2, one each on b1 and d1, and the undisplaced a3.
-@lru_cache(maxsize=16)
-def _work_frame(window: int, dim: int, amplitude: float) -> _WorkFrame:
-    columns = displacement_block(dim - 1, amplitude, window) if amplitude != 0.0 else None
-    return _WorkFrame(amplitude=amplitude, window=window, dim=dim, columns=columns)
+# Keyed on (cutoff, amplitude, word): one verify run asks for 56 gaps on the
+# built-in config, 98 on twelve ladders (modes 1-4 per field) and 151 on the
+# two-mode README config, and computes each of them once.
+@lru_cache(maxsize=160)
+def _frame_gap(
+    cutoff: int, amplitude: float, daggers: tuple[bool, ...]
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float]]:
+    """(c - e, c) on the window of a ladder with this cutoff, read-only, and
+    (max|e|, max|c - e|, max|c|), for c = U+ word U on the ladder's work
+    frame and e = prod_i (x_i + f) = sum_k f^k e_k (see _shift_layers).
 
-
-def _work_frames(
-    config: ModelConfig, params: DisplacementParams, layout: FockLayout
-) -> dict[LadderId, _WorkFrame]:
-    amplitudes = displaced_amplitudes(config, params)
-    return {
-        lad: _work_frame(_window(cutoff), work_frame_size(cutoff), amplitudes.get(lad, 0.0))
-        for lad, cutoff in zip(layout.ladders, layout.cutoffs)
-    }
+    c is the Gram v+ word v (word_gram) of the window columns v of U.  c - e
+    is formed as (((c - e_0) - f e_1) - f^2 e_2) ..., so each subtraction
+    cancels the leading part of what is left and the gap keeps its own
+    relative precision, even where it is far below the rounding of c."""
+    window, dim = _window(cutoff), work_frame_size(cutoff)
+    layers = _shift_layers(window, daggers)
+    if amplitude == 0.0:
+        c = layers[0]
+    else:
+        c = word_gram(displacement_block(dim - 1, amplitude, window), word_weights(dim, daggers))
+    e, gap = 0.0, c
+    for k, layer in enumerate(layers):
+        e = e + amplitude**k * layer
+        gap = gap - amplitude**k * layer
+    gap.setflags(write=False)
+    c.setflags(write=False)
+    return gap, c, tuple(float(np.max(np.abs(block))) for block in (e, gap, c))
 
 
 def _window_sum_max(blocks: Mapping[LadderId, np.ndarray], scalars: np.ndarray) -> np.ndarray:
@@ -296,13 +261,11 @@ def check_ladder_shifts(
 ) -> list[ResidualCheck]:
     """Residuals of U+ x U = x + shift for every ladder operator and adjoint."""
     layout = layout or build_layout(config)
-    require_admissible(config, params, layout)
-    frames = _work_frames(config, params, layout)
+    amplitudes = require_admissible(config, params, layout)
     checks = []
-    for lad in layout.ladders:
+    for lad, cutoff in zip(layout.ladders, layout.cutoffs):
         for dagger, suffix in ((False, ""), (True, "_dag")):
-            _, gap, _ = frames[lad].shift_gap((dagger,))
-            residual = float(np.max(np.abs(gap)))
+            _, _, (_, residual, _) = _frame_gap(cutoff, amplitudes.get(lad, 0.0), (dagger,))
             checks.append(
                 ResidualCheck(f"ladder_shift[{lad}{suffix}]", params.f1, params.f2, residual, LADDER_SHIFT_TOL)
             )
@@ -319,8 +282,7 @@ def check_free_hamiltonian_shift(
     assembled here as one f1^2 per displaced charged ladder.
     """
     layout = layout or build_layout(config)
-    require_admissible(config, params, layout)
-    frames = _work_frames(config, params, layout)
+    amplitudes = require_admissible(config, params, layout)
     f1, f2 = params.f1, params.f2
 
     sectors = (
@@ -333,14 +295,15 @@ def check_free_hamiltonian_shift(
     )
     shifts, vacua = [], []
     for sector, energies, vacuum_shift in sectors:
+        number = {lad: _frame_gap(layout.cutoff(lad), amplitudes.get(lad, 0.0), (True, False)) for lad, _ in energies}
         # energy (U+ a+a U - (a+ + f)(a + f)) per ladder, a batch of one
-        blocks = {lad: (energy * frames[lad].shift_gap((True, False))[1])[None] for lad, energy in energies}
+        blocks = {lad: (energy * number[lad][0])[None] for lad, energy in energies}
         residual = float(_window_sum_max(blocks, np.zeros(1))[0])
         shifts.append(ResidualCheck(f"free_shift[{sector}]", f1, f2, residual, FREE_SHIFT_TOL))
         # <0| U+ a+a U |0> is the corner of each ladder's conjugated a+a
         value = 0.0
         for lad, energy in energies:
-            value += energy * float(frames[lad].shift_gap((True, False))[2][0, 0])
+            value += energy * float(number[lad][1][0, 0])
         vacua.append(ResidualCheck(f"free_shift_vacuum[{sector}]", f1, f2, abs(value - vacuum_shift), FREE_SHIFT_TOL))
     return shifts + vacua
 
@@ -354,8 +317,7 @@ def check_field_shift(
 ) -> list[ResidualCheck]:
     """U+ field(x) U = field(x) + shift profile, at sampled x values."""
     layout = layout or build_layout(config)
-    require_admissible(config, params, layout)
-    frames = _work_frames(config, params, layout)
+    amplitudes = require_admissible(config, params, layout)
     xs = box_points(config.box_length, X_SAMPLE_COUNT)
     n1, n2 = shift_profiles(config)
     fa = field_algebra(config)
@@ -374,14 +336,14 @@ def check_field_shift(
         for t in poly.terms:
             (sym,) = t.symbols
             kappa = t.coefficient * t.phase(xs, config.box_length)
-            frame = frames[sym.ladder]
-            _, gap, _ = frame.shift_gap((sym.dagger,))
+            shift = amplitudes.get(sym.ladder, 0.0)
+            gap, _, _ = _frame_gap(layout.cutoff(sym.ladder), shift, (sym.dagger,))
             contrib = kappa[:, None, None] * gap
             if sym.ladder in blocks:
                 blocks[sym.ladder] = blocks[sym.ladder] + contrib
             else:
                 blocks[sym.ladder] = contrib
-            shifts = shifts + kappa * frame.amplitude
+            shifts = shifts + kappa * shift
         residuals = _window_sum_max(blocks, shifts - amplitude * profile(xs))
         for j, residual in enumerate(residuals):
             checks.append(
@@ -459,7 +421,7 @@ class InterchangeChecker:
     drops, subtracts S(x) word by word, and is bounded by
     sum_W |Delta_W(x)| prod_l max|W_l|.  Words and their windowed blocks do
     not depend on the amplitudes, so they are built once; the blocks come
-    from _shift_layers, which the work frames' shift gaps share.
+    from _shift_layers, which the shift gaps (_frame_gap) share.
     """
 
     def __init__(self, config: ModelConfig, layout: FockLayout | None = None):
@@ -529,17 +491,17 @@ class InterchangeChecker:
         )
 
     def run(self, params: DisplacementParams) -> list[ResidualCheck]:
-        require_admissible(self.config, params, self.layout)
-        frames = _work_frames(self.config, params, self.layout)
+        amplitudes = require_admissible(self.config, params, self.layout)
         checks = []
         for system in self._systems:
+            cutoffs = [self.layout.cutoff(lad) for lad in system.ladders]
+            shifts = [amplitudes.get(lad, 0.0) for lad in system.ladders]
             conjugation_gap = 0.0
             for modulus, w in zip(system.moduli, system.lhs_words):
-                per_ladder = [frames[lad].shift_maxima(daggers) for lad, daggers in zip(system.ladders, w) if daggers]
+                per_ladder = [_frame_gap(n, f, daggers)[2] for n, f, daggers in zip(cutoffs, shifts, w) if daggers]
                 conjugation_gap += modulus * _telescoped(per_ladder)
-            amplitudes = [frames[lad].amplitude for lad in system.ladders]
             factors = np.column_stack(
-                [np.tile(amplitudes, (len(self.x_samples), 1)), params.f1 * self._n1x, params.f2 * self._n2x]
+                [np.tile(shifts, (len(self.x_samples), 1)), params.f1 * self._n1x, params.f2 * self._n2x]
             )
             coefficients = system.base * np.prod(factors[:, None, :] ** system.exponents, axis=2)
             per_word = np.zeros((len(self.x_samples), len(system.word_norms)), dtype=np.complex128)

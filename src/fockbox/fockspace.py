@@ -210,12 +210,6 @@ class StateVector:
         if self.amplitudes.ndim != 1 or tuple(v.shape for v in self.factors) != shapes:
             raise LayoutError("state factors do not match the layout and the amplitudes")
 
-    @cached_property
-    def overlaps(self) -> tuple[np.ndarray, ...]:
-        """Each ladder's Gram v+ v of its factor columns, the Gram of the
-        empty word: one ladder's columns need not be orthogonal."""
-        return tuple(v.conj().T @ v for v in self.factors)
-
 
 # ---------------------------------------------------------------------------
 # single-ladder blocks and words

@@ -32,12 +32,12 @@ from fockbox.displace import (
     displacement,
     require_admissible,
     work_frame_size,
-    _work_frames,
 )
 from fockbox.ladderalg import box_points, constant, realize
 from fockbox.model import ShiftProfile, default_config, build_layout, field_algebra, parse_config, shift_profiles
 from fockbox.probe import run_verification
 from test_fockspace import chain, dense_state, row_major_occupations
+from test_model import README_TWO_MODE
 
 A2 = LadderId("a", 2)
 B1 = LadderId("b", 1)
@@ -255,16 +255,17 @@ def test_field_shift(params):
 def test_windowed_conjugation_is_the_window_of_the_full_one(cutoff, sign):
     config = default_config().with_cutoff(cutoff)
     amplitude = sign * max_admissible_amplitude(cutoff)
-    frames = _work_frames(config, DisplacementParams(amplitude, amplitude), build_layout(config))
+    layout = build_layout(config)
+    amplitudes = require_admissible(config, DisplacementParams(amplitude, amplitude), layout)
+    m, dim = displace._window(cutoff), work_frame_size(cutoff)
+    assert m == cutoff // 2 + 1 and dim > m
     for lad in (A2, B1):
-        frame = frames[lad]
-        m = frame.window
-        assert frame.amplitude == amplitude and m == cutoff // 2 + 1 and frame.dim > m
-        u = displacement_block(frame.dim - 1, frame.amplitude)
+        assert amplitudes[lad] == amplitude and layout.cutoff(lad) == cutoff
+        u = displacement_block(dim - 1, amplitude)
         for word in ((False,), (True,), (True, False), (True, False, True, False)):
-            block = chain(frame.dim - 1, word)
+            block = chain(dim - 1, word)
             full = (u.T @ block @ u)[:m, :m]
-            _, _, windowed = frame.shift_gap(word)
+            _, windowed, _ = displace._frame_gap(cutoff, amplitude, word)
             assert windowed.shape == (m, m)
             # the two differ only in the order of their roundings
             tol = 16 * np.finfo(np.float64).eps * np.max(np.abs(full))
@@ -338,7 +339,8 @@ def test_window_sum_max_keeps_a_nan():
 def test_field_shift_equals_the_per_x_loop(cutoff, params):
     config = default_config().with_cutoff(cutoff)
     layout = build_layout(config)
-    frames = _work_frames(config, params, layout)
+    amplitudes = displaced_amplitudes(config, params)
+    m, dim = displace._window(cutoff), work_frame_size(cutoff)
     xs = box_points(config.box_length, X_SAMPLE_COUNT)
     n1, n2 = shift_profiles(config)
     fa = field_algebra(config)
@@ -354,17 +356,13 @@ def test_field_shift_equals_the_per_x_loop(cutoff, params):
             blocks, scalar = {}, 0.0
             for t in poly.terms:
                 (sym,) = t.symbols
-                frame = frames[sym.ladder]
-                m = frame.window
-                block = chain(frame.dim - 1, (sym.dagger,))
-                if frame.amplitude == 0.0:
-                    v = np.eye(frame.dim)[:, :m]
-                else:
-                    v = displacement_block(frame.dim - 1, frame.amplitude, m)
-                gap = (v.T @ (block @ v) - block[:m, :m]) - frame.amplitude * np.eye(m)
+                f = amplitudes.get(sym.ladder, 0.0)
+                block = chain(dim - 1, (sym.dagger,))
+                v = np.eye(dim)[:, :m] if f == 0.0 else displacement_block(dim - 1, f, m)
+                gap = (v.T @ (block @ v) - block[:m, :m]) - f * np.eye(m)
                 kappa = t.coefficient * t.phase(x, config.box_length)
                 blocks[sym.ladder] = blocks[sym.ladder] + kappa * gap if sym.ladder in blocks else kappa * gap
-                scalar = scalar + kappa * frame.amplitude
+                scalar = scalar + kappa * f
             expected.append(_window_sum_max_per_sample(blocks, scalar - shift_of_x(float(x))))
     assert [c.residual for c in check_field_shift(config, params, layout)] == expected
 
@@ -416,17 +414,18 @@ def test_unitarity_and_composition(params):
     assert c_check.residual <= 1e-12
 
 
-def _frame_block(frame, symbols, conjugated):
+def _frame_block(cutoff, amplitude, symbols, conjugated):
     """Windowed ordered product of one ladder's symbols on its work frame;
     a ladder without symbols carries the identity, conjugated or not.  The
-    conjugation runs on the full frame, independent of _WorkFrame.shift_gap."""
+    conjugation runs on the full frame, independent of _frame_gap."""
+    window, dim = displace._window(cutoff), work_frame_size(cutoff)
     if not symbols:
-        return np.eye(frame.window)
-    mat = chain(frame.dim - 1, [s.dagger for s in symbols])
-    if conjugated and frame.amplitude != 0.0:
-        u = displacement_block(frame.dim - 1, frame.amplitude)
+        return np.eye(window)
+    mat = chain(dim - 1, [s.dagger for s in symbols])
+    if conjugated and amplitude != 0.0:
+        u = displacement_block(dim - 1, amplitude)
         mat = u.T @ mat @ u
-    return mat[: frame.window, : frame.window]
+    return mat[:window, :window]
 
 
 def _identities(config):
@@ -470,7 +469,7 @@ def dense_interchange_residuals(config, params):
     that floor are not resolved.
     """
     layout = build_layout(config)
-    frames = _work_frames(config, params, layout)
+    amplitudes = displaced_amplitudes(config, params)
     n1, n2 = shift_profiles(config)
     xs = box_points(config.box_length, X_SAMPLE_COUNT)
     residuals, floors = [], []
@@ -490,7 +489,9 @@ def dense_interchange_residuals(config, params):
         for k, side in enumerate(sides):
             for m, weight, conjugated in side:
                 blocks = {
-                    lad: _frame_block(frames[lad], [s for s in m.symbols if s.ladder == lad], conjugated)
+                    lad: _frame_block(
+                        layout.cutoff(lad), amplitudes.get(lad, 0.0), [s for s in m.symbols if s.ladder == lad], conjugated
+                    )
                     for lad in leading + [last]
                 }
                 lead = np.ones((1, 1), dtype=np.longdouble)
@@ -552,12 +553,12 @@ def test_interchange_fails_a_wrong_binomial_weight(monkeypatch):
 
 @pytest.fixture
 def fresh_frames():
-    """Work frames are memoized across calls: a test that patches the block
-    provider sees its patch only in frames built after it, and must leave
+    """Shift gaps are memoized across calls: a test that patches the block
+    provider sees its patch only in gaps computed after it, and must leave
     none of those behind."""
-    displace._work_frame.cache_clear()
+    displace._frame_gap.cache_clear()
     yield
-    displace._work_frame.cache_clear()
+    displace._frame_gap.cache_clear()
 
 
 def test_interchange_fails_a_conjugation_at_a_wrong_amplitude(monkeypatch, fresh_frames):
@@ -581,19 +582,15 @@ def test_interchange_nan_block_gives_a_failing_nan(monkeypatch, fresh_frames):
     assert all(math.isnan(c.residual) and not c.passed for c in checks)
 
 
-def test_one_verification_computes_each_frame_gap_once(monkeypatch, fresh_frames):
-    # 7 grid amplitudes, one frame each (a2 and b1/d1 share cutoff 16), and
-    # 8 words on every frame; the families at every grid point ask 1,372 times
-    computed = []
-    compute = displace._WorkFrame._shift_gap
-
-    def counted(frame, daggers):
-        computed.append((frame.window, frame.dim, frame.amplitude, daggers))
-        return compute(frame, daggers)
-
-    monkeypatch.setattr(displace._WorkFrame, "_shift_gap", counted)
-    run_verification(default_config())
-    assert len(computed) == len(set(computed)) == 56
+def test_one_verification_computes_each_frame_gap_once(fresh_frames):
+    # built-in config: 7 grid amplitudes on cutoff 16, shared by a2 and
+    # b1/d1, and 8 words at each; the two-mode config adds cutoffs 15 and 20
+    # and the undisplaced a3.  No gap is evicted and computed again.
+    for config, gaps in ((default_config(), 56), (README_TWO_MODE, 151)):
+        displace._frame_gap.cache_clear()
+        run_verification(config)
+        info = displace._frame_gap.cache_info()
+        assert info.misses == info.currsize == gaps < info.maxsize
 
 
 def test_every_frame_check_passes_across_the_cutoff_64_range():

@@ -213,8 +213,9 @@ def test_number_operator_and_projector():
     # distinct basis states are orthonormal terms, though one ladder's
     # columns are not: |000> and |001> share a2's and b1's
     low = basis_sum(layout, layout.occupations(1), [1.0, 2.0, 3.0, 4.0])
-    assert not np.array_equal(low.overlaps[0], np.eye(4))
-    assert np.array_equal(functools.reduce(np.multiply, low.overlaps), np.eye(4))
+    overlaps = [v.conj().T @ v for v in low.factors]
+    assert not np.array_equal(overlaps[0], np.eye(4))
+    assert np.array_equal(functools.reduce(np.multiply, overlaps), np.eye(4))
     assert expectation(realize(constant(1.0), layout), low) == 30.0
 
 
@@ -418,11 +419,10 @@ def test_run_verification_is_identical_on_cold_and_warm_block_cache():
         fockspace._displacement_block,
         fockspace._x_basis,
         displace.work_frame_size,
-        displace._work_frame,
+        displace._frame_gap,
         displace._shift_layers,
         fockspace.word_weights,
         fockspace.max_admissible_amplitude,
-        coeffs._shifted_parts,
         coeffs._realized_parts,
     ):
         cache.cache_clear()
@@ -449,9 +449,8 @@ def test_every_lru_cache_is_bounded():
         "fockbox.model.field_algebra",
         "fockbox.fockspace._x_basis",
         "fockbox.displace.work_frame_size",
-        "fockbox.displace._work_frame",
+        "fockbox.displace._frame_gap",
         "fockbox.displace._shift_layers",
-        "fockbox.coeffs._shifted_parts",
         "fockbox.fockspace.max_admissible_amplitude",
         "fockbox.coeffs._realized_parts",
     } == set(caches)
@@ -460,20 +459,18 @@ def test_every_lru_cache_is_bounded():
     assert caches["fockbox.fockspace._x_basis"] == fockspace.X_BASIS_CACHE
     # one size per cutoff, and a layout has a few distinct cutoffs
     assert caches["fockbox.displace.work_frame_size"] == 16
-    # (window, dim, amplitude) keys: 7 frames serve a verify run on the
-    # built-in config, and the two-mode README config keeps 10 live
-    assert caches["fockbox.displace._work_frame"] == 16
+    # (cutoff, amplitude, word) keys: a verify run computes 56 gaps on the
+    # built-in config, 98 on twelve ladders and 151 on the two-mode README
+    # config
+    assert caches["fockbox.displace._frame_gap"] == 160
     # (window, word) keys: at most 31 words per window, 15 keys on the
     # built-in config and 34 on the two-mode README config
     assert caches["fockbox.displace._shift_layers"] == 128
     # the words of a run: 37 on the built-in config, 78 on the two-mode
     # README config
     assert caches["fockbox.fockspace.word_weights"] == fockspace.WORD_WEIGHTS_CACHE == 128
-    # one config per run; an entry holds 42 monomials on the built-in config
-    # and 59 on the two-mode README config
-    assert caches["fockbox.coeffs._shifted_parts"] == coeffs.SHIFTED_PARTS_CACHE == 8
-    # keyed on the config and its layout, sized like the shifted parts
-    assert caches["fockbox.coeffs._realized_parts"] == coeffs.SHIFTED_PARTS_CACHE
+    # keyed on the config and its layout, one of each per run
+    assert caches["fockbox.coeffs._realized_parts"] == coeffs.SHIFTED_PARTS_CACHE == 8
     # one entry per distinct cutoff
     assert caches["fockbox.fockspace.max_admissible_amplitude"] == fockspace.ADMISSIBLE_AMPLITUDE_CACHE == 16
 

@@ -59,8 +59,10 @@ def test_displacement_block_is_orthogonal_and_inverted_by_its_negative(case):
 
 
 @st.composite
-def config_values(draw):
-    """Mostly usable values; about one draw in ten is any float or index."""
+def config_values(draw, cutoffs=(1, 3), max_modes=2):
+    """Mostly usable values; about one draw in ten is any float or index.
+    A usable default cutoff lies in the closed range cutoffs, and each field
+    has at most max_modes modes."""
 
     def pick(usable, anything):
         return draw(anything if draw(st.integers(min_value=0, max_value=9)) == 0 else usable)
@@ -69,8 +71,9 @@ def config_values(draw):
         return pick(st.floats(min_value=lo, max_value=hi), st.floats())
 
     any_index = st.integers(min_value=-3, max_value=3)
-    neutral = pick(st.lists(any_index, min_size=1, max_size=2), st.lists(any_index, max_size=2))
-    charged = pick(st.lists(any_index, min_size=1, max_size=2), st.lists(any_index, max_size=2))
+    modes = st.lists(any_index, min_size=1, max_size=max_modes), st.lists(any_index, max_size=max_modes)
+    neutral = pick(*modes)
+    charged = pick(*modes)
     return {
         "box_length": number(0.5, 20.0),
         "mass_neutral": number(0.0, 5.0),
@@ -81,7 +84,9 @@ def config_values(draw):
         "charged_modes": charged,
         "k_index": pick(st.sampled_from(neutral), any_index) if neutral else draw(any_index),
         "q_index": pick(st.sampled_from(charged), any_index) if charged else draw(any_index),
-        "cutoff_default": pick(st.integers(min_value=1, max_value=3), st.integers(min_value=-1, max_value=3)),
+        "cutoff_default": pick(
+            st.integers(min_value=cutoffs[0], max_value=cutoffs[1]), st.integers(min_value=-1, max_value=cutoffs[1])
+        ),
     }
 
 
@@ -110,16 +115,31 @@ def config_text(values):
 
 @st.composite
 def cli_runs(draw):
-    """A config from config_values and a coeffs or sweep command line; about
-    one amplitude in ten is any float and one state selector in four is
-    unusable."""
+    """A config from config_values and a command line for one of the four
+    subcommands; about one amplitude in ten is any float and one state
+    selector in ten is unusable.
+
+    verify and demo draw usable cutoffs of 15 and 16, where the grid's unit
+    amplitude is admissible, and at most one mode per field, which keeps a
+    run near a tenth of a second; most demo draws put the neutral mode at
+    twice the charged one, as the demo needs.  coeffs and sweep draw
+    cutoffs of 1 to 3."""
 
     def pick(usable, anything):
         return draw(anything if draw(st.integers(min_value=0, max_value=9)) == 0 else usable)
 
+    command = draw(st.sampled_from(["verify", "demo", "coeffs", "sweep"]))
     usable_states = st.sampled_from(["vacuum", "one_a", "one_b", "seeded", "seeded:7", "seeded:123"])
     state = pick(usable_states, st.sampled_from(["seeded:-1", "seeded:x", "two_a", ""]))
-    if draw(st.booleans()):
+    if command == "verify":
+        return draw(config_values(cutoffs=(15, 16), max_modes=1)), ["verify", f"--state={state}"]
+    if command == "demo":
+        values = draw(config_values(cutoffs=(15, 16), max_modes=1))
+        if pick(st.just(True), st.just(False)):
+            q = draw(st.integers(min_value=1, max_value=2))
+            values.update(charged_modes=[q], q_index=q, neutral_modes=[2 * q], k_index=2 * q)
+        return values, ["demo"]
+    if command == "coeffs":
         return draw(config_values()), ["coeffs", f"--state={state}"]
     start = pick(st.floats(min_value=-2.0, max_value=2.0), st.floats())
     step = pick(st.floats(min_value=0.01, max_value=1.0), st.floats())
@@ -135,7 +155,7 @@ def is_finite_field(field):
         return True
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(cli_runs())
 def test_cli_exits_0_1_or_2_with_one_error_line_and_finite_csv_fields(run):
     values, argv = run
