@@ -83,11 +83,17 @@ FAMILIES = ("a", "b", "d")
 # takes 72 MB and the sizing about 8 s and 380 MB on a 2-vCPU x86-64 machine.
 CUTOFF_CAP = 1000
 LEAKAGE_TAIL_BOUND = 1e-12
-# A verify run on the built-in config needs 13 distinct displacement blocks:
-# 6 full ones at cutoff 16 (an undisplaced ladder needs none), 6 work-frame
-# column blocks and the probe that sizes the frames.  The two-mode README
-# config needs 39, and a 32-entry cache still computes each of them once.
+# A verify run on the built-in config computes 7 displacement blocks: the
+# full ones and the work-frame column blocks at the 3 positive grid
+# amplitudes on cutoff 16 (a negative amplitude reads the block of |f|, and
+# an undisplaced ladder needs none) and the probe that sizes the frames.
+# The two-mode README config computes 21, and a 32-entry cache computes
+# each of them once.
 DISPLACEMENT_BLOCK_CACHE = 32
+# (levels, columns) shapes of the blocks: 3 on the built-in config (the
+# ladder, its work frame and the frame-size probe) and 9 on the two-mode
+# README config.
+PHASE_PATTERN_CACHE = 16
 # Sizes a verify run diagonalizes: per cutoff the ladder itself, its work
 # frame and the frame-size probe, so 3 on the built-in config and 9 on the
 # two-mode README config.
@@ -161,10 +167,14 @@ class FockLayout:
         """Size of the joint space, exact: nothing here allocates it."""
         return math.prod(self.dims)
 
+    @cached_property
+    def _positions(self) -> dict[LadderId, int]:
+        return {lad: i for i, lad in enumerate(self.ladders)}
+
     def position(self, ladder: LadderId) -> int:
         try:
-            return self.ladders.index(ladder)
-        except ValueError as exc:
+            return self._positions[ladder]
+        except KeyError as exc:
             raise LayoutError(f"ladder {ladder} not in layout") from exc
 
     def cutoff(self, ladder: LadderId) -> int:
@@ -359,26 +369,50 @@ def displacement_block(cutoff: int, amplitude: float, columns: int | None = None
 
     The basis is diagonalized once per size and shared by every amplitude.
     Blocks are memoized on (cutoff, amplitude, columns): a verification
-    grid asks for the same few blocks at every point.
+    grid asks for the same few blocks at every point.  A negative amplitude
+    reads the block of |f|: C is even in f and S odd, so U(-f) is the
+    parity image U(|f|) (-1)^(r - c).  NumPy's cos is exactly even and its
+    sin exactly odd, so the image equals a direct diagonalization at -f
+    entry for entry, up to the sign of an entry that is exactly zero.
     """
     levels = int(cutoff) + 1
     columns = levels if columns is None else int(columns)
     if not 0 < columns <= levels:
         raise LayoutError(f"a block on {levels} levels has 1..{levels} columns, not {columns}")
-    return _displacement_block(levels, float(amplitude), columns)
+    amplitude = float(amplitude)
+    if amplitude < 0.0:
+        _, _, parity = _phase_pattern(levels, columns)
+        image = _displacement_block(levels, -amplitude, columns) * parity
+        image.setflags(write=False)
+        return image
+    return _displacement_block(levels, amplitude, columns)
 
 
 @lru_cache(maxsize=DISPLACEMENT_BLOCK_CACHE)
 def _displacement_block(levels: int, amplitude: float, columns: int) -> np.ndarray:
+    """The block at either sign of the amplitude, diagonalized directly."""
     mu, v = _x_basis(levels)
     theta = amplitude * mu
     c = (v * np.cos(theta)) @ v[:columns].T
     s = (v * np.sin(theta)) @ v[:columns].T
-    phase = (np.arange(levels)[:, None] - np.arange(columns)) % 4
-    block = np.where(phase % 2 == 0, c, s)
-    block[phase >= 2] *= -1.0
+    even, sign, _ = _phase_pattern(levels, columns)
+    block = np.where(even, c, s)
+    block *= sign
     block.setflags(write=False)
     return block
+
+
+@lru_cache(maxsize=PHASE_PATTERN_CACHE)
+def _phase_pattern(levels: int, columns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(even, sign, parity) on a (levels, columns) block, read-only: where
+    (r - c) mod 4 is even; -1.0 where it is 2 or 3, else 1.0; and
+    (-1)^(r - c)."""
+    phase = (np.arange(levels)[:, None] - np.arange(columns)) % 4
+    even = phase % 2 == 0
+    patterns = even, np.where(phase >= 2, -1.0, 1.0), np.where(even, 1.0, -1.0)
+    for pattern in patterns:
+        pattern.setflags(write=False)
+    return patterns
 
 
 @lru_cache(maxsize=X_BASIS_CACHE)

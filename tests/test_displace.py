@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fockbox.displace as displace
+import fockbox.fockspace as fockspace
 from fockbox.errors import LayoutError, LeakageError
 from fockbox.fockspace import (
     FockLayout,
@@ -38,6 +39,7 @@ from fockbox.model import ShiftProfile, default_config, build_layout, field_alge
 from fockbox.probe import run_verification
 from test_fockspace import chain, dense_state, row_major_occupations
 from test_model import README_TWO_MODE
+from conftest import clear_package_caches
 
 A2 = LadderId("a", 2)
 B1 = LadderId("b", 1)
@@ -414,6 +416,43 @@ def test_unitarity_and_composition(params):
     assert c_check.residual <= 1e-12
 
 
+def _old_factor_defects(config, params, layout):
+    """unitarity and composition summed per ladder over the displacement's
+    factors, each composed with a directly diagonalized block at -f."""
+    unitarity = composition = 0.0
+    forward = displacement(config, params, layout)
+    for lad, u in forward.factors.items():
+        f = displaced_amplitudes(config, params)[lad]
+        v = fockspace._displacement_block.__wrapped__(u.shape[0], -f, u.shape[0])
+        eye = np.eye(u.shape[0])
+        unitarity += float(np.max(np.abs(u.conj().T @ u - eye)))
+        composition += float(np.max(np.abs(u @ v - eye)))
+    return unitarity, composition
+
+
+def test_unitarity_and_composition_are_bitwise_the_per_ladder_products():
+    cases = [(16, params) for params in GRID_POINTS]
+    limit = max_admissible_amplitude(64)
+    cases += [(64, DisplacementParams(s1 * limit, s2 * limit)) for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
+    rng = np.random.default_rng(23)
+    cases += [(64, DisplacementParams(*map(float, rng.uniform(-limit, limit, 2)))) for _ in range(20)]
+    for cutoff, params in cases:
+        config = default_config().with_cutoff(cutoff)
+        layout = build_layout(config)
+        residuals = check_unitarity(config, params, layout).residual, check_composition(config, params, layout).residual
+        assert residuals == _old_factor_defects(config, params, layout), (cutoff, params)
+
+
+def test_composition_fails_a_provider_without_the_parity_image(monkeypatch, fresh_frames):
+    # U(|f|) U(|f|) = U(2 |f|) is not the identity
+    monkeypatch.setattr(
+        displace, "displacement_block", lambda cutoff, f, columns=None: displacement_block(cutoff, abs(f), columns)
+    )
+    params = DisplacementParams(0.5, -0.25)
+    assert check_unitarity(default_config(), params).passed
+    assert not check_composition(default_config(), params).passed
+
+
 def _frame_block(cutoff, amplitude, symbols, conjugated):
     """Windowed ordered product of one ladder's symbols on its work frame;
     a ladder without symbols carries the identity, conjugated or not.  The
@@ -553,12 +592,12 @@ def test_interchange_fails_a_wrong_binomial_weight(monkeypatch):
 
 @pytest.fixture
 def fresh_frames():
-    """Shift gaps are memoized across calls: a test that patches the block
-    provider sees its patch only in gaps computed after it, and must leave
-    none of those behind."""
-    displace._frame_gap.cache_clear()
+    """Shift gaps and factor defects are memoized across calls: a test that
+    patches the block provider sees its patch only in what is computed after
+    it, and must leave none of that behind."""
+    clear_package_caches()
     yield
-    displace._frame_gap.cache_clear()
+    clear_package_caches()
 
 
 def test_interchange_fails_a_conjugation_at_a_wrong_amplitude(monkeypatch, fresh_frames):

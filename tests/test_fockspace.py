@@ -1,11 +1,9 @@
 import ast
 import functools
-import importlib
 import itertools
 import json
 import math
 import os
-import pkgutil
 import re
 import subprocess
 import sys
@@ -17,7 +15,7 @@ import pytest
 import scipy.linalg
 
 import fockbox
-from fockbox import coeffs, displace, fockspace
+from fockbox import coeffs, fockspace
 from fockbox.errors import LayoutError
 from fockbox.fockspace import (
     CUTOFF_CAP,
@@ -39,6 +37,7 @@ from fockbox.fockspace import (
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, constant, realize
 from fockbox.model import default_config
 from fockbox.probe import run_verification
+from conftest import clear_package_caches, package_caches
 
 A2 = LadderId("a", 2)
 B1 = LadderId("b", 1)
@@ -415,17 +414,7 @@ def test_run_verification_is_identical_on_cold_and_warm_block_cache():
     def summary():
         return [(c.name, c.f1, c.f2, c.residual) for c in run_verification(default_config())]
 
-    for cache in (
-        fockspace._displacement_block,
-        fockspace._x_basis,
-        displace.work_frame_size,
-        displace._frame_gap,
-        displace._shift_layers,
-        fockspace.word_weights,
-        fockspace.max_admissible_amplitude,
-        coeffs._realized_parts,
-    ):
-        cache.cache_clear()
+    clear_package_caches()
     cold = summary()
     assert fockspace._displacement_block.cache_info().hits > 0
     assert summary() == cold
@@ -435,16 +424,12 @@ def test_run_verification_is_identical_on_cold_and_warm_block_cache():
 
 
 def test_every_lru_cache_is_bounded():
-    caches = {}
-    for info in pkgutil.iter_modules(fockbox.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"fockbox.{info.name}")
-        for value in vars(module).values():
-            if hasattr(value, "cache_parameters"):
-                caches[f"{value.__module__}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
+    caches = {name: cache.cache_parameters()["maxsize"] for name, cache in package_caches().items()}
     assert {
         "fockbox.fockspace._displacement_block",
+        "fockbox.fockspace._phase_pattern",
+        "fockbox.displace._factor_defects",
+        "fockbox.displace._field_terms",
         "fockbox.fockspace.word_weights",
         "fockbox.model.field_algebra",
         "fockbox.fockspace._x_basis",
@@ -457,6 +442,16 @@ def test_every_lru_cache_is_bounded():
     assert all(size is not None for size in caches.values()), caches
     assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE
     assert caches["fockbox.fockspace._x_basis"] == fockspace.X_BASIS_CACHE
+    # (levels, columns) block shapes: 3 on the built-in config, 9 on the
+    # two-mode README config, 2 in one wide benchmark pass
+    assert caches["fockbox.fockspace._phase_pattern"] == fockspace.PHASE_PATTERN_CACHE == 16
+    # (cutoff, amplitude) factors: a verify run fills 6 on the built-in
+    # config and 18 on the two-mode README config; a wide benchmark pass
+    # misses 58 times, 2 per amplitude pair and fewer at the corners, and
+    # reads each entry only at its own pair
+    assert caches["fockbox.displace._factor_defects"] == 32
+    # one config per run, and one per wide benchmark pass
+    assert caches["fockbox.displace._field_terms"] == 8
     # one size per cutoff, and a layout has a few distinct cutoffs
     assert caches["fockbox.displace.work_frame_size"] == 16
     # (cutoff, amplitude, word) keys: a verify run computes 56 gaps on the

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockbox import coeffs, probe
+from fockbox import coeffs, fockspace, probe
 from fockbox.coeffs import COEFFICIENT_NAMES, coefficients, reference_state, vacuum_closed_forms
 from fockbox.displace import Displacement, DisplacementParams, InterchangeChecker, work_frame_size
 from fockbox.errors import ConfigError
@@ -56,6 +56,10 @@ def test_displacement_block_is_orthogonal_and_inverted_by_its_negative(case):
     eye = np.eye(cutoff + 1)
     np.testing.assert_allclose(u.T @ u, eye, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(u @ displacement_block(cutoff, -amplitude), eye, rtol=0.0, atol=1e-12)
+    # the negative amplitude's parity image is the directly diagonalized block
+    assert np.array_equal(
+        displacement_block(cutoff, -amplitude), fockspace._displacement_block.__wrapped__(cutoff + 1, -amplitude, cutoff + 1)
+    )
 
 
 @st.composite
