@@ -33,10 +33,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import ladderalg
-from .displace import DisplacementParams, ResidualCheck, displacement, require_admissible
+from .displace import DisplacementParams, ResidualCheck, displaced_amplitudes, require_admissible
 from .errors import ConfigError, GeometryError
 from .fockspace import FockLayout, LadderId, OperatorMatrix, StateVector, basis_state, basis_sum, vacuum
-from .fockspace import monomial_values, weighted_sum
+from .fockspace import displaced_values, displacement_block, monomial_values, weighted_sum
 from .ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol
 from .model import (
     ModelConfig,
@@ -239,14 +239,22 @@ def displaced_energies(
     config: ModelConfig, state: StateVector, points: Sequence[tuple[float, float]], layout: FockLayout | None = None
 ) -> list[float]:
     """The direct energy <psi| U+ H U |psi> at each amplitude pair (f1, f2)
-    of points.  The displaced copies share the state's amplitudes, so they
-    are contracted against the memoized H in one batch."""
+    of points, for a basis sum psi such as a reference state.  The displaced
+    copies share the state's amplitudes and occupation index, so they are
+    contracted against the memoized H in one batch; each copy's columns on a
+    displaced ladder are those of the ladder's block at the occupied levels
+    (displaced_values)."""
     if not points:
         return []
     layout = layout or build_layout(config)
     H = _realized_parts(config, layout)[0]
-    displaced = [displacement(config, DisplacementParams(f1, f2), layout).apply(state) for f1, f2 in points]
-    return [weighted_sum(H.terms, values).real for values in monomial_values(H, displaced)]
+    rows = [displaced_amplitudes(config, DisplacementParams(f1, f2)) for f1, f2 in points]
+    positions = {lad: layout.position(lad) for lad in rows[0]}
+    blocks = [
+        {positions[lad]: displacement_block(layout.cutoffs[positions[lad]], f) for lad, f in row.items() if f != 0.0}
+        for row in rows
+    ]
+    return [weighted_sum(H.terms, values).real for values in displaced_values(H, state, blocks)]
 
 
 def energy_polynomial(

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
 
@@ -124,17 +124,24 @@ class Displacement:
     factors: Mapping[LadderId, np.ndarray]
 
     def apply(self, state: StateVector) -> StateVector:
-        """U |psi>: each displaced ladder's factor array times its block."""
+        """U |psi>: each displaced ladder's factor array times its block.  A
+        state's occupation index is kept, with those ladders marked
+        displaced."""
         if state.layout != self.layout:
             raise LayoutError("state lives on a different layout")
         factors = list(state.factors)
+        positions = set()
         for lad, u in self.factors.items():
             position = self.layout.position(lad)
             factors[position] = u @ factors[position]
-        return StateVector(self.layout, state.amplitudes, tuple(factors))
+            positions.add(position)
+        index = state.index and replace(state.index, displaced=state.index.displaced | positions)
+        return StateVector(self.layout, state.amplitudes, tuple(factors), index)
 
 
 def displacement(config: ModelConfig, params: DisplacementParams, layout: FockLayout | None = None) -> Displacement:
+    """U(f1, f2) on the layout: the blocks of its nonzero amplitudes.  The
+    direct energies read the same blocks without it (displaced_values)."""
     layout = layout or build_layout(config)
     factors: dict[LadderId, np.ndarray] = {}
     for lad, f in displaced_amplitudes(config, params).items():

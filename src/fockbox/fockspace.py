@@ -6,10 +6,20 @@ tensor product of the single-ladder bases: a state is a short sum of product
 terms, its amplitudes c and one factor array per ladder whose column t is
 term t's vector on that ladder, and an operator is a sum of monomials, each
 a coefficient times one word of raising and lowering symbols per ladder.  An
-expectation contracts one Gram matrix per distinct (ladder, word) over the
-terms, so its cost grows with the number of ladders and terms, not with the
-joint dimension.  States that share their amplitudes, such as displaced
-copies of one state, are contracted as one batch.
+expectation contracts, per monomial, the elementwise product over the ladders
+of the T x T Grams of the monomial's words on the terms, so its cost grows
+with the number of ladders and terms, not with the joint dimension.
+
+Every state the checks build is a basis sum or a displaced copy of one, and
+a basis sum records its occupation index: each term's level on every ladder.
+On a ladder no displacement has touched, a word's Gram entry is its weight
+where one term's level is the other's shifted by the word, and zero
+elsewhere, so all of a ladder's words are formed at once by comparing
+levels.  On a displaced ladder the terms at one level share one column, so
+every word's Gram is formed on the few distinct columns, at most three for
+the reference states, and gathered onto the terms.  A state without an index
+takes one column per term through the same contraction.  Displaced copies of
+one state share its amplitudes and are contracted as one batch.
 
 Ladder operators use a hard cutoff: the raising operator annihilates the top
 level.  Consequently ``[a, a+] = 1`` holds exactly only on the subspace that
@@ -25,13 +35,12 @@ Importing the module sets every OpenBLAS mapped into the process to one
 thread: each dense product here has at most a few hundred rows, so a second
 thread only adds its wake-up to every GEMM.
 """
-
 from __future__ import annotations
 
 import ctypes
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
@@ -106,11 +115,14 @@ WORD_WEIGHTS_CACHE = 128
 # benchmark ask for a few more.
 ADMISSIBLE_AMPLITUDE_CACHE = 16
 # Bytes of the Gram stacks of one chunk of states and of the Gram products
-# of one block of monomials (monomial_values).  At T = 91 terms a block holds
+# of one block of monomials (_contract).  At T = 91 terms a block holds
 # 3 monomials: products that stay in cache run the twelve-ladder central
 # identity about 1.3 times as fast as 8 MiB blocks, and peak 16 MB lower.
 # At T = 10 a block holds 327.
 CONTRACTION_BLOCK_BYTES = 1 << 19
+# Supports of basis sums, keyed on the layout and the occupations: the
+# reference states of a layout use four, every seeded state the same one.
+BASIS_SUPPORT_CACHE = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -205,20 +217,55 @@ class OperatorMatrix:
         """(monomials, ladders) array of each term's word indices."""
         return np.array([index for _, index in self.terms], dtype=int).reshape(len(self.terms), len(self.words))
 
+    @cached_property
+    def word_stacks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per ladder, its words stacked: the (words,) shifts, the
+        (words, dim) weights and the (words, dim) rows n + shift each level n
+        goes to, dim where it leaves the ladder."""
+        stacks = []
+        for words, dim in zip(self.words, self.layout.dims):
+            shifts = np.array([shift for shift, _ in words])
+            rows = np.arange(dim) + shifts[:, None]
+            rows[(rows < 0) | (rows >= dim)] = dim
+            stacks.append((shifts, np.stack([weights for _, weights in words]), rows))
+        return tuple(stacks)
+
+
+@dataclass(frozen=True, eq=False)
+class OccupationIndex:
+    """Where the terms of a basis sum sit, ladder by ladder.
+
+    occupations[t, l] is term t's level on ladder l.  levels[l] lists
+    ladder l's distinct levels in ascending order, term t sits at
+    levels[l][columns[l][t]] and first[l][k] is the first term at
+    levels[l][k].  displaced holds the positions of the ladders a
+    displacement has acted on since: there the terms at one level still
+    share one factor column, but no longer a unit column."""
+
+    occupations: np.ndarray
+    levels: tuple[np.ndarray, ...]
+    columns: tuple[np.ndarray, ...]
+    first: tuple[np.ndarray, ...]
+    displaced: frozenset[int] = frozenset()
+
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """sum_t amplitudes[t] (x)_l factors[l][:, t]: a short sum of product
-    terms, one (dim_l, T) factor array per ladder."""
+    terms, one (dim_l, T) factor array per ladder, and the occupation index
+    of a basis sum (basis_sum) or of a displaced copy of one."""
 
     layout: FockLayout
     amplitudes: np.ndarray
     factors: tuple[np.ndarray, ...]
+    index: OccupationIndex | None = None
 
     def __post_init__(self):
         shapes = tuple((dim,) + self.amplitudes.shape for dim in self.layout.dims)
         if self.amplitudes.ndim != 1 or tuple(v.shape for v in self.factors) != shapes:
             raise LayoutError("state factors do not match the layout and the amplitudes")
+        if self.index is not None and self.index.occupations.shape != (len(self.amplitudes), len(self.factors)):
+            raise LayoutError("occupation index does not match the state's terms")
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +311,38 @@ def word_gram(v: np.ndarray, word: tuple[int, np.ndarray]) -> np.ndarray:
 
 
 def basis_sum(layout: FockLayout, occupations: Sequence[Sequence[int]], amplitudes: Sequence[complex]) -> StateVector:
-    """sum_t amplitudes[t] |occupations[t]>, one product term per basis state."""
-    occs = np.array(occupations, dtype=int).reshape(len(amplitudes), len(layout.dims))
+    """sum_t amplitudes[t] |occupations[t]>, one product term per basis
+    state, with its occupation index.  The factors and the index depend only
+    on the support and are shared, read-only, by every state on it."""
+    factors, index = _basis_support(layout, tuple(map(tuple, occupations)))
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    if len(amplitudes) != len(index.occupations):
+        raise LayoutError("one amplitude per basis state required")
+    return StateVector(layout, amplitudes, factors, index)
+
+
+@lru_cache(maxsize=BASIS_SUPPORT_CACHE)
+def _basis_support(
+    layout: FockLayout, occupations: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[np.ndarray, ...], OccupationIndex]:
+    """The real unit-column factors and the occupation index of a support;
+    memoized on the layout and the occupations."""
+    occs = np.array(occupations, dtype=int).reshape(len(occupations), len(layout.dims))
     if np.any((occs < 0) | (occs > np.array(layout.cutoffs))):
         raise LayoutError(f"occupations outside 0..cutoff: {occupations}")
-    factors = []
+    factors, levels, columns, first = [], [], [], []
     for column, dim in zip(occs.T, layout.dims):
-        v = np.zeros((dim, len(column)), dtype=np.complex128)
+        v = np.zeros((dim, len(column)))
         v[column, np.arange(len(column))] = 1.0
+        distinct, head, inverse = np.unique(column, return_index=True, return_inverse=True)
+        for array in (v, distinct, inverse, head):
+            array.setflags(write=False)
         factors.append(v)
-    return StateVector(layout, np.asarray(amplitudes, dtype=np.complex128), tuple(factors))
+        levels.append(distinct)
+        columns.append(inverse)
+        first.append(head)
+    occs.setflags(write=False)
+    return tuple(factors), OccupationIndex(occs, tuple(levels), tuple(columns), tuple(first))
 
 
 def basis_state(layout: FockLayout, occupations: Mapping[LadderId, int] | Sequence[int]) -> StateVector:
@@ -303,37 +372,120 @@ def monomial_values(op: OperatorMatrix, states: Sequence[StateVector]) -> np.nda
     """(states, monomials) array of c+ (G_m,1 * G_m,2 * ...) c, with *
     elementwise, for one or more states that share their amplitudes c, such
     as displaced copies of one state.  G_m,l is the T x T Gram v_l+ W v_l
-    (word_gram) of monomial m's word W on ladder l, formed once per
-    distinct (ladder, word) for a chunk of states.  Chunks of states and
-    blocks of monomials are sized to CONTRACTION_BLOCK_BYTES where one
-    state's Grams and one monomial's products fit in it, and a value does
-    not depend on them."""
+    of monomial m's word W on ladder l.  Where the states share one
+    occupation index, a ladder none of them displaced takes its Grams from
+    its levels and any other ladder from the columns at its distinct
+    levels; without a shared index every term is a column of its own."""
     c = states[0].amplitudes
     if any(s.layout != op.layout for s in states):
         raise LayoutError("operator and state live on different layouts")
     if any(not np.array_equal(s.amplitudes, c) for s in states):
         raise LayoutError("states contracted as one batch must share their amplitudes")
+    index = states[0].index
+    if not all(s.index is not None and np.array_equal(s.index.occupations, index.occupations) for s in states):
+        index = None
+    ladders = []
+    for position in range(len(op.words)):
+        if index is None:
+            ladders.append((np.arange(len(c)), np.stack([s.factors[position] for s in states])))
+        elif any(position in s.index.displaced for s in states):
+            first = index.first[position]
+            ladders.append((index.columns[position], np.stack([s.factors[position][:, first] for s in states])))
+        else:
+            ladders.append((index.columns[position], index.levels[position]))
+    return _contract(op, c, ladders, len(states))
+
+
+def displaced_values(op: OperatorMatrix, state: StateVector, blocks: Sequence[Mapping[int, np.ndarray]]) -> np.ndarray:
+    """monomial_values of copies of a basis sum, without a state per copy:
+    in copy b the ladder at each position p of blocks[b] carries the
+    single-ladder block blocks[b][p], as Displacement.apply would put it
+    there.  A block's columns at the ladder's levels are its product with
+    the unit columns there, so each copy's values are those of the state
+    apply gives, bit for bit."""
+    index = state.index
+    if index is None or index.displaced:
+        raise LayoutError("displaced copies are taken of an undisplaced basis sum")
+    if state.layout != op.layout:
+        raise LayoutError("operator and state live on different layouts")
+    moved = set().union(*blocks)
+    ladders = []
+    for position, (v, levels, first) in enumerate(zip(state.factors, index.levels, index.first)):
+        if position in moved:
+            source = np.stack([b[position][:, levels] if position in b else v[:, first] for b in blocks])
+        else:
+            source = levels
+        ladders.append((index.columns[position], source))
+    return _contract(op, state.amplitudes, ladders, len(blocks))
+
+
+def _level_grams(stack: tuple[np.ndarray, np.ndarray, np.ndarray], levels: np.ndarray) -> np.ndarray:
+    """(words, K, K) Grams of every word of one ladder on the unit columns
+    at its K distinct levels: weights[levels[j]] where levels[i] is
+    levels[j] + shift, else 0.  Each entry is the one nonzero product of
+    word_gram on those columns, so the two agree bit for bit."""
+    shifts, weights, _ = stack
+    match = levels[:, None] == levels + shifts[:, None, None]
+    return np.where(match, weights[:, levels][:, None, :], 0.0)
+
+
+def _column_grams(stack: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """(copies, words, K, K) Grams x+ W x of every word W of one ladder on a
+    (copies, dim, K) stack of columns x, in one gathered product: rows
+    n + shift of x, a zero row where n + shift leaves the ladder, against
+    weights[n] x[n].  The product is one 3-D matmul over (copy, word)
+    pairs of C-contiguous operands: numpy then picks each pair's kernel
+    from the shapes alone, so a copy's Grams do not depend on the others."""
+    _, weights, rows = stack
+    copies, dim, k = x.shape
+    padded = np.concatenate([x.conj(), np.zeros((copies, 1, k), dtype=x.dtype)], axis=1)
+    left = np.ascontiguousarray(padded[:, rows].swapaxes(-1, -2)).reshape(-1, k, dim)
+    right = (weights[:, :, None] * x[:, None]).reshape(-1, dim, k)
+    return (left @ right).reshape(copies, len(weights), k, k)
+
+
+def _on_terms(grams: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(..., words, T, T) Grams of the terms from (..., words, K, K) Grams of
+    the distinct columns, term t taking column columns[t]."""
+    k = grams.shape[-1]
+    pairs = columns[:, None] * k + columns
+    return np.take(grams.reshape(grams.shape[:-2] + (k * k,)), pairs, axis=-1)
+
+
+def _contract(
+    op: OperatorMatrix, c: np.ndarray, ladders: Sequence[tuple[np.ndarray, np.ndarray]], copies: int
+) -> np.ndarray:
+    """(copies, monomials) values c+ (G_m,1 * G_m,2 * ...) c.  ladders[l]
+    pairs each term's column on ladder l with either the ladder's (K,)
+    distinct levels, whose Grams every copy shares (_level_grams), or a
+    (copies, dim, K) stack of its distinct columns (_column_grams).  The
+    K x K Grams are gathered onto the terms once per chunk of copies.
+    Chunks of copies and blocks of monomials are sized to
+    CONTRACTION_BLOCK_BYTES where one copy's T x T Grams of every word and
+    one monomial's products fit in it, and a value does not depend on
+    them."""
     gram_bytes = 16 * max(len(c), 1) ** 2
-    chunk = min(len(states), max(1, CONTRACTION_BLOCK_BYTES // (gram_bytes * sum(map(len, op.words)))))
+    chunk = min(copies, max(1, CONTRACTION_BLOCK_BYTES // (gram_bytes * sum(map(len, op.words)))))
     block = max(1, CONTRACTION_BLOCK_BYTES // (gram_bytes * chunk))
-    return np.concatenate([_chunk_values(op, states[first : first + chunk], block) for first in range(0, len(states), chunk)])
-
-
-def _chunk_values(op: OperatorMatrix, batch: Sequence[StateVector], block: int) -> np.ndarray:
-    """monomial_values of one chunk of states, block monomials at a time."""
-    c = batch[0].amplitudes
-    grams = [
-        np.stack([word_gram(v, word) for word in words], axis=1)
-        for v, words in zip(map(np.stack, zip(*(s.factors for s in batch))), op.words)
+    shared = [
+        _on_terms(_level_grams(stack, source), columns) if source.ndim == 1 else None
+        for (columns, source), stack in zip(ladders, op.word_stacks)
     ]
-    values = np.empty((len(batch), len(op.terms)), dtype=np.complex128)
-    for start in range(0, len(op.terms), block):
-        indices = op.word_indices[start : start + block]
-        product = np.ones((len(batch), len(indices), len(c), len(c)), dtype=np.complex128)
-        for column, g in zip(indices.T, grams):
-            product *= g[:, column]
-        w = (product @ c).reshape(len(batch) * len(indices), len(c))
-        values[:, start : start + block] = _row_dots(w, c.conj()).reshape(len(batch), -1)
+    values = np.empty((copies, len(op.terms)), dtype=np.complex128)
+    for first in range(0, copies, chunk):
+        count = min(chunk, copies - first)
+        grams = [
+            g if g is not None else _on_terms(_column_grams(stack, source[first : first + count]), columns)
+            for g, (columns, source), stack in zip(shared, ladders, op.word_stacks)
+        ]
+        dtype = np.result_type(*grams)
+        for start in range(0, len(op.terms), block):
+            indices = op.word_indices[start : start + block]
+            product = np.ones((count, len(indices), len(c), len(c)), dtype=dtype)
+            for g, words in zip(grams, indices.T):
+                product *= np.take(g, words, axis=-3)
+            w = (product @ c).reshape(count * len(indices), len(c))
+            values[first : first + count, start : start + block] = _row_dots(w, c.conj()).reshape(count, -1)
     return values
 
 

@@ -34,6 +34,7 @@ from fockbox.fockspace import (
     word_gram,
     word_weights,
 )
+from fockbox.displace import Displacement
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, constant, realize
 from fockbox.model import default_config
 from fockbox.probe import run_verification
@@ -327,6 +328,31 @@ def test_a_batch_shares_its_amplitudes_and_an_empty_state_has_zero_expectation()
         fockspace.monomial_values(op, [pair[0], vacuum(small_layout(4))])
 
 
+def test_displaced_copies_are_taken_of_an_undisplaced_basis_sum():
+    layout = small_layout()
+    op = realize(constant(1.0), layout)
+    state = basis_sum(layout, [(0, 1, 0), (0, 2, 0), (1, 1, 0)], [0.6, 0.0, 0.8])
+    u = displacement_block(3, 0.4)
+    # the occupation index: distinct levels, each term's level, first terms
+    assert [list(levels) for levels in state.index.levels] == [[0, 1], [1, 2], [0]]
+    assert [list(columns) for columns in state.index.columns] == [[0, 0, 1], [0, 1, 0], [0, 0, 0]]
+    assert [list(first) for first in state.index.first] == [[0, 2], [0, 1], [0]]
+    assert basis_sum(layout, [(0, 1, 0)], [1.0]).index is basis_state(layout, {B1: 1}).index
+    values = fockspace.displaced_values(op, state, [{1: u}, {}])
+    assert values[1] == expectation(op, state)
+    assert values[0] == pytest.approx(expectation(op, state), rel=1e-15)
+    hand_built = StateVector(layout, state.amplitudes, state.factors)
+    displaced = Displacement(layout, {B1: u}).apply(state)
+    assert displaced.index.displaced == {1} and displaced.index.levels is state.index.levels
+    for bad in (hand_built, displaced):
+        with pytest.raises(LayoutError, match="undisplaced basis sum"):
+            fockspace.displaced_values(op, bad, [{1: u}])
+    with pytest.raises(LayoutError, match="one amplitude per basis state"):
+        basis_sum(layout, [(0, 1, 0)], [1.0, 0.0])
+    with pytest.raises(LayoutError, match="occupation index"):
+        StateVector(layout, state.amplitudes[:2], tuple(v[:, :2] for v in state.factors), state.index)
+
+
 def test_state_vector_basics():
     layout = small_layout()
     factors = tuple(np.zeros((4, 2), dtype=complex) for _ in range(3))
@@ -438,6 +464,7 @@ def test_every_lru_cache_is_bounded():
         "fockbox.displace._shift_layers",
         "fockbox.fockspace.max_admissible_amplitude",
         "fockbox.coeffs._realized_parts",
+        "fockbox.fockspace._basis_support",
     } == set(caches)
     assert all(size is not None for size in caches.values()), caches
     assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE
@@ -466,6 +493,9 @@ def test_every_lru_cache_is_bounded():
     assert caches["fockbox.fockspace.word_weights"] == fockspace.WORD_WEIGHTS_CACHE == 128
     # keyed on the config and its layout, one of each per run
     assert caches["fockbox.coeffs._realized_parts"] == coeffs.SHIFTED_PARTS_CACHE == 8
+    # keyed on a layout and a support: the reference states of a layout use
+    # four, and every seeded state shares one
+    assert caches["fockbox.fockspace._basis_support"] == fockspace.BASIS_SUPPORT_CACHE == 16
     # one entry per distinct cutoff
     assert caches["fockbox.fockspace.max_admissible_amplitude"] == fockspace.ADMISSIBLE_AMPLITUDE_CACHE == 16
 

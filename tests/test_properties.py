@@ -30,11 +30,12 @@ from fockbox.fockspace import (
     expectation,
     leakage_admissible,
     max_admissible_amplitude,
+    word_gram,
 )
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, realize, shift
 from fockbox.model import ModelConfig, build_layout, default_config
 from test_displace import dense_interchange_residuals, kron_factors
-from test_fockspace import dense, dense_state, kron_oracle, row_major_occupations
+from test_fockspace import dense, dense_state, kron_oracle, row_major_occupations, word_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -263,6 +264,86 @@ def test_realized_operators_match_the_dense_kron_oracle(case):
         psi = dense_state(state)
         close(expectation(op, state), np.vdot(psi, dense_p @ psi), magnitude(state) @ size @ magnitude(state))
     close(dense_state(disp.apply(plain)), u @ dense_state(plain), np.abs(u) @ magnitude(plain))
+
+
+@st.composite
+def basis_sums_and_copies(draw):
+    """A layout of two or three ladders with cutoffs 3-6, a polynomial of up
+    to four monomials with words of up to four symbols, a basis sum of up
+    to eight terms drawn from at most four supports (so terms and levels
+    repeat), 25 copies displaced on one random subset of the ladders, an
+    amplitude per copy and ladder with zeros among them, and a seed."""
+    ladders = ORACLE_LADDERS[: draw(st.integers(min_value=2, max_value=3))]
+    cutoffs = tuple(draw(st.integers(min_value=3, max_value=6)) for _ in ladders)
+    part = st.floats(min_value=-2.0, max_value=2.0)
+    symbol = st.builds(LadderSymbol, st.sampled_from(ladders), st.booleans())
+    monomial = st.builds(
+        LadderMonomial, st.builds(complex, part, part), st.lists(symbol, max_size=4).map(tuple)
+    )
+    polynomial = draw(st.lists(monomial, min_size=1, max_size=4).map(LadderPolynomial.from_terms))
+    support = st.tuples(*(st.integers(min_value=0, max_value=cutoff) for cutoff in cutoffs))
+    pool = draw(st.lists(support, min_size=1, max_size=4))
+    occupations = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    moved = draw(st.lists(st.integers(min_value=0, max_value=len(ladders) - 1), min_size=1, unique=True))
+    amplitude = st.one_of(st.just(0.0), st.floats(min_value=-1.5, max_value=1.5))
+    copies = [{p: draw(amplitude) for p in moved} for _ in range(25)]
+    layout = FockLayout(ladders, cutoffs)
+    return layout, polynomial, occupations, copies, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(basis_sums_and_copies())
+def test_occupation_contraction_matches_the_oracle_and_its_batches(case):
+    layout, poly, occupations, copies, seed = case
+    op = realize(poly, layout)
+    rng = np.random.default_rng(seed)
+    terms = len(occupations)
+    amplitudes = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    state = fockspace.basis_sum(layout, occupations, amplitudes)
+    # each copy's blocks, keyed on position as displaced_values takes them;
+    # a zero amplitude leaves its ladder out, as displaced_energies does
+    blocks = [{p: displacement_block(layout.cutoffs[p], f) for p, f in copy.items() if f != 0.0} for copy in copies]
+    displaced = [Displacement(layout, {layout.ladders[p]: u for p, u in b.items()}).apply(state) for b in blocks]
+    hand_built = StateVector(
+        layout,
+        amplitudes,
+        tuple(rng.normal(size=(dim, terms)) + 1j * rng.normal(size=(dim, terms)) for dim in layout.dims),
+    )
+    hand_displaced = Displacement(layout, {layout.ladders[0]: displacement_block(layout.cutoffs[0], 0.7)}).apply(hand_built)
+
+    # undisplaced Grams: the words on the unit columns of the terms' levels
+    unit = np.eye(max(layout.dims))
+    for words, stack, dim, levels, columns, occ in zip(
+        op.words, op.word_stacks, layout.dims, state.index.levels, state.index.columns, state.index.occupations.T
+    ):
+        grams = fockspace._on_terms(fockspace._level_grams(stack, levels), columns)
+        for gram, word in zip(grams, words):
+            assert gram.tobytes() == word_gram(unit[:dim, occ], word).tobytes()
+
+    # every monomial against the dense Kronecker product of its words
+    matrices = [
+        functools.reduce(np.kron, [word_matrix(*words[k]) for words, k in zip(op.words, index)]) for _, index in op.terms
+    ]
+
+    def magnitude(s):
+        return dense_state(StateVector(layout, np.abs(s.amplitudes), tuple(np.abs(v) for v in s.factors)))
+
+    # 4 eps of the sum of the magnitudes of its terms; at subnormal
+    # amplitudes the rounding is absolute, so the bound has that floor
+    eps, floor = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_normal
+    for s in (state, *displaced, hand_built, hand_displaced):
+        values = fockspace.monomial_values(op, [s])[0]
+        psi, size = dense_state(s), magnitude(s)
+        for value, matrix in zip(values, matrices):
+            assert abs(value - np.vdot(psi, matrix @ psi)) <= 4 * eps * (size @ np.abs(matrix) @ size) + floor, value
+
+    # a batch of one equals its row of the batch of 25, however the batch is
+    # built, and the copy that apply gives
+    batch = fockspace.displaced_values(op, state, blocks)
+    assert batch.tobytes() == fockspace.monomial_values(op, displaced).tobytes()
+    for row, b, s in zip(batch, blocks, displaced):
+        assert row.tobytes() == fockspace.displaced_values(op, state, [b])[0].tobytes()
+        assert row.tobytes() == fockspace.monomial_values(op, [s])[0].tobytes()
 
 
 # b1 moves with f1 and a2 with f2, as b_q and a_k do in the model
