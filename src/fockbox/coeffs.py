@@ -36,7 +36,7 @@ from . import ladderalg
 from .displace import DisplacementParams, ResidualCheck, displaced_amplitudes, require_admissible
 from .errors import ConfigError, GeometryError
 from .fockspace import FockLayout, LadderId, OperatorMatrix, StateVector, basis_state, basis_sum, vacuum
-from .fockspace import displaced_values, displacement_block, monomial_values, weighted_sum
+from .fockspace import displacement_block, monomial_values, weighted_sum
 from .ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol
 from .model import (
     ModelConfig,
@@ -200,7 +200,7 @@ def coefficients(config: ModelConfig, state: StateVector, layout: FockLayout | N
     layout = layout or build_layout(config)
     H, parts, slices = _realized_parts(config, layout)
     free, cubic, quartic, bare_quartic = slices
-    values = monomial_values(parts, [state])[0]
+    values = monomial_values(parts, state)[0]
     e_ref = weighted_sum(H.terms, values[: len(H.terms)])
     imag = [abs(e_ref.imag)]
 
@@ -239,11 +239,9 @@ def displaced_energies(
     config: ModelConfig, state: StateVector, points: Sequence[tuple[float, float]], layout: FockLayout | None = None
 ) -> list[float]:
     """The direct energy <psi| U+ H U |psi> at each amplitude pair (f1, f2)
-    of points, for a basis sum psi such as a reference state.  The displaced
-    copies share the state's amplitudes and occupation index, so they are
-    contracted against the memoized H in one batch; each copy's columns on a
-    displaced ladder are those of the ladder's block at the occupied levels
-    (displaced_values)."""
+    of points.  The displaced copies share the state's amplitudes and
+    column indices, so they are contracted against the memoized H in one
+    batch, each copy carrying its row's blocks (monomial_values)."""
     if not points:
         return []
     layout = layout or build_layout(config)
@@ -254,7 +252,7 @@ def displaced_energies(
         {positions[lad]: displacement_block(layout.cutoffs[positions[lad]], f) for lad, f in row.items() if f != 0.0}
         for row in rows
     ]
-    return [weighted_sum(H.terms, values).real for values in displaced_values(H, state, blocks)]
+    return [weighted_sum(H.terms, values).real for values in monomial_values(H, state, blocks)]
 
 
 def energy_polynomial(

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
@@ -49,6 +49,7 @@ from .fockspace import (
     FockLayout,
     LadderId,
     StateVector,
+    displaced_columns,
     displacement_block,
     leakage_admissible,
     max_admissible_amplitude,
@@ -124,24 +125,22 @@ class Displacement:
     factors: Mapping[LadderId, np.ndarray]
 
     def apply(self, state: StateVector) -> StateVector:
-        """U |psi>: each displaced ladder's factor array times its block.  A
-        state's occupation index is kept, with those ladders marked
-        displaced."""
+        """U |psi>: each displaced ladder's distinct columns times its block,
+        the terms' column indices kept."""
         if state.layout != self.layout:
             raise LayoutError("state lives on a different layout")
-        factors = list(state.factors)
-        positions = set()
+        ladders = list(state.ladders)
         for lad, u in self.factors.items():
             position = self.layout.position(lad)
-            factors[position] = u @ factors[position]
-            positions.add(position)
-        index = state.index and replace(state.index, displaced=state.index.displaced | positions)
-        return StateVector(self.layout, state.amplitudes, tuple(factors), index)
+            columns, source = ladders[position]
+            ladders[position] = columns, displaced_columns(u, source)
+        return StateVector(self.layout, state.amplitudes, tuple(ladders))
 
 
 def displacement(config: ModelConfig, params: DisplacementParams, layout: FockLayout | None = None) -> Displacement:
     """U(f1, f2) on the layout: the blocks of its nonzero amplitudes.  The
-    direct energies read the same blocks without it (displaced_values)."""
+    direct energies hand the same blocks to the contraction without it
+    (coeffs.displaced_energies)."""
     layout = layout or build_layout(config)
     factors: dict[LadderId, np.ndarray] = {}
     for lad, f in displaced_amplitudes(config, params).items():

@@ -3,23 +3,22 @@
 A layout is an ordered list of independent bosonic ladders, each truncated at
 a per-ladder occupation cutoff.  Nothing here builds the joint space, the
 tensor product of the single-ladder bases: a state is a short sum of product
-terms, its amplitudes c and one factor array per ladder whose column t is
-term t's vector on that ladder, and an operator is a sum of monomials, each
-a coefficient times one word of raising and lowering symbols per ladder.  An
+terms, its amplitudes c and, per ladder, each term's index into the ladder's
+few distinct columns, and an operator is a sum of monomials, each a
+coefficient times one word of raising and lowering symbols per ladder.  An
 expectation contracts, per monomial, the elementwise product over the ladders
 of the T x T Grams of the monomial's words on the terms, so its cost grows
 with the number of ladders and terms, not with the joint dimension.
 
-Every state the checks build is a basis sum or a displaced copy of one, and
-a basis sum records its occupation index: each term's level on every ladder.
-On a ladder no displacement has touched, a word's Gram entry is its weight
-where one term's level is the other's shifted by the word, and zero
-elsewhere, so all of a ladder's words are formed at once by comparing
-levels.  On a displaced ladder the terms at one level share one column, so
-every word's Gram is formed on the few distinct columns, at most three for
-the reference states, and gathered onto the terms.  A state without an index
-takes one column per term through the same contraction.  Displaced copies of
-one state share its amplitudes and are contracted as one batch.
+A ladder's distinct columns are either levels, the unit columns of a basis
+sum, or a dense (dim, K) array, such as a displaced copy of those.  On
+levels, a word's Gram entry is its weight where one level is the other's
+shifted by the word and zero elsewhere, so all of a ladder's words are
+formed at once by comparing levels.  On dense columns every word's Gram is
+formed on the K columns, at most three for the reference states, and
+gathered onto the terms.  One contraction, monomial_values, takes a state
+and the single-ladder blocks of each of a batch of copies: the direct
+energies at many amplitudes are one batch, and an expectation a batch of one.
 
 Ladder operators use a hard cutoff: the raising operator annihilates the top
 level.  Consequently ``[a, a+] = 1`` holds exactly only on the subspace that
@@ -40,7 +39,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
@@ -232,40 +231,30 @@ class OperatorMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class OccupationIndex:
-    """Where the terms of a basis sum sit, ladder by ladder.
-
-    occupations[t, l] is term t's level on ladder l.  levels[l] lists
-    ladder l's distinct levels in ascending order, term t sits at
-    levels[l][columns[l][t]] and first[l][k] is the first term at
-    levels[l][k].  displaced holds the positions of the ladders a
-    displacement has acted on since: there the terms at one level still
-    share one factor column, but no longer a unit column."""
-
-    occupations: np.ndarray
-    levels: tuple[np.ndarray, ...]
-    columns: tuple[np.ndarray, ...]
-    first: tuple[np.ndarray, ...]
-    displaced: frozenset[int] = frozenset()
-
-
-@dataclass(frozen=True, eq=False)
 class StateVector:
-    """sum_t amplitudes[t] (x)_l factors[l][:, t]: a short sum of product
-    terms, one (dim_l, T) factor array per ladder, and the occupation index
-    of a basis sum (basis_sum) or of a displaced copy of one."""
+    """sum_t amplitudes[t] (x)_l x_l[:, columns_l[t]]: a short sum of product
+    terms.  ladders[l] pairs each term's column index on ladder l, a (T,)
+    int array, with the ladder's K distinct columns x_l: a (K,) array of
+    levels, whose columns are the unit columns there (basis_sum), or a
+    (dim, K) array."""
 
     layout: FockLayout
     amplitudes: np.ndarray
-    factors: tuple[np.ndarray, ...]
-    index: OccupationIndex | None = None
+    ladders: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
-        shapes = tuple((dim,) + self.amplitudes.shape for dim in self.layout.dims)
-        if self.amplitudes.ndim != 1 or tuple(v.shape for v in self.factors) != shapes:
-            raise LayoutError("state factors do not match the layout and the amplitudes")
-        if self.index is not None and self.index.occupations.shape != (len(self.amplitudes), len(self.factors)):
-            raise LayoutError("occupation index does not match the state's terms")
+        if self.amplitudes.ndim != 1 or len(self.ladders) != len(self.layout.dims):
+            raise LayoutError("a state needs a (T,) amplitude array and one (columns, source) pair per ladder")
+        for (columns, source), dim in zip(self.ladders, self.layout.dims):
+            if columns.shape != self.amplitudes.shape:
+                raise LayoutError("a state needs one column index per term on every ladder")
+            if source.ndim == 1:
+                if source.size and (source.min() < 0 or source.max() >= dim):
+                    raise LayoutError(f"a ladder of {dim} levels has no level {source}")
+            elif source.ndim != 2 or source.shape[0] != dim:
+                raise LayoutError(f"a ladder of {dim} levels takes (K,) levels or (dim, K) columns, not {source.shape}")
+            if columns.size and (columns.min() < 0 or columns.max() >= source.shape[-1]):
+                raise LayoutError(f"a column index is outside the ladder's {source.shape[-1]} distinct columns")
 
 
 # ---------------------------------------------------------------------------
@@ -312,37 +301,34 @@ def word_gram(v: np.ndarray, word: tuple[int, np.ndarray]) -> np.ndarray:
 
 def basis_sum(layout: FockLayout, occupations: Sequence[Sequence[int]], amplitudes: Sequence[complex]) -> StateVector:
     """sum_t amplitudes[t] |occupations[t]>, one product term per basis
-    state, with its occupation index.  The factors and the index depend only
-    on the support and are shared, read-only, by every state on it."""
-    factors, index = _basis_support(layout, tuple(map(tuple, occupations)))
+    state: on every ladder each term's column index into the ladder's
+    distinct levels.  Those depend only on the support and are shared,
+    read-only, by every state on it."""
+    ladders = _basis_support(layout, tuple(map(tuple, occupations)))
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-    if len(amplitudes) != len(index.occupations):
+    if len(amplitudes) != len(occupations):
         raise LayoutError("one amplitude per basis state required")
-    return StateVector(layout, amplitudes, factors, index)
+    return StateVector(layout, amplitudes, ladders)
 
 
 @lru_cache(maxsize=BASIS_SUPPORT_CACHE)
 def _basis_support(
     layout: FockLayout, occupations: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[np.ndarray, ...], OccupationIndex]:
-    """The real unit-column factors and the occupation index of a support;
-    memoized on the layout and the occupations."""
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per ladder, each term's column index and the distinct levels in
+    ascending order; memoized on the layout and the occupations."""
+    if any(len(occ) != len(layout.dims) for occ in occupations):
+        raise LayoutError(f"occupations need one level for each of the {len(layout.dims)} ladders: {occupations}")
     occs = np.array(occupations, dtype=int).reshape(len(occupations), len(layout.dims))
     if np.any((occs < 0) | (occs > np.array(layout.cutoffs))):
         raise LayoutError(f"occupations outside 0..cutoff: {occupations}")
-    factors, levels, columns, first = [], [], [], []
-    for column, dim in zip(occs.T, layout.dims):
-        v = np.zeros((dim, len(column)))
-        v[column, np.arange(len(column))] = 1.0
-        distinct, head, inverse = np.unique(column, return_index=True, return_inverse=True)
-        for array in (v, distinct, inverse, head):
-            array.setflags(write=False)
-        factors.append(v)
-        levels.append(distinct)
-        columns.append(inverse)
-        first.append(head)
-    occs.setflags(write=False)
-    return tuple(factors), OccupationIndex(occs, tuple(levels), tuple(columns), tuple(first))
+    ladders = []
+    for occ in occs.T:
+        levels, columns = np.unique(occ, return_inverse=True)
+        levels.setflags(write=False)
+        columns.setflags(write=False)
+        ladders.append((columns, levels))
+    return tuple(ladders)
 
 
 def basis_state(layout: FockLayout, occupations: Mapping[LadderId, int] | Sequence[int]) -> StateVector:
@@ -368,54 +354,35 @@ def _row_dots(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return w @ x
 
 
-def monomial_values(op: OperatorMatrix, states: Sequence[StateVector]) -> np.ndarray:
-    """(states, monomials) array of c+ (G_m,1 * G_m,2 * ...) c, with *
-    elementwise, for one or more states that share their amplitudes c, such
-    as displaced copies of one state.  G_m,l is the T x T Gram v_l+ W v_l
-    of monomial m's word W on ladder l.  Where the states share one
-    occupation index, a ladder none of them displaced takes its Grams from
-    its levels and any other ladder from the columns at its distinct
-    levels; without a shared index every term is a column of its own."""
-    c = states[0].amplitudes
-    if any(s.layout != op.layout for s in states):
-        raise LayoutError("operator and state live on different layouts")
-    if any(not np.array_equal(s.amplitudes, c) for s in states):
-        raise LayoutError("states contracted as one batch must share their amplitudes")
-    index = states[0].index
-    if not all(s.index is not None and np.array_equal(s.index.occupations, index.occupations) for s in states):
-        index = None
-    ladders = []
-    for position in range(len(op.words)):
-        if index is None:
-            ladders.append((np.arange(len(c)), np.stack([s.factors[position] for s in states])))
-        elif any(position in s.index.displaced for s in states):
-            first = index.first[position]
-            ladders.append((index.columns[position], np.stack([s.factors[position][:, first] for s in states])))
-        else:
-            ladders.append((index.columns[position], index.levels[position]))
-    return _contract(op, c, ladders, len(states))
+def displaced_columns(u: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """A single-ladder block u times a ladder's distinct columns: its columns
+    at (K,) levels, or its product with (dim, K) columns."""
+    return u[:, source] if source.ndim == 1 else u @ source
 
 
-def displaced_values(op: OperatorMatrix, state: StateVector, blocks: Sequence[Mapping[int, np.ndarray]]) -> np.ndarray:
-    """monomial_values of copies of a basis sum, without a state per copy:
-    in copy b the ladder at each position p of blocks[b] carries the
-    single-ladder block blocks[b][p], as Displacement.apply would put it
-    there.  A block's columns at the ladder's levels are its product with
-    the unit columns there, so each copy's values are those of the state
-    apply gives, bit for bit."""
-    index = state.index
-    if index is None or index.displaced:
-        raise LayoutError("displaced copies are taken of an undisplaced basis sum")
+def monomial_values(
+    op: OperatorMatrix, state: StateVector, blocks: Sequence[Mapping[int, np.ndarray]] = ({},)
+) -> np.ndarray:
+    """(copies, monomials) array of c+ (G_m,1 * G_m,2 * ...) c, with *
+    elementwise, for the copies of a state: copy b carries the single-ladder
+    block blocks[b][p] on the ladder at each position p it names, as
+    Displacement.apply would put it there.  G_m,l is the T x T Gram of
+    monomial m's word on ladder l's terms.  A ladder of levels that no block
+    touches takes every copy's Grams from its levels; any other ladder
+    stacks each copy's distinct columns, so that a copy's Grams do not
+    depend on the batch."""
     if state.layout != op.layout:
         raise LayoutError("operator and state live on different layouts")
-    moved = set().union(*blocks)
     ladders = []
-    for position, (v, levels, first) in enumerate(zip(state.factors, index.levels, index.first)):
-        if position in moved:
-            source = np.stack([b[position][:, levels] if position in b else v[:, first] for b in blocks])
-        else:
-            source = levels
-        ladders.append((index.columns[position], source))
+    for position, ((columns, source), dim) in enumerate(zip(state.ladders, op.layout.dims)):
+        touched = sum(position in b for b in blocks)
+        if source.ndim == 1 and not touched:
+            ladders.append((columns, source))
+            continue
+        # an untouched copy's columns: the unit columns at levels, or the state's
+        x = np.equal.outer(np.arange(dim), source).astype(float) if source.ndim == 1 and touched < len(blocks) else source
+        stack = np.stack([displaced_columns(b[position], source) if position in b else x for b in blocks])
+        ladders.append((columns, stack))
     return _contract(op, state.amplitudes, ladders, len(blocks))
 
 
@@ -434,9 +401,11 @@ def _column_grams(stack: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarra
     (copies, dim, K) stack of columns x, in one gathered product: rows
     n + shift of x, a zero row where n + shift leaves the ladder, against
     weights[n] x[n].  The product is one 3-D matmul over (copy, word)
-    pairs of C-contiguous operands: numpy then picks each pair's kernel
+    pairs.  Each copy's columns are first laid out one after another, as a
+    gather from a block gives them: numpy then picks each pair's kernel
     from the shapes alone, so a copy's Grams do not depend on the others."""
     _, weights, rows = stack
+    x = np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
     copies, dim, k = x.shape
     padded = np.concatenate([x.conj(), np.zeros((copies, 1, k), dtype=x.dtype)], axis=1)
     left = np.ascontiguousarray(padded[:, rows].swapaxes(-1, -2)).reshape(-1, k, dim)
@@ -500,7 +469,7 @@ def weighted_sum(terms: Sequence[tuple[complex, tuple[int, ...]]], values: np.nd
 def expectation(op: OperatorMatrix, state: StateVector) -> complex:
     """<psi| O |psi>: the state's monomial_values, a batch of one, summed
     with the coefficients in term order from 0j."""
-    return weighted_sum(op.terms, monomial_values(op, [state])[0])
+    return weighted_sum(op.terms, monomial_values(op, state)[0])
 
 
 # ---------------------------------------------------------------------------

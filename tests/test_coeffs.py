@@ -21,7 +21,7 @@ from fockbox.errors import ConfigError, GeometryError
 from fockbox.fockspace import LadderId, expectation
 from fockbox.ladderalg import LadderPolynomial, constant, realize
 from fockbox.model import ModelConfig, build_H, build_layout, default_config, hamiltonian_polynomial
-from test_fockspace import dense_state, row_major_occupations
+from test_fockspace import dense_state, row_major_occupations, term_factors
 from test_model import README_TWO_MODE
 
 
@@ -71,7 +71,7 @@ def test_seeded_terms_take_the_draws_of_the_full_layout_mask(config):
     state = reference_state(config, "seeded:7", layout)
     assert len(state.amplitudes) == {3: 10, 4: 15}[len(layout.ladders)]
     assert layout.occupations(2) == [tuple(n) for n in occ[mask]]
-    for v, column in zip(state.factors, occ[mask].T):
+    for v, column in zip(term_factors(state), occ[mask].T):
         assert np.array_equal(v, np.eye(len(v))[:, column])
     np.testing.assert_array_equal(state.amplitudes, draws / np.linalg.norm(draws))
 

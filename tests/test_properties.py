@@ -244,7 +244,7 @@ def test_realized_operators_match_the_dense_kron_oracle(case):
     plain = StateVector(
         layout,
         rng.normal(size=terms) + 1j * rng.normal(size=terms),
-        tuple(rng.normal(size=(dim, terms)) + 1j * rng.normal(size=(dim, terms)) for dim in layout.dims),
+        tuple((np.arange(terms), rng.normal(size=(dim, terms)) + 1j * rng.normal(size=(dim, terms))) for dim in layout.dims),
     )
     blocks = {lad: displacement_block(cutoff, f) for lad, cutoff, f in zip(layout.ladders, layout.cutoffs, amplitudes)}
     # one amplitude per ladder, which no DisplacementParams can express
@@ -254,16 +254,11 @@ def test_realized_operators_match_the_dense_kron_oracle(case):
     def close(got, want, size):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=ORACLE_RTOL * max(1.0, np.max(size)))
 
-    def magnitude(state):
-        """The dense vector of the state's terms' magnitudes, which bounds
-        the rounding of any sum over its terms."""
-        return dense_state(StateVector(layout, np.abs(state.amplitudes), tuple(np.abs(v) for v in state.factors)))
-
     close(dense(op), dense_p, size)
     for state in (plain, disp.apply(plain)):
-        psi = dense_state(state)
-        close(expectation(op, state), np.vdot(psi, dense_p @ psi), magnitude(state) @ size @ magnitude(state))
-    close(dense_state(disp.apply(plain)), u @ dense_state(plain), np.abs(u) @ magnitude(plain))
+        psi, magnitude = dense_state(state), dense_state(state, magnitude=True)
+        close(expectation(op, state), np.vdot(psi, dense_p @ psi), magnitude @ size @ magnitude)
+    close(dense_state(disp.apply(plain)), u @ dense_state(plain), np.abs(u) @ dense_state(plain, magnitude=True))
 
 
 @st.composite
@@ -300,21 +295,22 @@ def test_occupation_contraction_matches_the_oracle_and_its_batches(case):
     terms = len(occupations)
     amplitudes = rng.normal(size=terms) + 1j * rng.normal(size=terms)
     state = fockspace.basis_sum(layout, occupations, amplitudes)
-    # each copy's blocks, keyed on position as displaced_values takes them;
+    # each copy's blocks, keyed on position as monomial_values takes them;
     # a zero amplitude leaves its ladder out, as displaced_energies does
     blocks = [{p: displacement_block(layout.cutoffs[p], f) for p, f in copy.items() if f != 0.0} for copy in copies]
-    displaced = [Displacement(layout, {layout.ladders[p]: u for p, u in b.items()}).apply(state) for b in blocks]
+    displacements = [Displacement(layout, {layout.ladders[p]: u for p, u in b.items()}) for b in blocks]
+    displaced = [d.apply(state) for d in displacements]
     hand_built = StateVector(
         layout,
         amplitudes,
-        tuple(rng.normal(size=(dim, terms)) + 1j * rng.normal(size=(dim, terms)) for dim in layout.dims),
+        tuple((np.arange(terms), rng.normal(size=(dim, terms)) + 1j * rng.normal(size=(dim, terms))) for dim in layout.dims),
     )
     hand_displaced = Displacement(layout, {layout.ladders[0]: displacement_block(layout.cutoffs[0], 0.7)}).apply(hand_built)
 
     # undisplaced Grams: the words on the unit columns of the terms' levels
     unit = np.eye(max(layout.dims))
-    for words, stack, dim, levels, columns, occ in zip(
-        op.words, op.word_stacks, layout.dims, state.index.levels, state.index.columns, state.index.occupations.T
+    for words, stack, dim, (columns, levels), occ in zip(
+        op.words, op.word_stacks, layout.dims, state.ladders, np.array(occupations).T
     ):
         grams = fockspace._on_terms(fockspace._level_grams(stack, levels), columns)
         for gram, word in zip(grams, words):
@@ -325,25 +321,22 @@ def test_occupation_contraction_matches_the_oracle_and_its_batches(case):
         functools.reduce(np.kron, [word_matrix(*words[k]) for words, k in zip(op.words, index)]) for _, index in op.terms
     ]
 
-    def magnitude(s):
-        return dense_state(StateVector(layout, np.abs(s.amplitudes), tuple(np.abs(v) for v in s.factors)))
-
     # 4 eps of the sum of the magnitudes of its terms; at subnormal
     # amplitudes the rounding is absolute, so the bound has that floor
     eps, floor = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_normal
     for s in (state, *displaced, hand_built, hand_displaced):
-        values = fockspace.monomial_values(op, [s])[0]
-        psi, size = dense_state(s), magnitude(s)
+        values = fockspace.monomial_values(op, s)[0]
+        psi, size = dense_state(s), dense_state(s, magnitude=True)
         for value, matrix in zip(values, matrices):
             assert abs(value - np.vdot(psi, matrix @ psi)) <= 4 * eps * (size @ np.abs(matrix) @ size) + floor, value
 
-    # a batch of one equals its row of the batch of 25, however the batch is
-    # built, and the copy that apply gives
-    batch = fockspace.displaced_values(op, state, blocks)
-    assert batch.tobytes() == fockspace.monomial_values(op, displaced).tobytes()
-    for row, b, s in zip(batch, blocks, displaced):
-        assert row.tobytes() == fockspace.displaced_values(op, state, [b])[0].tobytes()
-        assert row.tobytes() == fockspace.monomial_values(op, [s])[0].tobytes()
+    # a row of the batch of 25 equals its batch of one and the copy that
+    # apply gives, of a basis sum and of a state of dense columns alike
+    for source in (state, hand_displaced):
+        batch = fockspace.monomial_values(op, source, blocks)
+        for row, b, d in zip(batch, blocks, displacements):
+            assert row.tobytes() == fockspace.monomial_values(op, source, [b])[0].tobytes()
+            assert row.tobytes() == fockspace.monomial_values(op, d.apply(source))[0].tobytes()
 
 
 # b1 moves with f1 and a2 with f2, as b_q and a_k do in the model
