@@ -71,6 +71,7 @@ from .coeffs import (
     coefficients,
     descent_threshold,
     energy_polynomial,
+    reference,
     reference_state,
     vacuum_closed_forms,
 )

@@ -9,7 +9,9 @@ f1 and f2, its parts give the coefficients as state expectations, and
 central_identity_checks compares the polynomial with direct
 conjugated-Hamiltonian expectations.  H and every group are realized once
 per config and layout, so a state is contracted against all of them in one
-pass, and its displaced copies against H in one batch.
+pass, and its displaced copies against H in one batch.  A reference state
+and its coefficients are memoized on the config, layout and selector
+(reference), so a sweep of one state at many f2 contracts it once.
 
 The f2^2, f2, and f2^4 contributions deserve care: conjugating the
 normal-ordered quartic produces *normal-ordered* lower powers, so the
@@ -77,6 +79,27 @@ COEFFICIENT_NAMES = (
 # reference states
 
 
+def _canonical_selector(selector: str) -> str:
+    """The one spelling of a state's selector: vacuum, one_a, one_b or
+    seeded:<seed> with the seed in decimal, so that seeded and seeded:007
+    are both seeded:7.  Any other selector is a ConfigError."""
+    if selector in ("vacuum", "one_a", "one_b"):
+        return selector
+    if selector == "seeded":
+        return f"seeded:{DEFAULT_SEED}"
+    if selector.startswith("seeded:"):
+        try:
+            seed = int(selector.partition(":")[2])
+        except ValueError as exc:
+            raise ConfigError(f"bad seed in state selector {selector!r}") from exc
+        if seed < 0:
+            raise ConfigError(f"negative seed in state selector {selector!r}")
+        return f"seeded:{seed}"
+    raise ConfigError(
+        f"unknown state selector {selector!r}; use vacuum, one_a, one_b or seeded:<int>"
+    )
+
+
 def reference_state(config: ModelConfig, selector: str, layout: FockLayout | None = None) -> StateVector:
     """vacuum | one_a | one_b | seeded[:<int>] -> normalized StateVector.
 
@@ -86,30 +109,18 @@ def reference_state(config: ModelConfig, selector: str, layout: FockLayout | Non
     (default seed 7): one product term per basis state.
     """
     layout = layout or build_layout(config)
+    selector = _canonical_selector(selector)
     if selector == "vacuum":
         return vacuum(layout)
     if selector == "one_a":
         return basis_state(layout, {LadderId("a", config.k_index): 1})
     if selector == "one_b":
         return basis_state(layout, {LadderId("b", config.q_index): 1})
-    if selector == "seeded" or selector.startswith("seeded:"):
-        if selector == "seeded":
-            seed = DEFAULT_SEED
-        else:
-            try:
-                seed = int(selector.partition(":")[2])
-            except ValueError as exc:
-                raise ConfigError(f"bad seed in state selector {selector!r}") from exc
-            if seed < 0:
-                raise ConfigError(f"negative seed in state selector {selector!r}")
-        rng = np.random.default_rng(seed)
-        support = layout.occupations(SEEDED_SUPPORT_LEVEL)
-        amplitudes = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
-        # the terms are orthonormal basis states: the state's norm is its amplitudes'
-        return basis_sum(layout, support, amplitudes / np.linalg.norm(amplitudes))
-    raise ConfigError(
-        f"unknown state selector {selector!r}; use vacuum, one_a, one_b or seeded:<int>"
-    )
+    rng = np.random.default_rng(int(selector.partition(":")[2]))
+    support = layout.occupations(SEEDED_SUPPORT_LEVEL)
+    amplitudes = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    # the terms are orthonormal basis states: the state's norm is its amplitudes'
+    return basis_sum(layout, support, amplitudes / np.linalg.norm(amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +246,33 @@ def coefficients(config: ModelConfig, state: StateVector, layout: FockLayout | N
     return cs
 
 
+# Entries of _reference, keyed on a config, its layout and a canonical
+# selector.  A sweep batch of 6 calls names 5 selectors: vacuum, one_a,
+# one_b and seeded:7 (twice) recur in every batch, and one seeded:<n> is
+# new.  A verify run uses 4 or 5.
+REFERENCE_CACHE = 16
+
+
+def reference(
+    config: ModelConfig, selector: str, layout: FockLayout | None = None
+) -> tuple[StateVector, CoefficientSet]:
+    """The reference state of selector (reference_state) and its
+    coefficients, built and contracted once per config, layout and state:
+    every spelling of a selector reads one entry.  The state's amplitudes
+    are read-only, as its support is."""
+    layout = layout or build_layout(config)
+    return _reference(config, layout, _canonical_selector(selector))
+
+
+@lru_cache(maxsize=REFERENCE_CACHE)
+def _reference(config: ModelConfig, layout: FockLayout, selector: str) -> tuple[StateVector, CoefficientSet]:
+    """reference on a canonical selector; a miss calls this module's
+    reference_state and coefficients."""
+    state = reference_state(config, selector, layout)
+    state.amplitudes.setflags(write=False)
+    return state, coefficients(config, state, layout)
+
+
 def displaced_energies(
     config: ModelConfig, state: StateVector, points: Sequence[tuple[float, float]], layout: FockLayout | None = None
 ) -> list[float]:
@@ -343,8 +381,7 @@ def central_identity_checks(
     max_unit = 0.0
     max_times4 = 0.0
     for selector in state_selectors:
-        state = reference_state(config, selector, layout)
-        cs = coefficients(config, state, layout)
+        state, cs = reference(config, selector, layout)
         for f1, f2 in points:
             require_admissible(config, DisplacementParams(f1, f2), layout)
         for (f1, f2), e_direct in zip(points, displaced_energies(config, state, points, layout)):

@@ -245,6 +245,10 @@ class StateVector:
     def __post_init__(self):
         if self.amplitudes.ndim != 1 or len(self.ladders) != len(self.layout.dims):
             raise LayoutError("a state needs a (T,) amplitude array and one (columns, source) pair per ladder")
+        support = self.ladders
+        if isinstance(support, _Support) and support.layout == self.layout:
+            if support[0][0].shape == self.amplitudes.shape:
+                return  # its ranges were checked once, when _basis_support built it
         for (columns, source), dim in zip(self.ladders, self.layout.dims):
             if columns.shape != self.amplitudes.shape:
                 raise LayoutError("a state needs one column index per term on every ladder")
@@ -311,12 +315,19 @@ def basis_sum(layout: FockLayout, occupations: Sequence[Sequence[int]], amplitud
     return StateVector(layout, amplitudes, ladders)
 
 
+class _Support(tuple):
+    """_basis_support's (columns, levels) pair per ladder, range-checked
+    against `layout` when it was built."""
+
+    layout: FockLayout
+
+
 @lru_cache(maxsize=BASIS_SUPPORT_CACHE)
-def _basis_support(
-    layout: FockLayout, occupations: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _basis_support(layout: FockLayout, occupations: tuple[tuple[int, ...], ...]) -> _Support:
     """Per ladder, each term's column index and the distinct levels in
-    ascending order; memoized on the layout and the occupations."""
+    ascending order; memoized on the layout and the occupations.  The
+    occupations are checked here, once, so StateVector skips the range
+    checks of a support on its own layout."""
     if any(len(occ) != len(layout.dims) for occ in occupations):
         raise LayoutError(f"occupations need one level for each of the {len(layout.dims)} ladders: {occupations}")
     occs = np.array(occupations, dtype=int).reshape(len(occupations), len(layout.dims))
@@ -328,7 +339,9 @@ def _basis_support(
         levels.setflags(write=False)
         columns.setflags(write=False)
         ladders.append((columns, levels))
-    return tuple(ladders)
+    support = _Support(ladders)
+    support.layout = layout
+    return support
 
 
 def basis_state(layout: FockLayout, occupations: Mapping[LadderId, int] | Sequence[int]) -> StateVector:

@@ -23,11 +23,10 @@ from .coeffs import (
     CoefficientSet,
     DEFAULT_SEED,
     central_identity_checks,
-    coefficients,
     descent_threshold,
     displaced_energies,
     energy_polynomial,
-    reference_state,
+    reference,
     vacuum_closed_forms,
     COEFFICIENT_NAMES,
 )
@@ -124,7 +123,7 @@ def run_verification(
     extreme = max(abs(f) for f in VERIFY_GRID)
     require_admissible(config, DisplacementParams(extreme, extreme), layout)
     if extra_state is not None:
-        reference_state(config, extra_state, layout)  # a bad selector fails before the grid
+        reference(config, extra_state, layout)  # a bad selector fails before the grid
 
     checker = InterchangeChecker(config, layout)
     checks: list[ResidualCheck] = []
@@ -211,8 +210,7 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, layout: FockLayout | None = 
     comparison that could be computed agrees with the polynomial.
     """
     layout = layout or build_layout(config)
-    state = reference_state(config, spec.state_selector, layout)
-    cs = coefficients(config, state, layout)
+    state, cs = reference(config, spec.state_selector, layout)
     limit = direct_check_limit(config, layout)
 
     f2 = spec.f2
@@ -309,8 +307,9 @@ def _missing_dirs(path: str) -> list[str]:
 
 
 def _out_dir(args) -> str:
-    """Create the --out directory once the arguments are known to be valid,
-    but before any computation, so an unusable one fails early."""
+    """Create the --out directory once the arguments, the reference state
+    among them, are known to be valid, but before the checks and sweeps
+    run, so an unusable one fails early."""
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -332,7 +331,7 @@ def _print_check_summary(checks: list[ResidualCheck]) -> list[ResidualCheck]:
 def cmd_verify(args) -> int:
     config = _resolve_config(args)
     layout = build_layout(config)
-    reference_state(config, args.state, layout)
+    reference(config, args.state, layout)
     out = _out_dir(args)
     checks = run_verification(config, layout, args.state)
     path = os.path.join(out, "report.csv")
@@ -347,9 +346,8 @@ def cmd_verify(args) -> int:
 def cmd_coeffs(args) -> int:
     config = _resolve_config(args)
     layout = build_layout(config)
-    state = reference_state(config, args.state, layout)
+    _, cs = reference(config, args.state, layout)
     out = _out_dir(args)
-    cs = coefficients(config, state, layout)
     closed = vacuum_closed_forms(config) if args.state == "vacuum" else None
     path = os.path.join(out, "coefficients.csv")
     write_coefficients_csv(path, cs, closed)
@@ -367,7 +365,7 @@ def cmd_sweep(args) -> int:
     config = _resolve_config(args)
     layout = build_layout(config)
     spec = SweepSpec(tuple(parse_f1_range(args.f1)), args.f2, args.state)
-    reference_state(config, args.state, layout)
+    reference(config, args.state, layout)
     out = _out_dir(args)
     result = run_sweep(config, spec, layout)
     path = os.path.join(out, "sweep.csv")
@@ -396,8 +394,7 @@ def cmd_demo(args) -> int:
         )
     layout = build_layout(config)
     out = _out_dir(args)
-    state = reference_state(config, "vacuum", layout)
-    cs = coefficients(config, state, layout)
+    _, cs = reference(config, "vacuum", layout)
     threshold = descent_threshold(cs)
     f2 = -2.0 * threshold
     f1_values = parse_f1_range(f"{DEMO_F1_START}:{DEMO_F1_STOP}:{DEMO_F1_STEP}")

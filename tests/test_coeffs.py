@@ -21,6 +21,7 @@ from fockbox.errors import ConfigError, GeometryError
 from fockbox.fockspace import LadderId, expectation
 from fockbox.ladderalg import LadderPolynomial, constant, realize
 from fockbox.model import ModelConfig, build_H, build_layout, default_config, hamiltonian_polynomial
+from conftest import clear_package_caches
 from test_fockspace import dense_state, row_major_occupations, term_factors
 from test_model import README_TWO_MODE
 
@@ -82,6 +83,35 @@ def test_reference_state_rejects_bad_selectors():
         reference_state(config, "excited")
     with pytest.raises(ConfigError):
         reference_state(config, "seeded:x")
+
+
+def test_every_spelling_of_a_selector_reads_one_memo_entry():
+    config = default_config().with_cutoff(4)
+    layout = build_layout(config)
+    clear_package_caches()
+    try:
+        state, cs = coeffs.reference(config, "seeded:7", layout)
+        for spelling in ("seeded", "seeded:007", "seeded:+7"):
+            assert coeffs.reference(config, spelling, layout) == (state, cs)
+        assert coeffs._reference.cache_info().currsize == 1
+        # a bad selector raises before the lookup, and nothing is cached
+        for bad in ("excited", "seeded:x", "seeded:-1", "Seeded:7"):
+            with pytest.raises(ConfigError, match="state selector"):
+                coeffs.reference(config, bad, layout)
+        assert coeffs._reference.cache_info().currsize == 1
+        assert cs == coefficients(config, reference_state(config, "seeded", layout), layout)
+    finally:
+        clear_package_caches()
+
+
+def test_a_memoized_state_is_read_only():
+    config = default_config().with_cutoff(4)
+    for selector in ("vacuum", "seeded:3"):
+        state, _ = coeffs.reference(config, selector)
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0
+        for columns, levels in state.ladders:
+            assert not columns.flags.writeable and not levels.flags.writeable
 
 
 # The coefficients of the default config in COEFFICIENT_NAMES order, as the

@@ -388,6 +388,19 @@ def test_state_vector_basics():
     assert np.array_equal(dense_state(vacuum(layout)), np.eye(layout.dimension)[0])
 
 
+def test_a_basis_support_is_range_checked_once_for_its_layout():
+    layout = small_layout()
+    state = basis_sum(layout, [(0, 3, 1), (1, 0, 0)], [0.6, 0.8])
+    assert isinstance(state.ladders, fockspace._Support) and state.ladders.layout == layout
+    # on another layout, or with another number of terms, the full checks run
+    with pytest.raises(LayoutError, match="has no level"):
+        StateVector(FockLayout(layout.ladders, (1, 2, 1)), state.amplitudes, state.ladders)
+    with pytest.raises(LayoutError, match="one column index per term"):
+        StateVector(layout, state.amplitudes[:1], state.ladders)
+    with pytest.raises(LayoutError, match="outside 0..cutoff"):
+        basis_sum(layout, [(0, 4, 0)], [1.0])
+
+
 def test_basis_sum_rejects_occupations_of_another_width():
     layout = small_layout()
     for occupations in ([(0, 1)], [(0, 1, 0, 0)], [(0, 1, 0), (0, 1)]):
@@ -512,6 +525,7 @@ def test_every_lru_cache_is_bounded():
         "fockbox.displace._shift_layers",
         "fockbox.fockspace.max_admissible_amplitude",
         "fockbox.coeffs._realized_parts",
+        "fockbox.coeffs._reference",
         "fockbox.fockspace._basis_support",
     } == set(caches)
     assert all(size is not None for size in caches.values()), caches
@@ -541,6 +555,9 @@ def test_every_lru_cache_is_bounded():
     assert caches["fockbox.fockspace.word_weights"] == fockspace.WORD_WEIGHTS_CACHE == 128
     # keyed on the config and its layout, one of each per run
     assert caches["fockbox.coeffs._realized_parts"] == coeffs.SHIFTED_PARTS_CACHE == 8
+    # keyed on a config, its layout and a canonical selector: a sweep batch
+    # names 5 selectors, 4 of them in every batch, and a verify run 4 or 5
+    assert caches["fockbox.coeffs._reference"] == coeffs.REFERENCE_CACHE == 16
     # keyed on a layout and a support: the reference states of a layout use
     # four, and every seeded state shares one
     assert caches["fockbox.fockspace._basis_support"] == fockspace.BASIS_SUPPORT_CACHE == 16

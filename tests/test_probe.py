@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+from conftest import clear_package_caches
+from fockbox import coeffs
 from fockbox.coeffs import coefficients, descent_threshold, reference_state, vacuum_closed_forms
 from fockbox.displace import DisplacementParams, InterchangeChecker, ResidualCheck, require_admissible
 from fockbox.errors import ConfigError
@@ -159,6 +161,54 @@ def test_run_sweep_certifies_descent_past_threshold():
     assert energies[-1] < energies[0]
     # no linear term on the vacuum: strictly decreasing from the vertex at 0
     assert all(b < a for a, b in zip(energies, energies[1:]))
+
+
+def sweep_bytes(result):
+    """Every float of a sweep result, bit for bit."""
+    rows = [[r.f1, r.f2, r.energy_polynomial, r.energy_direct, r.residual] for r in result.rows]
+    rows.append([result.c2, result.expected_c2, result.fit_residual, 0.0, 0.0])
+    return np.array(rows, dtype=float).tobytes()
+
+
+def spy(monkeypatch, name):
+    """Record the arguments of every call of coeffs.<name>: the memo calls
+    reference_state and coefficients through the module."""
+    calls = []
+    original = getattr(coeffs, name)
+    monkeypatch.setattr(coeffs, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_run_sweep_contracts_a_selector_once(monkeypatch):
+    config = default_config()
+    layout = build_layout(config)
+    limit = direct_check_limit(config, layout)
+    specs = [SweepSpec((-limit, -0.3, 0.1, limit), f2, "seeded:11") for f2 in (0.5 * limit, -limit)]
+    cold = []
+    for spec in specs:
+        clear_package_caches()
+        cold.append(sweep_bytes(run_sweep(config, spec, layout)))
+    clear_package_caches()
+    contracted = spy(monkeypatch, "coefficients")
+    try:
+        warm = [sweep_bytes(run_sweep(config, spec, layout)) for spec in specs]
+    finally:
+        clear_package_caches()
+    assert len(contracted) == 1
+    assert warm == cold
+
+
+def test_demo_contracts_the_vacuum_once(tmp_path, monkeypatch):
+    clear_package_caches()
+    built = spy(monkeypatch, "reference_state")
+    contracted = spy(monkeypatch, "coefficients")
+    try:
+        assert main(["demo", "--out", str(tmp_path / "out")]) == 0
+    finally:
+        clear_package_caches()
+    # cmd_demo, run_sweep and the central identity share one vacuum
+    assert sorted(args[1] for args in built) == ["one_a", "one_b", "seeded:7", "vacuum"]
+    assert len(contracted) == 4
 
 
 def test_run_verification_covers_reference_state_set():

@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockbox import coeffs, fockspace, probe
@@ -286,8 +286,32 @@ def basis_sums_and_copies(draw):
     return layout, polynomial, occupations, copies, draw(st.integers(min_value=0, max_value=2**32 - 1))
 
 
+# A ladder of 17 levels, as on the built-in config: there numpy's matmul
+# picks a kernel that depends on the layout of the columns, so a batch row
+# equals its batch of one only if every copy's columns are laid out alike.
+# The drawn ladders, of at most 7 levels, do not show it.
+A2, B1 = ORACLE_LADDERS[:2]
+SEVENTEEN_LEVEL_CASE = (
+    FockLayout((A2, B1), (3, 16)),
+    LadderPolynomial.from_terms(
+        [
+            LadderMonomial(1.0 + 0.5j, (LadderSymbol(B1, True), LadderSymbol(B1, False))),
+            LadderMonomial(
+                -0.7 + 0.2j,
+                (LadderSymbol(A2, True), LadderSymbol(B1, True), LadderSymbol(B1, False), LadderSymbol(A2, False)),
+            ),
+            LadderMonomial(0.3, ()),
+        ]
+    ),
+    [(0, 0), (1, 1), (0, 2), (2, 1), (1, 0)],
+    [{1: f} for f in np.linspace(-1.5, 1.5, 25)],
+    7,
+)
+
+
 @PROPERTY_SETTINGS
 @given(basis_sums_and_copies())
+@example(SEVENTEEN_LEVEL_CASE)
 def test_occupation_contraction_matches_the_oracle_and_its_batches(case):
     layout, poly, occupations, copies, seed = case
     op = realize(poly, layout)
