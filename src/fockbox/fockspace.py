@@ -6,19 +6,19 @@ tensor product of the single-ladder bases: a state is a short sum of product
 terms, its amplitudes c and, per ladder, each term's index into the ladder's
 few distinct columns, and an operator is a sum of monomials, each a
 coefficient times one word of raising and lowering symbols per ladder.  An
-expectation contracts, per monomial, the elementwise product over the ladders
-of the T x T Grams of the monomial's words on the terms, so its cost grows
-with the number of ladders and terms, not with the joint dimension.
+expectation sums, per monomial, conj(c_s) c_t times the product over the
+ladders of the Gram entries of its words over pairs of terms (s, t), so its
+cost grows with the number of ladders and pairs, not the joint dimension.
 
 A ladder's distinct columns are either levels, the unit columns of a basis
 sum, or a dense (dim, K) array, such as a displaced copy of those.  On
-levels, a word's Gram entry is its weight where one level is the other's
-shifted by the word and zero elsewhere, so all of a ladder's words are
-formed at once by comparing levels.  On dense columns every word's Gram is
-formed on the K columns, at most three for the reference states, and
-gathered onto the terms.  One contraction, monomial_values, takes a state
-and the single-ladder blocks of each of a batch of copies: the direct
-energies at many amplitudes are one batch, and an expectation a batch of one.
+levels, a word's Gram entry is its weight at t's level where s's level is
+t's shifted by the word and zero elsewhere, so ladders of levels decide
+which pairs a monomial joins, and no Gram is formed there.  On dense
+columns each word's K x K Gram is formed, K at most three for the reference
+states.  One contraction, monomial_values, takes a state and the
+single-ladder blocks of each of a batch of copies: the direct energies at
+many amplitudes are one batch, and an expectation a batch of one.
 
 Ladder operators use a hard cutoff: the raising operator annihilates the top
 level.  Consequently ``[a, a+] = 1`` holds exactly only on the subspace that
@@ -113,12 +113,6 @@ WORD_WEIGHTS_CACHE = 128
 # Layouts hold a few distinct cutoffs, and the work frames and the wide
 # benchmark ask for a few more.
 ADMISSIBLE_AMPLITUDE_CACHE = 16
-# Bytes of the Gram stacks of one chunk of states and of the Gram products
-# of one block of monomials (_contract).  At T = 91 terms a block holds
-# 3 monomials: products that stay in cache run the twelve-ladder central
-# identity about 1.3 times as fast as 8 MiB blocks, and peak 16 MB lower.
-# At T = 10 a block holds 327.
-CONTRACTION_BLOCK_BYTES = 1 << 19
 # Supports of basis sums, keyed on the layout and the occupations: the
 # reference states of a layout use four, every seeded state the same one.
 BASIS_SUPPORT_CACHE = 16
@@ -245,10 +239,6 @@ class StateVector:
     def __post_init__(self):
         if self.amplitudes.ndim != 1 or len(self.ladders) != len(self.layout.dims):
             raise LayoutError("a state needs a (T,) amplitude array and one (columns, source) pair per ladder")
-        support = self.ladders
-        if isinstance(support, _Support) and support.layout == self.layout:
-            if support[0][0].shape == self.amplitudes.shape:
-                return  # its ranges were checked once, when _basis_support built it
         for (columns, source), dim in zip(self.ladders, self.layout.dims):
             if columns.shape != self.amplitudes.shape:
                 raise LayoutError("a state needs one column index per term on every ladder")
@@ -315,19 +305,10 @@ def basis_sum(layout: FockLayout, occupations: Sequence[Sequence[int]], amplitud
     return StateVector(layout, amplitudes, ladders)
 
 
-class _Support(tuple):
-    """_basis_support's (columns, levels) pair per ladder, range-checked
-    against `layout` when it was built."""
-
-    layout: FockLayout
-
-
 @lru_cache(maxsize=BASIS_SUPPORT_CACHE)
-def _basis_support(layout: FockLayout, occupations: tuple[tuple[int, ...], ...]) -> _Support:
+def _basis_support(layout: FockLayout, occupations: tuple[tuple[int, ...], ...]) -> tuple[tuple[np.ndarray, ...], ...]:
     """Per ladder, each term's column index and the distinct levels in
-    ascending order; memoized on the layout and the occupations.  The
-    occupations are checked here, once, so StateVector skips the range
-    checks of a support on its own layout."""
+    ascending order; memoized on the layout and the occupations."""
     if any(len(occ) != len(layout.dims) for occ in occupations):
         raise LayoutError(f"occupations need one level for each of the {len(layout.dims)} ladders: {occupations}")
     occs = np.array(occupations, dtype=int).reshape(len(occupations), len(layout.dims))
@@ -339,9 +320,7 @@ def _basis_support(layout: FockLayout, occupations: tuple[tuple[int, ...], ...])
         levels.setflags(write=False)
         columns.setflags(write=False)
         ladders.append((columns, levels))
-    support = _Support(ladders)
-    support.layout = layout
-    return support
+    return tuple(ladders)
 
 
 def basis_state(layout: FockLayout, occupations: Mapping[LadderId, int] | Sequence[int]) -> StateVector:
@@ -358,15 +337,6 @@ def vacuum(layout: FockLayout) -> StateVector:
     return basis_state(layout, {})
 
 
-def _row_dots(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w @ x for a (rows, T) array w, through the matrix-vector kernel even
-    for one row: numpy hands a one-row product to a dot kernel that rounds
-    differently, and a monomial's value must not depend on its block."""
-    if len(w) == 1:
-        return (np.concatenate([w, w]) @ x)[:1]
-    return w @ x
-
-
 def displaced_columns(u: np.ndarray, source: np.ndarray) -> np.ndarray:
     """A single-ladder block u times a ladder's distinct columns: its columns
     at (K,) levels, or its product with (dim, K) columns."""
@@ -376,37 +346,81 @@ def displaced_columns(u: np.ndarray, source: np.ndarray) -> np.ndarray:
 def monomial_values(
     op: OperatorMatrix, state: StateVector, blocks: Sequence[Mapping[int, np.ndarray]] = ({},)
 ) -> np.ndarray:
-    """(copies, monomials) array of c+ (G_m,1 * G_m,2 * ...) c, with *
-    elementwise, for the copies of a state: copy b carries the single-ladder
-    block blocks[b][p] on the ladder at each position p it names, as
-    Displacement.apply would put it there.  G_m,l is the T x T Gram of
-    monomial m's word on ladder l's terms.  A ladder of levels that no block
-    touches takes every copy's Grams from its levels; any other ladder
-    stacks each copy's distinct columns, so that a copy's Grams do not
-    depend on the batch."""
+    """(copies, monomials) array of sum_(s,t) conj(c_s) c_t prod_l G_m,l[s, t],
+    G_m,l[s, t] the Gram of monomial m's word on ladder l between terms s
+    and t, for the copies of a state: copy b carries the single-ladder block
+    blocks[b][p] on the ladder at each position p it names, as
+    Displacement.apply would put it there.  A ladder of levels that no block
+    touches decides which pairs a monomial joins (_pairs), and its factor
+    there is the word's weight at t's level; any other ladder reads it from
+    each copy's K x K Gram (_column_grams).  A pair multiplies its factors in
+    ladder order, then c_t, then conj(c_s), and a monomial sums its pairs in
+    order from +0.0: the pairs that another copy's unit columns add are exact
+    zeros, so a copy's values do not depend on the batch."""
     if state.layout != op.layout:
         raise LayoutError("operator and state live on different layouts")
-    ladders = []
+    copies, c = len(blocks), state.amplitudes
+    if not copies:
+        return np.zeros((0, len(op.terms)), dtype=np.complex128)
+    levels, grams = {}, {}
     for position, ((columns, source), dim) in enumerate(zip(state.ladders, op.layout.dims)):
         touched = sum(position in b for b in blocks)
         if source.ndim == 1 and not touched:
-            ladders.append((columns, source))
+            levels[position] = source[columns]
             continue
         # an untouched copy's columns: the unit columns at levels, or the state's
-        x = np.equal.outer(np.arange(dim), source).astype(float) if source.ndim == 1 and touched < len(blocks) else source
+        x = np.equal.outer(np.arange(dim), source).astype(float) if source.ndim == 1 and touched < copies else source
         stack = np.stack([displaced_columns(b[position], source) if position in b else x for b in blocks])
-        ladders.append((columns, stack))
-    return _contract(op, state.amplitudes, ladders, len(blocks))
+        grams[position] = _column_grams(op.word_stacks[position], stack).reshape(copies, -1)
+    m, s, t = _pairs(op, levels, len(c))
+    value = np.ones((copies, len(m)))
+    for position, ((columns, source), (_, weights, _), words) in enumerate(
+        zip(state.ladders, op.word_stacks, op.word_indices.T)
+    ):
+        if position in levels:
+            value = value * np.take(weights, words[m] * weights.shape[1] + levels[position][t])
+        else:
+            k = source.shape[-1]
+            value = value * np.take(grams[position], (words[m] * k + columns[s]) * k + columns[t], axis=1)
+    value = value * c[t] * c.conj()[s]
+    sums = np.zeros(copies * len(op.terms), dtype=np.complex128)
+    np.add.at(sums, (np.arange(copies)[:, None] * len(op.terms) + m).ravel(), value.ravel())
+    return sums.reshape(copies, len(op.terms))
 
 
-def _level_grams(stack: tuple[np.ndarray, np.ndarray, np.ndarray], levels: np.ndarray) -> np.ndarray:
-    """(words, K, K) Grams of every word of one ladder on the unit columns
-    at its K distinct levels: weights[levels[j]] where levels[i] is
-    levels[j] + shift, else 0.  Each entry is the one nonzero product of
-    word_gram on those columns, so the two agree bit for bit."""
-    shifts, weights, _ = stack
-    match = levels[:, None] == levels + shifts[:, None, None]
-    return np.where(match, weights[:, levels][:, None, :], 0.0)
+def _pairs(op: OperatorMatrix, levels: Mapping[int, np.ndarray], terms: int) -> tuple[np.ndarray, ...]:
+    """(monomial, s, t) arrays of the pairs each monomial joins, ordered by
+    monomial, t, then s: on every ladder in levels, which holds each term's
+    level there, s's level is t's shifted by the monomial's word.  A term's
+    levels are the digits of its key, and t's partners have t's key plus the
+    monomial's shifts read alike.  A radix above the levels by the largest
+    shift makes a key spell one set of levels and keeps the key of a level
+    off the ladder negative.  Near int64's range the keys are renumbered,
+    each partners' key kept as its lag behind t's."""
+    monomials = len(op.terms)
+    if not levels:
+        m, t, s = np.indices((monomials, terms, terms)).reshape(3, -1)
+        return m, s, t
+    key, shift, lag, stride, size = np.zeros(terms, dtype=np.int64), np.zeros(monomials, dtype=np.int64), 0, 1, 1
+    for position, level in levels.items():
+        radix = op.layout.dims[position] + max(abs(d) for d, _ in op.words[position])
+        if size * radix >= 2**62:
+            wanted = lag * stride + key + shift[:, None]
+            known = np.unique(key)
+            index = np.searchsorted(known, wanted).clip(max=len(known) - 1)
+            key, shift, stride, size = np.searchsorted(known, key), np.zeros_like(shift), 1, len(known)
+            lag = np.where(known[index] == wanted, index, -1) - key
+        key = key * radix + level
+        shift = shift * radix + op.word_stacks[position][0][op.word_indices[:, position]]
+        stride, size = stride * radix, size * radix
+    wanted = lag * stride + key + shift[:, None]
+    order = np.argsort(key, kind="stable")
+    first = np.searchsorted(key[order], wanted)
+    count = np.searchsorted(key[order], wanted, side="right") - first
+    m, t = np.nonzero(count)
+    n = count[m, t]
+    start = np.repeat(first[m, t] - np.cumsum(n) + n, n)
+    return np.repeat(m, n), order[start + np.arange(len(start))], np.repeat(t, n)
 
 
 def _column_grams(stack: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -421,54 +435,9 @@ def _column_grams(stack: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarra
     x = np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
     copies, dim, k = x.shape
     padded = np.concatenate([x.conj(), np.zeros((copies, 1, k), dtype=x.dtype)], axis=1)
-    left = np.ascontiguousarray(padded[:, rows].swapaxes(-1, -2)).reshape(-1, k, dim)
-    right = (weights[:, :, None] * x[:, None]).reshape(-1, dim, k)
+    left = np.ascontiguousarray(padded[:, rows].swapaxes(-1, -2)).reshape(copies * len(weights), k, dim)
+    right = (weights[:, :, None] * x[:, None]).reshape(copies * len(weights), dim, k)
     return (left @ right).reshape(copies, len(weights), k, k)
-
-
-def _on_terms(grams: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """(..., words, T, T) Grams of the terms from (..., words, K, K) Grams of
-    the distinct columns, term t taking column columns[t]."""
-    k = grams.shape[-1]
-    pairs = columns[:, None] * k + columns
-    return np.take(grams.reshape(grams.shape[:-2] + (k * k,)), pairs, axis=-1)
-
-
-def _contract(
-    op: OperatorMatrix, c: np.ndarray, ladders: Sequence[tuple[np.ndarray, np.ndarray]], copies: int
-) -> np.ndarray:
-    """(copies, monomials) values c+ (G_m,1 * G_m,2 * ...) c.  ladders[l]
-    pairs each term's column on ladder l with either the ladder's (K,)
-    distinct levels, whose Grams every copy shares (_level_grams), or a
-    (copies, dim, K) stack of its distinct columns (_column_grams).  The
-    K x K Grams are gathered onto the terms once per chunk of copies.
-    Chunks of copies and blocks of monomials are sized to
-    CONTRACTION_BLOCK_BYTES where one copy's T x T Grams of every word and
-    one monomial's products fit in it, and a value does not depend on
-    them."""
-    gram_bytes = 16 * max(len(c), 1) ** 2
-    chunk = min(copies, max(1, CONTRACTION_BLOCK_BYTES // (gram_bytes * sum(map(len, op.words)))))
-    block = max(1, CONTRACTION_BLOCK_BYTES // (gram_bytes * chunk))
-    shared = [
-        _on_terms(_level_grams(stack, source), columns) if source.ndim == 1 else None
-        for (columns, source), stack in zip(ladders, op.word_stacks)
-    ]
-    values = np.empty((copies, len(op.terms)), dtype=np.complex128)
-    for first in range(0, copies, chunk):
-        count = min(chunk, copies - first)
-        grams = [
-            g if g is not None else _on_terms(_column_grams(stack, source[first : first + count]), columns)
-            for g, (columns, source), stack in zip(shared, ladders, op.word_stacks)
-        ]
-        dtype = np.result_type(*grams)
-        for start in range(0, len(op.terms), block):
-            indices = op.word_indices[start : start + block]
-            product = np.ones((count, len(indices), len(c), len(c)), dtype=dtype)
-            for g, words in zip(grams, indices.T):
-                product *= np.take(g, words, axis=-3)
-            w = (product @ c).reshape(count * len(indices), len(c))
-            values[first : first + count, start : start + block] = _row_dots(w, c.conj()).reshape(count, -1)
-    return values
 
 
 def weighted_sum(terms: Sequence[tuple[complex, tuple[int, ...]]], values: np.ndarray) -> complex:

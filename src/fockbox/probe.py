@@ -238,11 +238,11 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, layout: FockLayout | None = 
     f1_arr = np.array([r.f1 for r in rows])
     e_arr = np.array([r.energy_polynomial for r in rows])
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             fit = np.polyfit(f1_arr, e_arr, 2)
             fit_residual = float(np.max(np.abs(np.polyval(fit, f1_arr) - e_arr)) / (1.0 + np.max(np.abs(e_arr))))
     except FloatingPointError as exc:
-        raise ConfigError("the quadratic fit of this sweep overflows float64") from exc
+        raise ConfigError("the quadratic fit of this sweep leaves the range of float64") from exc
     c2 = float(fit[0])
     expected_c2 = cs.A4 + spec.f2 * cs.A5
     certified = (

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fockbox import coeffs, fockspace
+from fockbox import coeffs
 from fockbox.coeffs import (
     CENTRAL_F_VALUES,
     CoefficientSet,
@@ -358,19 +358,3 @@ def test_batched_direct_energies_equal_the_per_state_expectations(config, select
     assert displaced_energies(config, state, CENTRAL_POINTS, layout) == per_state_direct_energies(
         config, state, CENTRAL_POINTS, layout
     )
-
-
-@pytest.mark.parametrize("bound", [1, 50_000], ids=["one_monomial", "few_monomials"])
-def test_contraction_blocks_change_no_bit(monkeypatch, bound):
-    config = default_config()
-    layout = build_layout(config)
-    state = reference_state(config, "seeded:7", layout)
-    whole = coefficients(config, state, layout), displaced_energies(config, state, CENTRAL_POINTS, layout)
-    blocks = []
-    row_dots = fockspace._row_dots
-    monkeypatch.setattr(fockspace, "CONTRACTION_BLOCK_BYTES", bound)
-    monkeypatch.setattr(fockspace, "_row_dots", lambda w, x: blocks.append(len(w)) or row_dots(w, x))
-    split = coefficients(config, state, layout), displaced_energies(config, state, CENTRAL_POINTS, layout)
-    # the one-pass operator and the batch of 25 states both take several blocks
-    assert len(blocks) > 2 and min(blocks) < 25
-    assert split == whole

@@ -340,6 +340,61 @@ def test_an_empty_state_has_zero_expectation():
         fockspace.monomial_values(op, vacuum(small_layout(4)))
 
 
+def test_a_batch_of_no_copies_has_no_rows():
+    layout = small_layout()
+    poly = LadderPolynomial.from_terms([LadderMonomial(1.0, ()), LadderMonomial(0.5, (LadderSymbol(B1, True),))])
+    op = realize(poly, layout)
+    ladders = tuple((np.zeros(2, dtype=int), np.eye(4)[:, :1]) for _ in layout.dims)
+    for state in (basis_sum(layout, [(0, 1, 0), (1, 0, 0)], [0.6, 0.8]), StateVector(layout, np.ones(2), ladders)):
+        values = fockspace.monomial_values(op, state, [])
+        assert values.shape == (0, 2) and values.dtype == np.complex128
+    # a state of no terms has zero values, with blocks or without
+    values = fockspace.monomial_values(op, basis_sum(layout, [], []), [{1: displacement_block(3, 0.4)}, {}])
+    assert values.shape == (2, 2) and not values.any()
+
+
+@pytest.mark.parametrize(
+    "cutoff, words, steps",
+    [
+        # a shift on most ladders, so renumbering meets partners that are not
+        # there; the last term spells a2 + 1, a3 = 0, what a3+ would give past
+        # a3's top level if a3's radix had no room for the shift
+        (
+            300,
+            [(), ((0, True), (7, False)), ((1, True), (1, True), (4, False)), ((2, True),)],
+            [{}, {0: 1, 7: -1}, {1: 2, 4: -1}, {}, {0: 1}, {1: 2, 4: -1, 6: 1}, {7: -1}, {1: 1, 2: -300}],
+        ),
+        # 512 levels and no shift after a1: a1's digit would weigh 2^63, so
+        # without renumbering its levels 5 and 7 would spell one key
+        (511, [(), ((7, True), (7, False)), ((0, True), (0, True))], [{}, {0: 2}, {7: 1}, {}, {0: -1}]),
+    ],
+    ids=["shifts", "powers_of_two"],
+)
+def test_pairs_on_wide_ladders_are_those_of_their_unit_columns(cutoff, words, steps):
+    # eight wide ladders: the keys of the terms' levels would outgrow int64,
+    # so they are renumbered on the way.  A monomial joins exactly the pairs
+    # whose levels its word shifts apart, and unit columns on every ladder,
+    # which join every pair, give the same values bit for bit.
+    layout = FockLayout(tuple(LadderId(f, i) for f in "ab" for i in range(1, 5)), (cutoff,) * 8)
+    symbols = [tuple(LadderSymbol(layout.ladders[p], dagger) for p, dagger in word) for word in words]
+    op = realize(LadderPolynomial.from_terms([LadderMonomial(1.0 - 0.5j, word) for word in symbols]), layout)
+    base = (5, 7, cutoff, 0, 2, 150, cutoff - 1, 3)
+    occupations = [tuple(n + step.get(i, 0) for i, n in enumerate(base)) for step in steps]
+    rng = np.random.default_rng(3)
+    state = basis_sum(layout, occupations, rng.normal(size=len(steps)) + 1j * rng.normal(size=len(steps)))
+    levels = {p: source[columns] for p, (columns, source) in enumerate(state.ladders)}
+    joined = {
+        (m, s, t)
+        for m, (_, index) in enumerate(op.terms)
+        for s, t in itertools.product(range(len(steps)), repeat=2)
+        if all(occupations[s][p] == occupations[t][p] + op.words[p][k][0] for p, k in enumerate(index))
+    }
+    assert set(zip(*(a.tolist() for a in fockspace._pairs(op, levels, len(steps))))) == joined
+    values = fockspace.monomial_values(op, state)[0]
+    unit = fockspace.monomial_values(op, state, [{p: np.eye(cutoff + 1) for p in range(8)}])[0]
+    assert values.tobytes() == unit.tobytes() and np.count_nonzero(values) >= 2
+
+
 def test_basis_sums_share_their_support_and_copies_carry_blocks():
     layout = small_layout()
     op = realize(constant(1.0), layout)
@@ -391,8 +446,7 @@ def test_state_vector_basics():
 def test_a_basis_support_is_range_checked_once_for_its_layout():
     layout = small_layout()
     state = basis_sum(layout, [(0, 3, 1), (1, 0, 0)], [0.6, 0.8])
-    assert isinstance(state.ladders, fockspace._Support) and state.ladders.layout == layout
-    # on another layout, or with another number of terms, the full checks run
+    # a support on another layout, or with another number of terms, fails the checks
     with pytest.raises(LayoutError, match="has no level"):
         StateVector(FockLayout(layout.ladders, (1, 2, 1)), state.amplitudes, state.ladders)
     with pytest.raises(LayoutError, match="one column index per term"):

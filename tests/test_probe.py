@@ -447,6 +447,8 @@ def test_cli_reports_a_csv_it_cannot_write(tmp_path, capsys):
         ("0:2:1", "1e100"),
         ("0:1e200:1e199", "0.25"),
         ("0:1e153:1e152", "0.25"),
+        # subnormal f1 steps: the fit's column scaling divides by zero
+        ("0:1e-320:1e-321", "0.5"),
     ],
 )
 def test_cli_sweep_rejects_unusable_amplitudes(tmp_path, capsys, f1, f2):

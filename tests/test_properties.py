@@ -30,7 +30,6 @@ from fockbox.fockspace import (
     expectation,
     leakage_admissible,
     max_admissible_amplitude,
-    word_gram,
 )
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, realize, shift
 from fockbox.model import ModelConfig, build_layout, default_config
@@ -309,9 +308,30 @@ SEVENTEEN_LEVEL_CASE = (
 )
 
 
+# Four ladders with b1 displaced: the terms share their occupations on the
+# undisplaced a2, d1 and a3 in groups of up to three, so a monomial pairs a
+# term with every term of a group, and a2+ d1 pairs two groups.
+A3 = LadderId("a", 3)
+SHARED_OCCUPATIONS_CASE = (
+    FockLayout((A2, B1, ORACLE_LADDERS[2], A3), (3, 3, 2, 2)),
+    LadderPolynomial.from_terms(
+        [
+            LadderMonomial(0.4 - 0.3j, ()),
+            LadderMonomial(1.0 + 0.5j, (LadderSymbol(B1, True), LadderSymbol(B1, False))),
+            LadderMonomial(-0.7 + 0.2j, (LadderSymbol(A2, True), LadderSymbol(ORACLE_LADDERS[2], False))),
+            LadderMonomial(0.6, (LadderSymbol(A3, True), LadderSymbol(A3, False), LadderSymbol(B1, True))),
+        ]
+    ),
+    [(1, 0, 1, 0), (1, 2, 1, 0), (2, 1, 0, 0), (1, 3, 1, 0), (0, 1, 2, 1), (2, 0, 0, 0), (0, 2, 2, 1)],
+    [{1: f} for f in np.linspace(-1.2, 1.2, 25)],
+    11,
+)
+
+
 @PROPERTY_SETTINGS
 @given(basis_sums_and_copies())
 @example(SEVENTEEN_LEVEL_CASE)
+@example(SHARED_OCCUPATIONS_CASE)
 def test_occupation_contraction_matches_the_oracle_and_its_batches(case):
     layout, poly, occupations, copies, seed = case
     op = realize(poly, layout)
@@ -330,15 +350,6 @@ def test_occupation_contraction_matches_the_oracle_and_its_batches(case):
         tuple((np.arange(terms), rng.normal(size=(dim, terms)) + 1j * rng.normal(size=(dim, terms))) for dim in layout.dims),
     )
     hand_displaced = Displacement(layout, {layout.ladders[0]: displacement_block(layout.cutoffs[0], 0.7)}).apply(hand_built)
-
-    # undisplaced Grams: the words on the unit columns of the terms' levels
-    unit = np.eye(max(layout.dims))
-    for words, stack, dim, (columns, levels), occ in zip(
-        op.words, op.word_stacks, layout.dims, state.ladders, np.array(occupations).T
-    ):
-        grams = fockspace._on_terms(fockspace._level_grams(stack, levels), columns)
-        for gram, word in zip(grams, words):
-            assert gram.tobytes() == word_gram(unit[:dim, occ], word).tobytes()
 
     # every monomial against the dense Kronecker product of its words
     matrices = [
