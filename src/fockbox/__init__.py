@@ -32,7 +32,7 @@ from .ladderalg import (
     mode_energy,
     multiply,
     normal_order,
-    power,
+    powers,
     quadrature_integrate,
     realize,
     shift,

@@ -4,30 +4,30 @@ For a normalized reference state psi, the displaced energy
 E(f1, f2) = <psi| U+ H U |psi> is an exact polynomial in the displacement
 amplitudes.  U shifts every symbol on a displaced ladder by its amplitude,
 so U+ H U is H with b_q -> b_q + f1, d_q -> d_q + f1 and a_k -> a_k + f2
-(ladderalg.shift), exact on the box-integrated H.  Grouped by the powers of
-f1 and f2, its parts give the coefficients as state expectations, and
-central_identity_checks compares the polynomial with direct
-conjugated-Hamiltonian expectations.  H and every group are realized once
-per config and layout, so a state is contracted against all of them in one
-pass, and its displaced copies against H in one batch.  A reference state
-and its coefficients are memoized on the config, layout and selector
-(reference), so a sweep of one state at many f2 contracts it once.
+(ladderalg.shift), exact on the box-integrated H, whose parts are read
+from model.  Grouped by the powers of f1 and f2, they give the coefficients
+as state expectations, and central_identity_checks compares the polynomial
+with direct conjugated-Hamiltonian expectations.  H and every group are
+realized once per config and layout, so a state is contracted against all
+of them in one pass, and its displaced copies against H in one batch.  A
+state and its coefficients are memoized on the config, layout and
+selector (reference), so a sweep of one state at many f2 contracts it once.
 
 The f2^2, f2, and f2^4 contributions deserve care: conjugating the
 normal-ordered quartic produces *normal-ordered* lower powers, so the
 polynomial uses the normal-ordered second and third field moments
 (B1_ordered / B2_ordered) and a unit-weight quartic self-energy
 lambda2 * Int n2^4.  The bare-moment variants (B1, B2) come from the
-shifted bare quartic lambda2 * Int phihat^4, and the four-fold weight B4 is
-four times the self-energy; both are reported so the two conventions can be
-compared numerically.  central_identity_checks adjudicates the quartic
-weight and names the winner in its summary row.
+shifted bare quartic lambda2 * Int phihat^4 (field_algebra's powers), and
+the four-fold weight B4 is four times the self-energy; both are reported
+so the two conventions can be compared numerically.  central_identity_checks
+adjudicates the quartic weight and names the winner in its summary row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -39,13 +39,14 @@ from .displace import DisplacementParams, ResidualCheck, displaced_amplitudes, r
 from .errors import ConfigError, GeometryError
 from .fockspace import FockLayout, LadderId, OperatorMatrix, StateVector, basis_state, basis_sum, vacuum
 from .fockspace import displacement_block, monomial_values, weighted_sum
-from .ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol
+from .ladderalg import LadderPolynomial
 from .model import (
     ModelConfig,
     build_H,
     build_layout,
     cubic_interaction_polynomial,
     field_algebra,
+    free_polynomial,
     hamiltonian_polynomial,
     quartic_interaction_polynomial,
 )
@@ -55,24 +56,8 @@ CENTRAL_F_VALUES = (-0.5, -0.25, 0.0, 0.25, 0.5)
 DEFAULT_SEED = 7
 SEEDED_SUPPORT_LEVEL = 2
 GEOMETRY_FLOOR = 1e-12
-
-COEFFICIENT_NAMES = (
-    "A1",
-    "A2",
-    "A3",
-    "A4",
-    "A5",
-    "B1",
-    "B1_ordered",
-    "B2",
-    "B2_ordered",
-    "B3",
-    "B4",
-    "quartic_self_coefficient",
-    "E_ref",
-    "omega_k",
-    "energy_q",
-)
+# The reference states of the central identity.
+CENTRAL_STATES = ("vacuum", "one_a", "one_b", f"seeded:{DEFAULT_SEED}")
 
 
 # ---------------------------------------------------------------------------
@@ -136,22 +121,18 @@ _Groups = Mapping[tuple[int, int], LadderPolynomial]
 
 def _shifted_parts(config: ModelConfig) -> tuple[_Groups, _Groups, _Groups, _Groups]:
     """U+ P U grouped by the powers (i, j) of (f1, f2) for four parts P of
-    H, couplings not included: the free Hamiltonian of the displaced
-    ladders omega_k a+_k a_k + E_q (b+_q b_q + d+_q d_q), Int :phi+ phi:
-    phihat, Int :phihat^4: and the bare Int phihat^4.  The (0, 0) groups,
-    the parts themselves, are left out: E_ref is the expectation of H
-    (build_H)."""
-    a_k = LadderId("a", config.k_index)
+    H, couplings not included: the free Hamiltonian over every mode
+    (free_polynomial), Int :phi+ phi: phihat, Int :phihat^4: and the bare
+    Int phihat^4.  The (0, 0) groups, the parts themselves, are left out:
+    E_ref is the expectation of H (build_H).  An undisplaced ladder adds to
+    no other group."""
     b_q, d_q = LadderId("b", config.q_index), LadderId("d", config.q_index)
-    free = LadderPolynomial.from_terms(
-        LadderMonomial(energy, (LadderSymbol(lad, True), LadderSymbol(lad, False)))
-        for lad, energy in ((a_k, config.omega_k), (b_q, config.energy_q), (d_q, config.energy_q))
-    )
-    bare_quartic = ladderalg.integrate_box(ladderalg.power(field_algebra(config).phihat, 4), config.box_length)
-    amplitudes = {b_q: 0, d_q: 0, a_k: 1}
+    amplitudes = {b_q: 0, d_q: 0, LadderId("a", config.k_index): 1}
+    parts = (free_polynomial(config), cubic_interaction_polynomial(config), quartic_interaction_polynomial(config))
+    bare_quartic = ladderalg.integrate_box(field_algebra(config).powers[4], config.box_length)
     return tuple(
         {powers: g for powers, g in ladderalg.shift(part, amplitudes).items() if powers != (0, 0)}
-        for part in (free, cubic_interaction_polynomial(config), quartic_interaction_polynomial(config), bare_quartic)
+        for part in parts + (bare_quartic,)
     )
 
 
@@ -201,6 +182,10 @@ class CoefficientSet:
     omega_k: float
     energy_q: float
     max_imag: float
+
+
+# The reported coefficients, in CoefficientSet's order.
+COEFFICIENT_NAMES = tuple(f.name for f in fields(CoefficientSet) if f.name != "max_imag")
 
 
 def coefficients(config: ModelConfig, state: StateVector, layout: FockLayout | None = None) -> CoefficientSet:
@@ -367,14 +352,12 @@ def vacuum_closed_forms(config: ModelConfig) -> dict[str, float]:
 def central_identity_checks(
     config: ModelConfig,
     layout: FockLayout | None = None,
-    state_selectors: Sequence[str] | None = None,
+    state_selectors: Sequence[str] = CENTRAL_STATES,
 ) -> list[ResidualCheck]:
     """Polynomial energy vs direct displaced expectation, per state and
     amplitude pair, plus one summary row naming which quartic weight
     (unit / times4 / both) actually matches the direct values."""
     layout = layout or build_layout(config)
-    if state_selectors is None:
-        state_selectors = ("vacuum", "one_a", "one_b", f"seeded:{DEFAULT_SEED}")
     points = [(f1, f2) for f1 in CENTRAL_F_VALUES for f2 in CENTRAL_F_VALUES]
 
     checks = []

@@ -294,13 +294,10 @@ def check_free_hamiltonian_shift(
     amplitudes = require_admissible(config, params, layout)
     f1, f2 = params.f1, params.f2
 
+    ladders = config.mode_energies()
     sectors = (
-        ("neutral", [(LadderId("a", n), config.omega(n)) for n in config.neutral_modes], config.omega_k * f2 * f2),
-        (
-            "charged",
-            [(LadderId(fam, n), config.charged_energy(n)) for n in config.charged_modes for fam in ("b", "d")],
-            2.0 * config.energy_q * f1 * f1,
-        ),
+        ("neutral", [(lad, e) for lad, e in ladders if lad.family == "a"], config.omega_k * f2 * f2),
+        ("charged", [(lad, e) for lad, e in ladders if lad.family != "a"], 2.0 * config.energy_q * f1 * f1),
     )
     shifts, vacua = [], []
     for sector, energies, vacuum_shift in sectors:

@@ -10,11 +10,13 @@ sign 0 build x-independent ladder polynomials such as a+ + a.
 Normal ordering here is the definitional colon operation: daggered symbols
 move left of undaggered ones with *no* commutator terms, and each block is
 sorted by (family, mode index), which is exact for bosons since same-dagger
-symbols always commute.  Box integration over x in [-L/2, L/2] keeps exactly
-the wave_index == 0 monomials and multiplies them by L.  A coherent
-displacement acts on a box-integrated polynomial symbolically: shift
-rewrites each symbol on a displaced ladder as symbol + f and groups the
-result by the powers of the amplitudes.
+symbols always commute.  powers gives the chain (1, p, ..., p^n) of
+products, and adjoint the conjugate p+, which is how phi+ comes from phi.
+Box integration over x in [-L/2, L/2] keeps exactly the wave_index == 0
+monomials and multiplies them by L.  A coherent displacement acts on a
+box-integrated polynomial symbolically: shift rewrites each symbol on a
+displaced ladder as symbol + f and groups the result by the powers of the
+amplitudes.
 
 Realization maps a polynomial onto a truncated Fock layout in product
 form: symbols on different ladders commute exactly, so each monomial keeps
@@ -125,11 +127,12 @@ def multiply(p: LadderPolynomial, q: LadderPolynomial) -> LadderPolynomial:
     )
 
 
-def power(p: LadderPolynomial, n: int) -> LadderPolynomial:
-    result = constant(1.0)
+def powers(p: LadderPolynomial, n: int) -> tuple[LadderPolynomial, ...]:
+    """The chain (1, p, ..., p^n), each power the previous one times p."""
+    chain = [constant(1.0)]
     for _ in range(n):
-        result = multiply(result, p)
-    return result
+        chain.append(multiply(chain[-1], p))
+    return tuple(chain)
 
 
 def normal_order(p: LadderPolynomial) -> LadderPolynomial:
@@ -214,34 +217,22 @@ def shift(p: LadderPolynomial, amplitudes: Mapping[LadderId, int]) -> dict[tuple
 def field_polynomial(field: str, config) -> LadderPolynomial:
     """Mode expansion of a field at x (phases carried symbolically).
 
-    field is one of "neutral", "charged", "charged_dagger".  Per mode p:
-      neutral:         (a_p e^{ipx} + a+_p e^{-ipx}) / sqrt(2 omega_p L)
-      charged:         (b_p e^{ipx} + d+_p e^{-ipx}) / sqrt(2 E_p L)
-      charged_dagger:  (b+_p e^{-ipx} + d_p e^{ipx}) / sqrt(2 E_p L)
+    field is "neutral" or "charged"; phi+ is the charged field's adjoint.
+    Per mode p, with the config's dispersions:
+      neutral:  (a_p e^{ipx} + a+_p e^{-ipx}) / sqrt(2 omega_p L)
+      charged:  (b_p e^{ipx} + d+_p e^{-ipx}) / sqrt(2 E_p L)
     """
-    L = config.box_length
-    terms = []
     if field == "neutral":
-        for n in config.neutral_modes:
-            p = 2.0 * math.pi * n / L
-            amp = 1.0 / math.sqrt(2.0 * mode_energy(p, config.mass_neutral) * L)
-            lad = LadderId("a", n)
-            terms.append(LadderMonomial(amp, (LadderSymbol(lad, False, +1),)))
-            terms.append(LadderMonomial(amp, (LadderSymbol(lad, True, -1),)))
-    elif field in ("charged", "charged_dagger"):
-        conj = field == "charged_dagger"
-        for n in config.charged_modes:
-            p = 2.0 * math.pi * n / L
-            amp = 1.0 / math.sqrt(2.0 * mode_energy(p, config.mass_charged) * L)
-            b, d = LadderId("b", n), LadderId("d", n)
-            if conj:
-                terms.append(LadderMonomial(amp, (LadderSymbol(b, True, -1),)))
-                terms.append(LadderMonomial(amp, (LadderSymbol(d, False, +1),)))
-            else:
-                terms.append(LadderMonomial(amp, (LadderSymbol(b, False, +1),)))
-                terms.append(LadderMonomial(amp, (LadderSymbol(d, True, -1),)))
+        modes, energy, lowered, raised = config.neutral_modes, config.omega, "a", "a"
+    elif field == "charged":
+        modes, energy, lowered, raised = config.charged_modes, config.charged_energy, "b", "d"
     else:
         raise ValueError(f"unknown field {field!r}")
+    terms = []
+    for n in modes:
+        amp = 1.0 / math.sqrt(2.0 * energy(n) * config.box_length)
+        terms.append(LadderMonomial(amp, (LadderSymbol(LadderId(lowered, n), False, +1),)))
+        terms.append(LadderMonomial(amp, (LadderSymbol(LadderId(raised, n), True, -1),)))
     return LadderPolynomial.from_terms(terms)
 
 

@@ -10,17 +10,19 @@ Hamiltonian is
 
 assembled symbolically (normal ordering, then box integration by momentum
 selection) as one ladder polynomial, which build_H realizes in product form.
-The structural checks read that polynomial: an equal-weight Riemann
-quadrature of the interaction density, monomial by monomial, provides an
-independent oracle for the box integration (every coefficient must agree to
-1e-9), and each monomial's adjoint and charge show that H is Hermitian and
-conserves charge.
+Each piece is built here once and read everywhere else: the mode energies
+(ModelConfig.mode_energies) give H0, phihat's powers are one chain, and phi+
+is phi's adjoint.  The structural checks read that polynomial: an
+equal-weight Riemann quadrature of the interaction density, monomial by
+monomial, provides an independent oracle for the box integration (every
+coefficient must agree to 1e-9), and each monomial's adjoint and charge show
+that H is Hermitian and conserves charge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Mapping
 
@@ -87,8 +89,7 @@ class ModelConfig:
             raise ConfigError("zero neutral mode requires mass_neutral > 0")
         if 0 in self.charged_modes and self.mass_charged == 0.0:
             raise ConfigError("zero charged mode requires mass_charged > 0")
-        energies = [self.omega(n) for n in self.neutral_modes] + [self.charged_energy(n) for n in self.charged_modes]
-        if any(2.0 * e * self.box_length == 0.0 for e in energies):
+        if any(2.0 * e * self.box_length == 0.0 for _, e in self.mode_energies()):
             raise ConfigError(
                 f"2 * energy * box_length underflows to 0 at box_length = {self.box_length!r}, so the"
                 " field amplitudes 1 / sqrt(2 E L) are undefined"
@@ -124,6 +125,14 @@ class ModelConfig:
     @property
     def energy_q(self) -> float:
         return self.charged_energy(self.q_index)
+
+    def mode_energies(self) -> tuple[tuple[LadderId, float], ...]:
+        """Each ladder's (LadderId, energy) in the order of H's free terms:
+        the neutral ladders, then b and d of each charged mode."""
+        return tuple(
+            [(LadderId("a", n), self.omega(n)) for n in self.neutral_modes]
+            + [(LadderId(f, n), self.charged_energy(n)) for n in self.charged_modes for f in "bd"]
+        )
 
     def ladders(self) -> tuple[LadderId, ...]:
         """Canonical ladder order: family a < b < d, mode index ascending."""
@@ -183,7 +192,8 @@ def shift_profiles(config: ModelConfig) -> tuple[ShiftProfile, ShiftProfile]:
 class FieldAlgebra:
     """The field polynomials at a point x that every identity is built from.
 
-    ordered_powers[j] is :phihat^j: for j = 0..4 (j = 0 is the constant 1).
+    powers[j] is phihat^j and ordered_powers[j] is :phihat^j: for j = 0..4
+    (j = 0 is the constant 1).
     """
 
     phihat: LadderPolynomial
@@ -193,13 +203,14 @@ class FieldAlgebra:
     charged_sum: LadderPolynomial
     charged_sum_neutral: LadderPolynomial
     cubic: LadderPolynomial
+    powers: tuple[LadderPolynomial, ...]
     ordered_powers: tuple[LadderPolynomial, ...]
 
 
 @lru_cache(maxsize=FIELD_ALGEBRA_CACHE)
 def field_algebra(config: ModelConfig) -> FieldAlgebra:
-    """phihat, phi, phi+, :phi+ phi:, phi+ + phi, (phi+ + phi) phihat,
-    :phi+ phi: phihat and :phihat^j:."""
+    """phihat, phi, phi+ (phi's adjoint), :phi+ phi:, phi+ + phi,
+    (phi+ + phi) phihat, :phi+ phi: phihat, phihat^j and :phihat^j:."""
     phihat = ladderalg.field_polynomial("neutral", config)
     phi = ladderalg.field_polynomial("charged", config)
     # The bundle's terms are products of up to four field amplitudes; pruning
@@ -210,7 +221,8 @@ def field_algebra(config: ModelConfig) -> FieldAlgebra:
             f"field amplitudes down to {weakest:.3g} (box_length = {config.box_length!r}) put their"
             f" fourth powers under the pruning tolerance {ladderalg.PRUNE_TOL}"
         )
-    phi_dag = ladderalg.field_polynomial("charged_dagger", config)
+    phi_dag = ladderalg.adjoint(phi)
+    powers = ladderalg.powers(phihat, 4)
     density = ladderalg.normal_order(ladderalg.multiply(phi_dag, phi))
     charged_sum = phi_dag + phi
     return FieldAlgebra(
@@ -221,7 +233,8 @@ def field_algebra(config: ModelConfig) -> FieldAlgebra:
         charged_sum=charged_sum,
         charged_sum_neutral=ladderalg.multiply(charged_sum, phihat),
         cubic=ladderalg.multiply(density, phihat),
-        ordered_powers=tuple(ladderalg.normal_order(ladderalg.power(phihat, j)) for j in range(5)),
+        powers=powers,
+        ordered_powers=tuple(map(ladderalg.normal_order, powers)),
     )
 
 
@@ -235,14 +248,20 @@ def quartic_interaction_polynomial(config: ModelConfig) -> LadderPolynomial:
     return ladderalg.integrate_box(field_algebra(config).ordered_powers[4], config.box_length)
 
 
+def free_polynomial(config: ModelConfig) -> LadderPolynomial:
+    """H0 = sum of energy a+ a over every ladder, in mode_energies order,
+    none pruned."""
+    return LadderPolynomial(
+        tuple(LadderMonomial(e, (LadderSymbol(lad, True), LadderSymbol(lad, False))) for lad, e in config.mode_energies())
+    )
+
+
 def hamiltonian_polynomial(config: ModelConfig) -> LadderPolynomial:
-    """The box-integrated H: the free part over every mode, then lambda1
+    """The box-integrated H: the free part (free_polynomial), then lambda1
     Int :phi+ phi: phihat and lambda2 Int :phihat^4:.  The parts share no
     monomial (two, three and four symbols), so their terms are joined as
     they are, none pruned."""
-    free = [(LadderId("a", n), config.omega(n)) for n in config.neutral_modes]
-    free += [(LadderId(f, n), config.charged_energy(n)) for n in config.charged_modes for f in "bd"]
-    terms = tuple(LadderMonomial(e, (LadderSymbol(lad, True), LadderSymbol(lad, False))) for lad, e in free)
+    terms = free_polynomial(config).terms
     for coupling, part in ((config.lambda1, cubic_interaction_polynomial), (config.lambda2, quartic_interaction_polynomial)):
         if coupling != 0.0:
             terms += tuple(t.scaled(coupling) for t in part(config).terms)
@@ -277,19 +296,8 @@ def interaction_quadrature(config: ModelConfig) -> LadderPolynomial:
 # ---------------------------------------------------------------------------
 # plain-text config files
 
-_REQUIRED_KEYS = (
-    "box_length",
-    "mass_neutral",
-    "mass_charged",
-    "lambda1",
-    "lambda2",
-    "neutral_modes",
-    "charged_modes",
-    "q_index",
-    "k_index",
-    "cutoff_default",
-)
 _OPTIONAL_KEYS = ("cutoff_overrides",)
+_REQUIRED_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name not in _OPTIONAL_KEYS)
 
 
 def _parse_int_list(text: str, key: str) -> tuple[int, ...]:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import ladderalg
 from .coeffs import (
+    CENTRAL_STATES,
     CoefficientSet,
-    DEFAULT_SEED,
     central_identity_checks,
     descent_threshold,
     displaced_energies,
@@ -137,7 +137,7 @@ def run_verification(
             checks.append(check_unitarity(config, params, layout))
             checks.append(check_composition(config, params, layout))
 
-    selectors = ["vacuum", "one_a", "one_b", f"seeded:{DEFAULT_SEED}"]
+    selectors = list(CENTRAL_STATES)
     if extra_state is not None and extra_state not in selectors:
         selectors.append(extra_state)
     checks.extend(central_identity_checks(config, layout, state_selectors=selectors))

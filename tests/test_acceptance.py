@@ -244,8 +244,15 @@ def test_acceptance_8_demo_determinism(demo_runs, capsys):
         b = pathlib.Path(outs[1], name).read_bytes()
         assert a == b, name
         assert len(a) > 0
+    # coefficients.csv and sweep.csv come from the level-only contraction and
+    # Python arithmetic, with no BLAS product, so their bytes are pinned
+    # across commits; report.csv goes through LAPACK and matmul and is not.
+    for name in ("coefficients.csv", "sweep.csv"):
+        golden = pathlib.Path(__file__).parent / "golden" / name
+        assert pathlib.Path(outs[0], name).read_bytes() == golden.read_bytes(), name
     report(
         capsys,
         "acceptance[8] determinism: PASS"
-        " (two demo runs, byte-identical report.csv, coefficients.csv, sweep.csv)",
+        " (two demo runs, byte-identical report.csv, coefficients.csv, sweep.csv;"
+        " coefficients.csv and sweep.csv match tests/golden)",
     )

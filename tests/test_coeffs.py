@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fockbox import coeffs
+from fockbox import coeffs, ladderalg
 from fockbox.coeffs import (
     CENTRAL_F_VALUES,
+    CENTRAL_STATES,
     CoefficientSet,
     central_identity_checks,
     coefficients,
@@ -19,10 +20,11 @@ from fockbox.coeffs import (
 from fockbox.displace import DisplacementParams, displacement
 from fockbox.errors import ConfigError, GeometryError
 from fockbox.fockspace import LadderId, expectation
-from fockbox.ladderalg import LadderPolynomial, constant, realize
+from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, constant, realize
 from fockbox.model import ModelConfig, build_H, build_layout, default_config, hamiltonian_polynomial
 from conftest import clear_package_caches
 from test_fockspace import dense_state, row_major_occupations, term_factors
+from test_ladderalg import TWELVE_LADDERS, bits
 from test_model import README_TWO_MODE
 
 
@@ -270,11 +272,6 @@ def test_coefficients_reject_a_box_that_overflows():
         coefficients(config, reference_state(config, "vacuum", build_layout(config)))
 
 
-# Neutral and charged modes 1-4: twelve ladders of 17 levels, 17^12 (5.8e14)
-# joint states, which no array here has.
-TWELVE_LADDERS = ModelConfig(neutral_modes=(1, 2, 3, 4), charged_modes=(1, 2, 3, 4), q_index=1, k_index=2)
-
-
 def test_twelve_ladder_config_runs_without_the_joint_space():
     config = TWELVE_LADDERS
     layout = build_layout(config)
@@ -358,3 +355,31 @@ def test_batched_direct_energies_equal_the_per_state_expectations(config, select
     assert displaced_energies(config, state, CENTRAL_POINTS, layout) == per_state_direct_energies(
         config, state, CENTRAL_POINTS, layout
     )
+
+
+def test_central_states_are_the_reference_selectors():
+    assert CENTRAL_STATES == REFERENCE_SELECTORS
+
+
+def displaced_free_polynomial(config):
+    """The free Hamiltonian of the displaced ladders alone,
+    omega_k a+_k a_k + E_q (b+_q b_q + d+_q d_q)."""
+    a_k = LadderId("a", config.k_index)
+    b_q, d_q = LadderId("b", config.q_index), LadderId("d", config.q_index)
+    return LadderPolynomial.from_terms(
+        LadderMonomial(energy, (LadderSymbol(lad, True), LadderSymbol(lad, False)))
+        for lad, energy in ((a_k, config.omega_k), (b_q, config.energy_q), (d_q, config.energy_q))
+    )
+
+
+@pytest.mark.parametrize(
+    "config", [default_config(), README_TWO_MODE, TWELVE_LADDERS], ids=["default", "two_mode", "twelve"]
+)
+def test_free_groups_are_bitwise_the_shift_of_the_displaced_ladders_alone(config):
+    # H0 over every mode shifts to the same groups: an undisplaced ladder
+    # only adds to the dropped (0, 0) group
+    amplitudes = {LadderId("b", config.q_index): 0, LadderId("d", config.q_index): 0, LadderId("a", config.k_index): 1}
+    oracle = ladderalg.shift(displaced_free_polynomial(config), amplitudes)
+    free = coeffs._shifted_parts(config)[0]
+    assert list(free) == [powers for powers in oracle if powers != (0, 0)]
+    assert all(bits(free[powers]) == bits(oracle[powers]) for powers in free)

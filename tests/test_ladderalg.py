@@ -18,13 +18,14 @@ from fockbox.ladderalg import (
     mode_energy,
     multiply,
     normal_order,
-    power,
+    powers,
     quadrature_integrate,
     realize,
     shift,
 )
-from fockbox.model import default_config, interaction_density_polynomial
+from fockbox.model import ModelConfig, default_config, field_algebra, interaction_density_polynomial
 from test_fockspace import dense, kron_oracle, lowering_block, raising_block
+from test_model import README_TWO_MODE
 
 A2 = LadderId("a", 2)
 B1 = LadderId("b", 1)
@@ -37,6 +38,18 @@ def sym(lad, dagger, phase=0):
 
 def mono(coeff, *symbols):
     return LadderMonomial(coeff, tuple(symbols))
+
+
+def bits(p):
+    """p's terms, in order, with the bit patterns of each coefficient's real
+    and imaginary parts (float.hex tells -0.0 from 0.0)."""
+    return [(t.symbols, complex(t.coefficient).real.hex(), complex(t.coefficient).imag.hex()) for t in p.terms]
+
+
+# Neutral and charged modes 1-4: twelve ladders of 17 levels, 17^12 (5.8e14)
+# joint states, which no array here has.  Every ladder but a2, b1 and d1 is
+# undisplaced.
+TWELVE_LADDERS = ModelConfig(neutral_modes=(1, 2, 3, 4), charged_modes=(1, 2, 3, 4), q_index=1, k_index=2)
 
 
 def test_mode_energy():
@@ -66,8 +79,9 @@ def test_polynomial_arithmetic():
     q = 2.0 * p
     assert all(t.coefficient == 2.0 for t in q.terms)
     assert not (q - p - p).terms
-    assert power(p, 0).terms == constant(1.0).terms
-    r2 = power(p, 2)
+    assert powers(p, 0) == (constant(1.0),)
+    assert powers(p, 2)[0].terms == constant(1.0).terms
+    r2 = powers(p, 2)[2]
     assert r2.terms == multiply(p, p).terms
     assert len(r2.terms) == 4  # aa, a a+, a+ a, a+ a+ all distinct orders
 
@@ -118,11 +132,40 @@ def test_field_polynomial_amplitudes_and_phases():
     phi = field_polynomial("charged", config)
     families = {(t.symbols[0].ladder.family, t.symbols[0].dagger) for t in phi.terms}
     assert families == {("b", False), ("d", True)}
-    phi_dag = field_polynomial("charged_dagger", config)
+    phi_dag = adjoint(phi)
     families = {(t.symbols[0].ladder.family, t.symbols[0].dagger) for t in phi_dag.terms}
     assert families == {("b", True), ("d", False)}
-    with pytest.raises(ValueError):
-        field_polynomial("scalar", config)
+    for field in ("scalar", "charged_dagger"):
+        with pytest.raises(ValueError):
+            field_polynomial(field, config)
+
+
+def charged_dagger_expansion(config):
+    """phi+ expanded by hand, per mode p: (b+_p e^{-ipx} + d_p e^{ipx}) / sqrt(2 E_p L)."""
+    L = config.box_length
+    terms = []
+    for n in config.charged_modes:
+        amp = 1.0 / math.sqrt(2.0 * mode_energy(2.0 * math.pi * n / L, config.mass_charged) * L)
+        terms.append(mono(amp, sym(LadderId("b", n), True, -1)))
+        terms.append(mono(amp, sym(LadderId("d", n), False, +1)))
+    return LadderPolynomial.from_terms(terms)
+
+
+@pytest.mark.parametrize(
+    "config", [default_config(), README_TWO_MODE, TWELVE_LADDERS], ids=["default", "two_mode", "twelve"]
+)
+def test_phi_dag_is_bitwise_the_hand_expansion(config):
+    assert bits(field_algebra(config).phi_dag) == bits(charged_dagger_expansion(config))
+
+
+def test_powers_are_bitwise_repeated_products():
+    for p in (field_polynomial("neutral", TWELVE_LADDERS), field_polynomial("charged", README_TWO_MODE)):
+        chain = powers(p, 4)
+        assert len(chain) == 5
+        product = constant(1.0)
+        for n in range(5):
+            assert bits(chain[n]) == bits(product)
+            product = multiply(product, p)
 
 
 def test_integrated_interaction_terms():

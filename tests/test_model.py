@@ -154,6 +154,12 @@ def test_parse_config_rejects(mutation):
         parse_config(GOOD_CONFIG.replace(old, new))
 
 
+def test_missing_keys_are_named_in_field_order():
+    keys = "box_length, mass_neutral, mass_charged, lambda1, lambda2, neutral_modes, charged_modes, q_index"
+    with pytest.raises(ConfigError, match=f"^missing keys: {keys}, k_index, cutoff_default$"):
+        parse_config("cutoff_overrides = a2=8\n")
+
+
 def test_parse_config_requires_key_value_lines():
     with pytest.raises(ConfigError):
         parse_config("just some words\n")
@@ -198,6 +204,15 @@ def test_zero_couplings_reduce_to_free_hamiltonian():
     )
     interacting = hamiltonian_polynomial(ModelConfig(neutral_modes=(2, 3), cutoff_default=4))
     assert interacting.terms[:4] == hamiltonian_polynomial(config).terms
+
+
+def test_mode_energies_are_the_free_terms_of_H_in_order():
+    config = ModelConfig(lambda1=0.0, lambda2=0.0, neutral_modes=(2, 3), charged_modes=(1, 2))
+    a2, a3, b1, d1, b2, d2 = map(LadderId.parse, ("a2", "a3", "b1", "d1", "b2", "d2"))
+    e1, e2 = config.charged_energy(1), config.charged_energy(2)
+    energies = ((a2, config.omega(2)), (a3, config.omega(3)), (b1, e1), (d1, e1), (b2, e2), (d2, e2))
+    assert config.mode_energies() == energies
+    assert [(t.symbols[0].ladder, t.coefficient) for t in hamiltonian_polynomial(config).terms] == list(energies)
 
 
 def test_hamiltonian_hermitian_and_annihilates_vacuum_offset():
@@ -301,6 +316,9 @@ def test_field_algebra_bundle():
     assert field_algebra(parse_config(GOOD_CONFIG)) is fa
     assert fa.ordered_powers[0] == ladderalg.constant(1.0)
     assert len(fa.ordered_powers) == 5
+    assert fa.powers == ladderalg.powers(fa.phihat, 4)
+    assert fa.ordered_powers == tuple(map(ladderalg.normal_order, fa.powers))
+    assert fa.phi_dag == ladderalg.adjoint(fa.phi)
     assert interaction_density_polynomial(config) == (
         config.lambda1 * fa.cubic + config.lambda2 * fa.ordered_powers[4]
     )
