@@ -2,14 +2,15 @@
 
 For a normalized reference state psi, the displaced energy
 E(f1, f2) = <psi| U+ H U |psi> is an exact polynomial in the displacement
-amplitudes.  U shifts every symbol on a displaced ladder by its amplitude,
-so U+ H U is H with b_q -> b_q + f1, d_q -> d_q + f1 and a_k -> a_k + f2
-(ladderalg.shift), exact on the box-integrated H, whose parts are read
-from model.  Grouped by the powers of f1 and f2, they give the coefficients
-as state expectations, and central_identity_checks compares the polynomial
-with direct conjugated-Hamiltonian expectations.  H and every group are
-realized once per config and layout, so a state is contracted against all
-of them in one pass, and its displaced copies against H in one batch.  A
+amplitudes.  U shifts every symbol on a displaced ladder
+(ModelConfig.displaced_ladders) by its amplitude, so U+ H U is H with
+b_q -> b_q + f1, d_q -> d_q + f1 and a_k -> a_k + f2 (ladderalg.shift),
+exact on the box-integrated H, whose parts are read from model.  Grouped by
+the powers of f1 and f2, they give the coefficients as state expectations,
+and central_identity_checks compares the polynomial with direct
+conjugated-Hamiltonian expectations.  H and every group are realized once
+per config and layout, so a state is contracted against all of them in one
+pass, and its displaced copies against H in one batch.  A
 state and its coefficients are memoized on the config, layout and
 selector (reference), so a sweep of one state at many f2 contracts it once.
 
@@ -35,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import ladderalg
-from .displace import DisplacementParams, ResidualCheck, displaced_amplitudes, require_admissible
+from .displace import DisplacementParams, ResidualCheck, require_admissible
 from .errors import ConfigError, GeometryError
 from .fockspace import FockLayout, LadderId, OperatorMatrix, StateVector, basis_state, basis_sum, vacuum
 from .fockspace import displacement_block, monomial_values, weighted_sum
@@ -126,8 +127,7 @@ def _shifted_parts(config: ModelConfig) -> tuple[_Groups, _Groups, _Groups, _Gro
     Int phihat^4.  The (0, 0) groups, the parts themselves, are left out:
     E_ref is the expectation of H (build_H).  An undisplaced ladder adds to
     no other group."""
-    b_q, d_q = LadderId("b", config.q_index), LadderId("d", config.q_index)
-    amplitudes = {b_q: 0, d_q: 0, LadderId("a", config.k_index): 1}
+    amplitudes = dict(config.displaced_ladders())
     parts = (free_polynomial(config), cubic_interaction_polynomial(config), quartic_interaction_polynomial(config))
     bare_quartic = ladderalg.integrate_box(field_algebra(config).powers[4], config.box_length)
     return tuple(
@@ -188,13 +188,13 @@ class CoefficientSet:
 COEFFICIENT_NAMES = tuple(f.name for f in fields(CoefficientSet) if f.name != "max_imag")
 
 
-def coefficients(config: ModelConfig, state: StateVector, layout: FockLayout | None = None) -> CoefficientSet:
+def coefficients(config: ModelConfig, state: StateVector) -> CoefficientSet:
     """Each coefficient is the expectation of a group of the shifted parts of
     H (_shifted_parts) times its coupling; E_ref is the expectation of H
     itself.  The state is contracted once against every monomial of
-    _realized_parts, and each group sums its values in term order from 0j."""
-    layout = layout or build_layout(config)
-    H, parts, slices = _realized_parts(config, layout)
+    _realized_parts on the state's layout, and each group sums its values in
+    term order from 0j."""
+    H, parts, slices = _realized_parts(config, state.layout)
     free, cubic, quartic, bare_quartic = slices
     values = monomial_values(parts, state)[0]
     e_ref = weighted_sum(H.terms, values[: len(H.terms)])
@@ -255,25 +255,23 @@ def _reference(config: ModelConfig, layout: FockLayout, selector: str) -> tuple[
     reference_state and coefficients."""
     state = reference_state(config, selector, layout)
     state.amplitudes.setflags(write=False)
-    return state, coefficients(config, state, layout)
+    return state, coefficients(config, state)
 
 
-def displaced_energies(
-    config: ModelConfig, state: StateVector, points: Sequence[tuple[float, float]], layout: FockLayout | None = None
-) -> list[float]:
+def displaced_energies(config: ModelConfig, state: StateVector, points: Sequence[tuple[float, float]]) -> list[float]:
     """The direct energy <psi| U+ H U |psi> at each amplitude pair (f1, f2)
-    of points.  The displaced copies share the state's amplitudes and
-    column indices, so they are contracted against the memoized H in one
-    batch, each copy carrying its row's blocks (monomial_values)."""
+    of points, on the state's layout.  The displaced copies share the
+    state's amplitudes and column indices, so they are contracted against
+    the memoized H in one batch, each copy carrying its row's blocks on the
+    displaced ladders (monomial_values)."""
     if not points:
         return []
-    layout = layout or build_layout(config)
+    layout = state.layout
     H = _realized_parts(config, layout)[0]
-    rows = [displaced_amplitudes(config, DisplacementParams(f1, f2)) for f1, f2 in points]
-    positions = {lad: layout.position(lad) for lad in rows[0]}
+    ladders = [(layout.position(lad), layout.cutoff(lad), index) for lad, index in config.displaced_ladders()]
     blocks = [
-        {positions[lad]: displacement_block(layout.cutoffs[positions[lad]], f) for lad, f in row.items() if f != 0.0}
-        for row in rows
+        {position: displacement_block(cutoff, point[index]) for position, cutoff, index in ladders if point[index] != 0.0}
+        for point in points
     ]
     return [weighted_sum(H.terms, values).real for values in monomial_values(H, state, blocks)]
 
@@ -356,18 +354,20 @@ def central_identity_checks(
 ) -> list[ResidualCheck]:
     """Polynomial energy vs direct displaced expectation, per state and
     amplitude pair, plus one summary row naming which quartic weight
-    (unit / times4 / both) actually matches the direct values."""
+    (unit / times4 / both) actually matches the direct values.  Each state
+    is checked once, named by its canonical selector."""
     layout = layout or build_layout(config)
     points = [(f1, f2) for f1 in CENTRAL_F_VALUES for f2 in CENTRAL_F_VALUES]
+    selectors = dict.fromkeys(map(_canonical_selector, state_selectors))
+    for f1, f2 in points:
+        require_admissible(config, DisplacementParams(f1, f2), layout)
 
     checks = []
     max_unit = 0.0
     max_times4 = 0.0
-    for selector in state_selectors:
+    for selector in selectors:
         state, cs = reference(config, selector, layout)
-        for f1, f2 in points:
-            require_admissible(config, DisplacementParams(f1, f2), layout)
-        for (f1, f2), e_direct in zip(points, displaced_energies(config, state, points, layout)):
+        for (f1, f2), e_direct in zip(points, displaced_energies(config, state, points)):
             scale = 1.0 + abs(e_direct)
             r_unit = abs(energy_polynomial(cs, f1, f2) - e_direct) / scale
             r_times4 = abs(energy_polynomial(cs, f1, f2, cs.B4) - e_direct) / scale

@@ -95,12 +95,9 @@ class ResidualCheck:
 
 
 def displaced_amplitudes(config: ModelConfig, params: DisplacementParams) -> dict[LadderId, float]:
-    """Which ladder is displaced by how much: b_q, d_q by f1 and a_k by f2."""
-    return {
-        LadderId("b", config.q_index): params.f1,
-        LadderId("d", config.q_index): params.f1,
-        LadderId("a", config.k_index): params.f2,
-    }
+    """Each displaced ladder's amplitude (ModelConfig.displaced_ladders)."""
+    amplitudes = (params.f1, params.f2)
+    return {lad: amplitudes[index] for lad, index in config.displaced_ladders()}
 
 
 def require_admissible(config: ModelConfig, params: DisplacementParams, layout: FockLayout) -> dict[LadderId, float]:

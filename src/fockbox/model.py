@@ -134,19 +134,17 @@ class ModelConfig:
             + [(LadderId(f, n), self.charged_energy(n)) for n in self.charged_modes for f in "bd"]
         )
 
+    def displaced_ladders(self) -> tuple[tuple[LadderId, int], ...]:
+        """Each ladder U moves, with the index of its amplitude in (f1, f2):
+        b_q and d_q by f1, then a_k by f2."""
+        return ((LadderId("b", self.q_index), 0), (LadderId("d", self.q_index), 0), (LadderId("a", self.k_index), 1))
+
     def ladders(self) -> tuple[LadderId, ...]:
-        """Canonical ladder order: family a < b < d, mode index ascending."""
-        return tuple(
-            [LadderId("a", n) for n in self.neutral_modes]
-            + [LadderId("b", n) for n in self.charged_modes]
-            + [LadderId("d", n) for n in self.charged_modes]
-        )
+        """The ladders of mode_energies, sorted: family a < b < d, then mode index."""
+        return tuple(sorted(lad for lad, _ in self.mode_energies()))
 
     def cutoff_for(self, ladder: LadderId) -> int:
-        for lad, c in self.cutoff_overrides:
-            if lad == ladder:
-                return c
-        return self.cutoff_default
+        return dict(self.cutoff_overrides).get(ladder, self.cutoff_default)
 
     def with_cutoff(self, cutoff: int) -> "ModelConfig":
         return replace(self, cutoff_default=cutoff, cutoff_overrides=())

@@ -39,7 +39,6 @@ from .displace import (
     check_free_hamiltonian_shift,
     check_ladder_shifts,
     check_unitarity,
-    displaced_amplitudes,
     require_admissible,
 )
 from .errors import ConfigError, FockboxError
@@ -118,7 +117,8 @@ def run_verification(
 ) -> list[ResidualCheck]:
     """Every identity check on the standard grid, the central energy identity
     over the full reference-state test set, and the Hamiltonian structure
-    checks.  extra_state appends one more state to the central-identity set."""
+    checks.  extra_state appends one more state to the central-identity set,
+    unless it is a spelling of one of them."""
     layout = layout or build_layout(config)
     extreme = max(abs(f) for f in VERIFY_GRID)
     require_admissible(config, DisplacementParams(extreme, extreme), layout)
@@ -137,10 +137,8 @@ def run_verification(
             checks.append(check_unitarity(config, params, layout))
             checks.append(check_composition(config, params, layout))
 
-    selectors = list(CENTRAL_STATES)
-    if extra_state is not None and extra_state not in selectors:
-        selectors.append(extra_state)
-    checks.extend(central_identity_checks(config, layout, state_selectors=selectors))
+    extra = () if extra_state is None else (extra_state,)
+    checks.extend(central_identity_checks(config, layout, state_selectors=CENTRAL_STATES + extra))
 
     symbolic = ladderalg.integrate_box(interaction_density_polynomial(config), config.box_length)
     gap = ladderalg.coefficient_gap(symbolic, interaction_quadrature(config))
@@ -181,8 +179,7 @@ def direct_check_limit(config: ModelConfig, layout: FockLayout | None = None) ->
     """Largest |amplitude| every displaced ladder holds under the leakage
     policy; sweeps attempt direct comparisons only inside it."""
     layout = layout or build_layout(config)
-    probe_amplitudes = displaced_amplitudes(config, DisplacementParams(1.0, 1.0))
-    return min(max_admissible_amplitude(layout.cutoff(lad)) for lad in probe_amplitudes)
+    return min(max_admissible_amplitude(layout.cutoff(lad)) for lad, _ in config.displaced_ladders())
 
 
 @dataclass(frozen=True)
@@ -224,7 +221,7 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, layout: FockLayout | None = 
             raise ConfigError(f"the energy polynomial overflows float64 at f1 = {f1!r}, f2 = {f2!r}")
         polynomial.append(e_poly)
     inside = [max(abs(f1), abs(f2)) <= limit for f1 in spec.f1_values]
-    direct = iter(displaced_energies(config, state, [(f1, f2) for f1, ok in zip(spec.f1_values, inside) if ok], layout))
+    direct = iter(displaced_energies(config, state, [(f1, f2) for f1, ok in zip(spec.f1_values, inside) if ok]))
     rows = []
     for f1, e_poly, ok in zip(spec.f1_values, polynomial, inside):
         if ok:

@@ -155,7 +155,7 @@ def test_acceptance_4_central_identity(capsys):
 def test_acceptance_5_vacuum_closed_forms(capsys):
     config = default_config()
     layout = build_layout(config)
-    cs = coefficients(config, reference_state(config, "vacuum", layout), layout)
+    cs = coefficients(config, reference_state(config, "vacuum", layout))
     vanishing = {
         "A1": cs.A1,
         "A2": cs.A2,
@@ -189,7 +189,7 @@ def test_acceptance_6_descent_verdict(demo_runs, capsys):
 
     config = default_config()
     layout = build_layout(config)
-    cs = coefficients(config, reference_state(config, "vacuum", layout), layout)
+    cs = coefficients(config, reference_state(config, "vacuum", layout))
     f2 = -2.0 * descent_threshold(cs)
     spec = SweepSpec(tuple(parse_f1_range("0:10:0.5")), f2)
     result = run_sweep(config, spec, layout)

@@ -19,13 +19,23 @@ from fockbox.coeffs import (
 )
 from fockbox.displace import DisplacementParams, displacement
 from fockbox.errors import ConfigError, GeometryError
-from fockbox.fockspace import LadderId, expectation
+from fockbox.fockspace import LadderId, expectation, vacuum
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, constant, realize
-from fockbox.model import ModelConfig, build_H, build_layout, default_config, hamiltonian_polynomial
+from fockbox.model import (
+    ModelConfig,
+    build_H,
+    build_layout,
+    cubic_interaction_polynomial,
+    default_config,
+    field_algebra,
+    free_polynomial,
+    hamiltonian_polynomial,
+    quartic_interaction_polynomial,
+)
 from conftest import clear_package_caches
 from test_fockspace import dense_state, row_major_occupations, term_factors
 from test_ladderalg import TWELVE_LADDERS, bits
-from test_model import README_TWO_MODE
+from test_model import OFF_FIRST_MODES, README_TWO_MODE
 
 
 def norm(state):
@@ -101,7 +111,7 @@ def test_every_spelling_of_a_selector_reads_one_memo_entry():
             with pytest.raises(ConfigError, match="state selector"):
                 coeffs.reference(config, bad, layout)
         assert coeffs._reference.cache_info().currsize == 1
-        assert cs == coefficients(config, reference_state(config, "seeded", layout), layout)
+        assert cs == coefficients(config, reference_state(config, "seeded", layout))
     finally:
         clear_package_caches()
 
@@ -142,7 +152,7 @@ def within_rounding(got, want):
 def test_shifted_hamiltonian_gives_the_quadrature_coefficients(selector):
     config = default_config()
     layout = build_layout(config)
-    cs = coefficients(config, reference_state(config, selector, layout), layout)
+    cs = coefficients(config, reference_state(config, selector, layout))
     for name, want in zip(COEFFICIENT_NAMES, QUADRATURE_COEFFICIENTS[selector], strict=True):
         assert within_rounding(getattr(cs, name), want), (name, getattr(cs, name), want)
 
@@ -151,7 +161,7 @@ def test_vacuum_coefficients_match_closed_forms():
     config = default_config()
     layout = build_layout(config)
     state = reference_state(config, "vacuum", layout)
-    cs = coefficients(config, state, layout)
+    cs = coefficients(config, state)
     closed = vacuum_closed_forms(config)
     assert set(closed) == set(COEFFICIENT_NAMES)
     for name, expected in closed.items():
@@ -188,7 +198,7 @@ def test_cubic_overlap_positive_whenever_k_is_2q(lambda1, q):
         cutoff_default=4,
     )
     layout = build_layout(config)
-    cs = coefficients(config, reference_state(config, "vacuum", layout), layout)
+    cs = coefficients(config, reference_state(config, "vacuum", layout))
     expected = lambda1 / (config.energy_q * math.sqrt(2.0 * config.omega_k * config.box_length))
     assert cs.A5 == pytest.approx(expected, rel=1e-12)
     assert cs.A5 > 0.0
@@ -198,7 +208,7 @@ def test_cubic_overlap_positive_whenever_k_is_2q(lambda1, q):
 def test_cubic_overlap_vanishes_off_resonance():
     config = ModelConfig(neutral_modes=(3,), k_index=3, cutoff_default=4)
     layout = build_layout(config)
-    cs = coefficients(config, reference_state(config, "vacuum", layout), layout)
+    cs = coefficients(config, reference_state(config, "vacuum", layout))
     assert abs(cs.A5) <= 1e-14
     with pytest.raises(GeometryError):
         descent_threshold(cs)
@@ -207,7 +217,7 @@ def test_cubic_overlap_vanishes_off_resonance():
 def test_energy_polynomial_shapes():
     config = default_config().with_cutoff(6)
     layout = build_layout(config)
-    cs = coefficients(config, reference_state(config, "vacuum", layout), layout)
+    cs = coefficients(config, reference_state(config, "vacuum", layout))
     # quadratic in f1 at fixed f2: second difference is constant
     f2 = 0.3
     e = [energy_polynomial(cs, f1, f2) for f1 in (0.0, 1.0, 2.0, 3.0)]
@@ -243,8 +253,8 @@ def test_central_identity_adjudicates_both_for_free_quartic():
 def test_one_particle_states_shift_reference_energy():
     config = default_config()
     layout = build_layout(config)
-    cs_vac = coefficients(config, reference_state(config, "vacuum", layout), layout)
-    cs_b = coefficients(config, reference_state(config, "one_b", layout), layout)
+    cs_vac = coefficients(config, reference_state(config, "vacuum", layout))
+    cs_b = coefficients(config, reference_state(config, "one_b", layout))
     assert cs_vac.E_ref == pytest.approx(0.0, abs=1e-13)
     assert cs_b.E_ref == pytest.approx(config.energy_q, rel=1e-12)
     # A4 = 2 E_q + lambda1 <phi> n1^2 is state independent only through <phi>
@@ -284,7 +294,7 @@ def test_twelve_ladder_config_runs_without_the_joint_space():
     for selector in ("vacuum", "one_a", "one_b", "seeded:7"):
         state = reference_state(config, selector, layout)
         assert len(state.amplitudes) == {"seeded:7": 91}.get(selector, 1)
-        cs = coefficients(config, state, layout)
+        cs = coefficients(config, state)
         assert all(math.isfinite(getattr(cs, name)) for name in COEFFICIENT_NAMES)
         if selector == "vacuum":
             for name, want in closed.items():
@@ -344,7 +354,7 @@ def test_one_pass_coefficients_equal_the_per_group_expectations(config, selector
     # bit for bit, the imaginary parts that max_imag reads included
     layout = build_layout(config)
     state = reference_state(config, selector, layout)
-    assert coefficients(config, state, layout) == per_group_coefficients(config, state, layout)
+    assert coefficients(config, state) == per_group_coefficients(config, state, layout)
 
 
 @pytest.mark.parametrize("selector", REFERENCE_SELECTORS)
@@ -352,7 +362,7 @@ def test_one_pass_coefficients_equal_the_per_group_expectations(config, selector
 def test_batched_direct_energies_equal_the_per_state_expectations(config, selector):
     layout = build_layout(config)
     state = reference_state(config, selector, layout)
-    assert displaced_energies(config, state, CENTRAL_POINTS, layout) == per_state_direct_energies(
+    assert displaced_energies(config, state, CENTRAL_POINTS) == per_state_direct_energies(
         config, state, CENTRAL_POINTS, layout
     )
 
@@ -383,3 +393,41 @@ def test_free_groups_are_bitwise_the_shift_of_the_displaced_ladders_alone(config
     free = coeffs._shifted_parts(config)[0]
     assert list(free) == [powers for powers in oracle if powers != (0, 0)]
     assert all(bits(free[powers]) == bits(oracle[powers]) for powers in free)
+
+
+def literal_shifted_parts(config):
+    """_shifted_parts with its amplitude-index map written out by hand: the
+    oracle for ModelConfig.displaced_ladders' map."""
+    amplitudes = {LadderId("b", config.q_index): 0, LadderId("d", config.q_index): 0, LadderId("a", config.k_index): 1}
+    bare_quartic = ladderalg.integrate_box(field_algebra(config).powers[4], config.box_length)
+    parts = (
+        free_polynomial(config),
+        cubic_interaction_polynomial(config),
+        quartic_interaction_polynomial(config),
+        bare_quartic,
+    )
+    return tuple(
+        {powers: g for powers, g in ladderalg.shift(part, amplitudes).items() if powers != (0, 0)} for part in parts
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [default_config(), README_TWO_MODE, TWELVE_LADDERS, OFF_FIRST_MODES],
+    ids=["default", "two_mode", "twelve", "off_first_modes"],
+)
+def test_shifted_parts_are_bitwise_the_shift_by_the_literal_map(config):
+    got, want = coeffs._shifted_parts(config), literal_shifted_parts(config)
+    for groups, oracle in zip(got, want, strict=True):
+        assert list(groups) == list(oracle)
+        assert all(bits(groups[powers]) == bits(oracle[powers]) for powers in groups)
+    # the pair displacement survives: k = 2q gives an f1^2 f2 cubic group
+    assert (2, 1) in got[1]
+
+
+def test_coefficients_and_direct_energies_read_the_state_layout():
+    # a state on another config's layout is contracted on that layout
+    config, small = default_config(), default_config().with_cutoff(12)
+    state = vacuum(build_layout(small))
+    assert coefficients(config, state) == coefficients(small, state)
+    assert displaced_energies(config, state, CENTRAL_POINTS) == displaced_energies(small, state, CENTRAL_POINTS)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fockbox.displace import DisplacementParams, displaced_amplitudes
 from fockbox.errors import ConfigError, LayoutError
-from fockbox.fockspace import CUTOFF_CAP, LadderId, expectation, vacuum
+from fockbox.fockspace import CUTOFF_CAP, LadderId, expectation, max_admissible_amplitude, vacuum
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol
 from fockbox.model import (
     ModelConfig,
@@ -23,7 +24,7 @@ from fockbox.model import (
     shift_profiles,
 )
 from fockbox import fockspace, ladderalg
-from fockbox.probe import SweepSpec, run_sweep
+from fockbox.probe import SweepSpec, direct_check_limit, run_sweep
 from test_fockspace import dense, row_major_occupations
 
 GOOD_CONFIG = """
@@ -61,6 +62,26 @@ def test_ladder_order_families_then_modes():
         LadderId("d", 1),
         LadderId("d", 2),
     )
+
+
+# q and k are not the first modes of their fields, and d_q has its own cutoff.
+OFF_FIRST_MODES = ModelConfig(
+    neutral_modes=(2, 4), charged_modes=(1, 2), q_index=2, k_index=4, cutoff_overrides={LadderId("d", 2): 9}
+)
+
+
+def test_displaced_ladders_are_b_q_d_q_then_a_k():
+    b2, d2, a4 = LadderId("b", 2), LadderId("d", 2), LadderId("a", 4)
+    config = OFF_FIRST_MODES
+    assert config.displaced_ladders() == ((b2, 0), (d2, 0), (a4, 1))
+    assert list(displaced_amplitudes(config, DisplacementParams(0.25, -0.5)).items()) == [
+        (b2, 0.25),
+        (d2, 0.25),
+        (a4, -0.5),
+    ]
+    # d2's override is the smallest cutoff among the displaced ladders
+    assert direct_check_limit(config) == max_admissible_amplitude(9)
+    assert direct_check_limit(config) < max_admissible_amplitude(config.cutoff_default)
 
 
 def test_mode_sets_normalized():
@@ -230,6 +251,32 @@ def test_hamiltonian_hermitian_and_annihilates_vacuum_offset():
 
 # The README's two-mode example: ladders a2, a3, b1, d1, 97,104 states.
 README_TWO_MODE = ModelConfig(neutral_modes=(2, 3), cutoff_overrides={LadderId("a", 2): 20, LadderId("b", 1): 15})
+
+
+def hand_written_ladders(config):
+    """The ladders written out family by family: the oracle for
+    ModelConfig.ladders()."""
+    return tuple(
+        [LadderId("a", n) for n in config.neutral_modes]
+        + [LadderId("b", n) for n in config.charged_modes]
+        + [LadderId("d", n) for n in config.charged_modes]
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        default_config(),
+        README_TWO_MODE,
+        ModelConfig(neutral_modes=(1, 2, 3, 4), charged_modes=(1, 2, 3, 4)),
+        ModelConfig(neutral_modes=(2, -2, -4), charged_modes=(1, -1, -3)),
+    ],
+    ids=["default", "two_mode", "twelve", "negative_modes"],
+)
+def test_ladders_are_the_sorted_ladders_of_the_mode_energies(config):
+    assert config.ladders() == hand_written_ladders(config)
+    assert set(config.ladders()) == {lad for lad, _ in config.mode_energies()}
+    assert len(config.ladders()) == len(config.mode_energies())
 
 
 @pytest.mark.parametrize("config", [default_config(), README_TWO_MODE], ids=["default", "two_mode"])

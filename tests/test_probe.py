@@ -110,7 +110,7 @@ def test_write_sweep_csv_bytes(tmp_path):
 def test_write_coefficients_csv_has_closed_form_columns(tmp_path):
     config = default_config()
     layout = build_layout(config)
-    cs = coefficients(config, reference_state(config, "vacuum", layout), layout)
+    cs = coefficients(config, reference_state(config, "vacuum", layout))
     path = tmp_path / "coefficients.csv"
     write_coefficients_csv(str(path), cs, vacuum_closed_forms(config))
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -150,7 +150,7 @@ def test_run_sweep_gates_direct_rows():
 def test_run_sweep_certifies_descent_past_threshold():
     config = default_config()
     layout = build_layout(config)
-    cs = coefficients(config, reference_state(config, "vacuum", layout), layout)
+    cs = coefficients(config, reference_state(config, "vacuum", layout))
     f2 = -(descent_threshold(cs) + 1.0)
     spec = SweepSpec(f1_values=tuple(parse_f1_range("0:10:1")), f2=f2)
     result = run_sweep(config, spec, layout)
@@ -226,6 +226,23 @@ def test_run_verification_covers_reference_state_set():
     extra = run_verification(config, layout, extra_state="seeded:11")
     assert len([c for c in extra if c.name == "central_identity[seeded:11]"]) == 25
     assert len(extra) == len(checks) + 25
+
+
+def test_a_spelling_of_a_central_state_adds_no_rows(monkeypatch):
+    config = default_config()
+    layout = build_layout(config)
+    plain = run_verification(config, layout)
+    assert run_verification(config, layout, extra_state="seeded") == plain
+    assert run_verification(config, layout, extra_state="seeded:007") == plain
+    # the central points are checked for admissibility once, not per state
+    calls = []
+    monkeypatch.setattr(coeffs, "require_admissible", lambda *args: calls.append(args))
+    extra = run_verification(config, layout, extra_state="seeded:8")
+    assert len(calls) == 25
+    # every row before the four summary rows is kept, and seeded:8's follow them
+    assert extra[: len(plain) - 4] == plain[:-4]
+    assert len([c for c in extra if c.name == "central_identity[seeded:8]"]) == 25
+    assert len(extra) == len(plain) + 25
 
 
 def test_cli_verify_and_exit_codes(tmp_path, capsys):

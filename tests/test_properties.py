@@ -100,7 +100,7 @@ def test_random_config_is_rejected_or_gives_finite_coefficients(values):
     try:
         config = ModelConfig(**values)
         layout = build_layout(config)
-        cs = coefficients(config, reference_state(config, "vacuum", layout), layout)
+        cs = coefficients(config, reference_state(config, "vacuum", layout))
         closed_forms = vacuum_closed_forms(config)
     except ConfigError:
         return
