@@ -39,7 +39,7 @@ from . import ladderalg
 from .displace import DisplacementParams, ResidualCheck, require_admissible
 from .errors import ConfigError, GeometryError
 from .fockspace import FockLayout, LadderId, OperatorMatrix, StateVector, basis_state, basis_sum, vacuum
-from .fockspace import displacement_block, monomial_values, weighted_sum
+from .fockspace import displaced_columns, displacement_block, displacement_blocks, monomial_values, weighted_sum
 from .ladderalg import LadderPolynomial
 from .model import (
     ModelConfig,
@@ -262,18 +262,36 @@ def displaced_energies(config: ModelConfig, state: StateVector, points: Sequence
     """The direct energy <psi| U+ H U |psi> at each amplitude pair (f1, f2)
     of points, on the state's layout.  The displaced copies share the
     state's amplitudes and column indices, so they are contracted against
-    the memoized H in one batch, each copy carrying its row's blocks on the
-    displaced ladders (monomial_values)."""
+    the memoized H in one batch (monomial_values), each displaced ladder
+    carrying one stack of its columns per call: the memoized block's
+    columns once, where every row shares the ladder's amplitude, and
+    otherwise each row's columns from one stacked build over the call's
+    amplitudes (displacement_blocks), shared by the ladders of one cutoff
+    that move with the same amplitude.  A row whose amplitude is 0.0 keeps
+    the state's columns on that ladder, unit columns at levels."""
     if not points:
         return []
     layout = state.layout
     H = _realized_parts(config, layout)[0]
-    ladders = [(layout.position(lad), layout.cutoff(lad), index) for lad, index in config.displaced_ladders()]
-    blocks = [
-        {position: displacement_block(cutoff, point[index]) for position, cutoff, index in ladders if point[index] != 0.0}
-        for point in points
-    ]
-    return [weighted_sum(H.terms, values).real for values in monomial_values(H, state, blocks)]
+    amplitudes = np.array(points, dtype=float)
+    built, stacks = {}, {}
+    for lad, index in config.displaced_ladders():
+        position, cutoff = layout.position(lad), layout.cutoff(lad)
+        f, source = amplitudes[:, index], state.ladders[position][1]
+        moved = f != 0.0
+        if np.all(f == f[0]):
+            if moved[0]:
+                stacks[position] = displaced_columns(displacement_block(cutoff, f[0]), source)[None]
+            continue
+        if (cutoff, index) not in built:
+            built[cutoff, index] = displacement_blocks(cutoff, f[moved])
+        stack = displaced_columns(built[cutoff, index], source)
+        if not moved.all():
+            own = np.equal.outer(np.arange(cutoff + 1), source).astype(float) if source.ndim == 1 else source
+            stack, displaced = np.repeat(own[None], len(f), axis=0), stack
+            stack[moved] = displaced
+        stacks[position] = stack
+    return [weighted_sum(H.terms, values).real for values in monomial_values(H, state, stacks, len(points))]
 
 
 def energy_polynomial(

@@ -136,7 +136,8 @@ class Displacement:
 
 def displacement(config: ModelConfig, params: DisplacementParams, layout: FockLayout | None = None) -> Displacement:
     """U(f1, f2) on the layout: the blocks of its nonzero amplitudes.  The
-    direct energies hand the same blocks to the contraction without it
+    direct energies build the same blocks, stacked over a call's rows, and
+    hand their columns to the contraction without it
     (coeffs.displaced_energies)."""
     layout = layout or build_layout(config)
     factors: dict[LadderId, np.ndarray] = {}

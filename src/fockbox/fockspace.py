@@ -16,9 +16,14 @@ levels, a word's Gram entry is its weight at t's level where s's level is
 t's shifted by the word and zero elsewhere, so ladders of levels decide
 which pairs a monomial joins, and no Gram is formed there.  On dense
 columns each word's K x K Gram is formed, K at most three for the reference
-states.  One contraction, monomial_values, takes a state and the
-single-ladder blocks of each of a batch of copies: the direct energies at
-many amplitudes are one batch, and an expectation a batch of one.
+states.  One contraction, monomial_values, takes a state and, per ladder
+that a batch of copies displaces, one stack of the copies' columns, or one
+set of columns that every copy shares: the direct energies at many
+amplitudes are one batch, and an expectation a batch of one.  Which pairs
+a monomial joins and where each reads its factors is planned once per
+operator, state and set of stacked ladders (_pair_plan).  The stacks come
+from one stacked block build per call (displacement_blocks), of which the
+memoized single block is the stack of one.
 
 Ladder operators use a hard cutoff: the raising operator annihilates the top
 level.  Consequently ``[a, a+] = 1`` holds exactly only on the subspace that
@@ -116,6 +121,12 @@ ADMISSIBLE_AMPLITUDE_CACHE = 16
 # Supports of basis sums, keyed on the layout and the occupations: the
 # reference states of a layout use four, every seeded state the same one.
 BASIS_SUPPORT_CACHE = 16
+# Pair plans, keyed on an operator, a state and the positions of its
+# stacks.  A sweep batch on the built-in config reads 5 (vacuum, one_a,
+# one_b and seeded:7 twice, each a direct batch against H) and adds 2 for
+# its fresh seeded:<n> (its direct batch and its coefficients); a verify run
+# computes 8, one per reference state for each, and reads none twice.
+PAIR_PLAN_CACHE = 8
 
 
 @dataclass(frozen=True, order=True)
@@ -338,54 +349,87 @@ def vacuum(layout: FockLayout) -> StateVector:
 
 
 def displaced_columns(u: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """A single-ladder block u times a ladder's distinct columns: its columns
-    at (K,) levels, or its product with (dim, K) columns."""
-    return u[:, source] if source.ndim == 1 else u @ source
+    """A single-ladder block u, or each of a (n, dim, dim) stack of them,
+    times a ladder's distinct columns: its columns at (K,) levels, or its
+    product with (dim, K) columns."""
+    return u[..., source] if source.ndim == 1 else u @ source
 
 
 def monomial_values(
-    op: OperatorMatrix, state: StateVector, blocks: Sequence[Mapping[int, np.ndarray]] = ({},)
+    op: OperatorMatrix, state: StateVector, stacks: Mapping[int, np.ndarray] | None = None, copies: int = 1
 ) -> np.ndarray:
     """(copies, monomials) array of sum_(s,t) conj(c_s) c_t prod_l G_m,l[s, t],
     G_m,l[s, t] the Gram of monomial m's word on ladder l between terms s
-    and t, for the copies of a state: copy b carries the single-ladder block
-    blocks[b][p] on the ladder at each position p it names, as
-    Displacement.apply would put it there.  A ladder of levels that no block
-    touches decides which pairs a monomial joins (_pairs), and its factor
-    there is the word's weight at t's level; any other ladder reads it from
-    each copy's K x K Gram (_column_grams).  A pair multiplies its factors in
-    ladder order, then c_t, then conj(c_s), and a monomial sums its pairs in
-    order from +0.0: the pairs that another copy's unit columns add are exact
-    zeros, so a copy's values do not depend on the batch."""
+    and t, for copies of a state.  stacks[p] replaces the distinct columns
+    of the ladder at position p: a (copies, dim, K) stack, copy b's columns
+    being stacks[p][b], or a (1, dim, K) stack that every copy shares.  So a
+    copy carries a displaced ladder as Displacement.apply would put it there
+    (displaced_columns), and a shared ladder's Grams are formed once.  A
+    ladder of levels with no stack decides which pairs a monomial joins,
+    and its factor there is the word's weight at t's level; any other
+    ladder reads it from its K x K Grams (_column_grams).  A pair multiplies
+    its factors in ladder order, then c_t, then conj(c_s), and a monomial
+    sums its pairs in order from +0.0: the pairs that unit columns add where
+    levels would not join are exact zeros, so a copy's values do not depend
+    on the batch or on which copies share a stack."""
     if state.layout != op.layout:
         raise LayoutError("operator and state live on different layouts")
-    copies, c = len(blocks), state.amplitudes
+    stacks, c = stacks or {}, state.amplitudes
     if not copies:
         return np.zeros((0, len(op.terms)), dtype=np.complex128)
-    levels, grams = {}, {}
-    for position, ((columns, source), dim) in enumerate(zip(state.ladders, op.layout.dims)):
-        touched = sum(position in b for b in blocks)
-        if source.ndim == 1 and not touched:
-            levels[position] = source[columns]
+    grams = {}
+    for position, ((_, source), dim) in enumerate(zip(state.ladders, op.layout.dims)):
+        x = stacks.get(position, source[None] if source.ndim == 2 else None)
+        if x is None:
             continue
-        # an untouched copy's columns: the unit columns at levels, or the state's
-        x = np.equal.outer(np.arange(dim), source).astype(float) if source.ndim == 1 and touched < copies else source
-        stack = np.stack([displaced_columns(b[position], source) if position in b else x for b in blocks])
-        grams[position] = _column_grams(op.word_stacks[position], stack).reshape(copies, -1)
-    m, s, t = _pairs(op, levels, len(c))
+        if x.ndim != 3 or len(x) not in (1, copies) or x.shape[1:] != (dim, source.shape[-1]):
+            raise LayoutError(f"ladder {position} takes a (1 or {copies}, {dim}, {source.shape[-1]}) stack, not {x.shape}")
+        grams[position] = _column_grams(op.word_stacks[position], x).reshape(len(x), -1)
+    m, s, t, gathers = _pair_plan(op, state, tuple(sorted(stacks)))
+
+    def full(factor: np.ndarray) -> np.ndarray:
+        # numpy drops the pair axis of a lone pair and multiplies a factor
+        # broadcast over the copies with a kernel that rounds complex
+        # products differently, so there each copy gets its own entry
+        return np.broadcast_to(factor, (copies, 1)).copy() if len(m) == 1 else factor
+
     value = np.ones((copies, len(m)))
+    for position, ((_, weights, _), gather) in enumerate(zip(op.word_stacks, gathers)):
+        value = value * full(np.take(grams[position], gather, axis=1) if position in grams else np.take(weights, gather))
+    value = value * full(c[t]) * full(c.conj()[s])
+    sums = np.zeros(copies * len(op.terms), dtype=np.complex128)
+    np.add.at(sums, (np.arange(copies)[:, None] * len(op.terms) + m).ravel(), value.ravel())
+    return sums.reshape(copies, len(op.terms))
+
+
+@lru_cache(maxsize=PAIR_PLAN_CACHE)
+def _pair_plan(op: OperatorMatrix, state: StateVector, stacked: tuple[int, ...]) -> tuple:
+    """(m, s, t, gathers), read-only: the pairs each monomial joins
+    (_pairs) on the state's ladders of levels that carry no stack, and per
+    ladder the flat index of each pair's factor, into the word weights
+    (words, dim) on such a ladder and into a copy's (words, K, K) Grams on
+    any other.  Memoized on the operator and the state, both read by
+    identity, and the stacked positions, so a state's column indices and
+    levels must not change once it is contracted (a basis sum's are
+    read-only)."""
+    levels = {
+        position: source[columns]
+        for position, (columns, source) in enumerate(state.ladders)
+        if source.ndim == 1 and position not in stacked
+    }
+    m, s, t = _pairs(op, levels, len(state.amplitudes))
+    gathers = []
     for position, ((columns, source), (_, weights, _), words) in enumerate(
         zip(state.ladders, op.word_stacks, op.word_indices.T)
     ):
         if position in levels:
-            value = value * np.take(weights, words[m] * weights.shape[1] + levels[position][t])
+            gathers.append(words[m] * weights.shape[1] + levels[position][t])
         else:
             k = source.shape[-1]
-            value = value * np.take(grams[position], (words[m] * k + columns[s]) * k + columns[t], axis=1)
-    value = value * c[t] * c.conj()[s]
-    sums = np.zeros(copies * len(op.terms), dtype=np.complex128)
-    np.add.at(sums, (np.arange(copies)[:, None] * len(op.terms) + m).ravel(), value.ravel())
-    return sums.reshape(copies, len(op.terms))
+            gathers.append((words[m] * k + columns[s]) * k + columns[t])
+    for array in (m, s, t, *gathers):
+        array.setflags(write=False)
+    return m, s, t, tuple(gathers)
 
 
 def _pairs(op: OperatorMatrix, levels: Mapping[int, np.ndarray], terms: int) -> tuple[np.ndarray, ...]:
@@ -478,10 +522,7 @@ def displacement_block(cutoff: int, amplitude: float, columns: int | None = None
     sin exactly odd, so the image equals a direct diagonalization at -f
     entry for entry, up to the sign of an entry that is exactly zero.
     """
-    levels = int(cutoff) + 1
-    columns = levels if columns is None else int(columns)
-    if not 0 < columns <= levels:
-        raise LayoutError(f"a block on {levels} levels has 1..{levels} columns, not {columns}")
+    levels, columns = _block_shape(cutoff, columns)
     amplitude = float(amplitude)
     if amplitude < 0.0:
         _, _, parity = _phase_pattern(levels, columns)
@@ -491,18 +532,51 @@ def displacement_block(cutoff: int, amplitude: float, columns: int | None = None
     return _displacement_block(levels, amplitude, columns)
 
 
+def displacement_blocks(cutoff: int, amplitudes: Sequence[float], columns: int | None = None) -> np.ndarray:
+    """(n, levels, columns) stack of displacement_block(cutoff, f, columns)
+    for the n amplitudes, bit for bit: one stacked build (_block_stack)
+    over their distinct |f|, each negative one's parity image taken as
+    displacement_block takes it.  Not memoized, and writable."""
+    levels, columns = _block_shape(cutoff, columns)
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    magnitudes = np.abs(amplitudes).tolist()
+    distinct = {f: i for i, f in enumerate(dict.fromkeys(magnitudes))}
+    stack = _block_stack(levels, np.array(list(distinct)), columns)[[distinct[f] for f in magnitudes]]
+    stack[amplitudes < 0.0] *= _phase_pattern(levels, columns)[2]
+    return stack
+
+
+def _block_shape(cutoff: int, columns: int | None) -> tuple[int, int]:
+    levels = int(cutoff) + 1
+    columns = levels if columns is None else int(columns)
+    if not 0 < columns <= levels:
+        raise LayoutError(f"a block on {levels} levels has 1..{levels} columns, not {columns}")
+    return levels, columns
+
+
 @lru_cache(maxsize=DISPLACEMENT_BLOCK_CACHE)
 def _displacement_block(levels: int, amplitude: float, columns: int) -> np.ndarray:
-    """The block at either sign of the amplitude, diagonalized directly."""
-    mu, v = _x_basis(levels)
-    theta = amplitude * mu
-    c = (v * np.cos(theta)) @ v[:columns].T
-    s = (v * np.sin(theta)) @ v[:columns].T
-    even, sign, _ = _phase_pattern(levels, columns)
-    block = np.where(even, c, s)
-    block *= sign
+    """The block at either sign of the amplitude, diagonalized directly:
+    the stack of one."""
+    block = _block_stack(levels, np.array([amplitude]), columns)[0]
     block.setflags(write=False)
     return block
+
+
+def _block_stack(levels: int, amplitudes: np.ndarray, columns: int) -> np.ndarray:
+    """(n, levels, columns) blocks at the n amplitudes, either sign, as
+    displacement_block builds one.  Every step but the matmuls is
+    elementwise, and numpy's matmul runs one GEMM of the same shapes per
+    block, so a block does not depend on its stack: each is the stack of
+    one (_displacement_block) bit for bit."""
+    mu, v = _x_basis(levels)
+    theta = amplitudes[:, None] * mu
+    c = (v * np.cos(theta)[:, None]) @ v[:columns].T
+    s = (v * np.sin(theta)[:, None]) @ v[:columns].T
+    even, sign, _ = _phase_pattern(levels, columns)
+    stack = np.where(even, c, s)
+    stack *= sign
+    return stack
 
 
 @lru_cache(maxsize=PHASE_PATTERN_CACHE)

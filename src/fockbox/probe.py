@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import math
 import csv
+import operator
 import os
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from . import ladderalg
 from .coeffs import (
@@ -182,6 +182,43 @@ def direct_check_limit(config: ModelConfig, layout: FockLayout | None = None) ->
     return min(max_admissible_amplitude(layout.cutoff(lad)) for lad, _ in config.displaced_ladders())
 
 
+def quadratic_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """(c2, residual) of the least-squares quadratic c0 + c1 x + c2 x^2
+    through the points, residual its largest |p(x) - y| over 1 + max |y|.
+    x is centred and scaled onto u in [-1, 1], modified Gram-Schmidt makes
+    the columns 1, u and u^2 orthonormal, and y is projected on each in
+    turn (Bjorck, BIT 7, 1967).  Where the fit leaves float64 it raises
+    ArithmeticError: a step that divides by zero, a result that is not
+    finite, or a sum of y^2, the objective at p = 0, that overflows."""
+    lo, hi = min(xs), max(xs)
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    u = [(x - centre) / half for x in xs]
+    q: list[list[float]] = []
+    r = [[0.0] * 3 for _ in range(3)]
+    for j, column in enumerate(([1.0] * len(u), u, [v * v for v in u])):
+        for i, qi in enumerate(q):
+            r[i][j] = _dot(qi, column)
+            column = [a - r[i][j] * b for a, b in zip(column, qi)]
+        r[j][j] = math.sqrt(_dot(column, column))
+        q.append([a / r[j][j] for a in column])
+    z, rest = [], list(ys)
+    for qi in q:
+        z.append(_dot(qi, rest))
+        rest = [a - z[-1] * b for a, b in zip(rest, qi)]
+    b2 = z[2] / r[2][2]
+    b1 = (z[1] - r[1][2] * b2) / r[1][1]
+    b0 = (z[0] - r[0][1] * b1 - r[0][2] * b2) / r[0][0]
+    c2 = b2 / (half * half)
+    residual = max(abs(b0 + v * (b1 + v * b2) - y) for v, y in zip(u, ys)) / (1.0 + max(map(abs, ys)))
+    if not all(math.isfinite(value) for value in (c2, residual, _dot(ys, ys))):
+        raise OverflowError("the fit leaves the range of float64")
+    return c2, residual
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(map(operator.mul, a, b))
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One descent scan: energies along f1 at fixed f2 for one reference
@@ -232,15 +269,10 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, layout: FockLayout | None = 
             residual = None
         rows.append(SweepRow(f1, f2, e_poly, e_direct, residual))
 
-    f1_arr = np.array([r.f1 for r in rows])
-    e_arr = np.array([r.energy_polynomial for r in rows])
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            fit = np.polyfit(f1_arr, e_arr, 2)
-            fit_residual = float(np.max(np.abs(np.polyval(fit, f1_arr) - e_arr)) / (1.0 + np.max(np.abs(e_arr))))
-    except FloatingPointError as exc:
+        c2, fit_residual = quadratic_fit(spec.f1_values, polynomial)
+    except ArithmeticError as exc:
         raise ConfigError("the quadratic fit of this sweep leaves the range of float64") from exc
-    c2 = float(fit[0])
     expected_c2 = cs.A4 + spec.f2 * cs.A5
     certified = (
         c2 < 0.0

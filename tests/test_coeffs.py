@@ -32,6 +32,7 @@ from fockbox.model import (
     hamiltonian_polynomial,
     quartic_interaction_polynomial,
 )
+from fockbox.probe import direct_check_limit
 from conftest import clear_package_caches
 from test_fockspace import dense_state, row_major_occupations, term_factors
 from test_ladderalg import TWELVE_LADDERS, bits
@@ -360,11 +361,19 @@ def test_one_pass_coefficients_equal_the_per_group_expectations(config, selector
 @pytest.mark.parametrize("selector", REFERENCE_SELECTORS)
 @pytest.mark.parametrize("config", [default_config(), README_TWO_MODE], ids=["default", "two_mode"])
 def test_batched_direct_energies_equal_the_per_state_expectations(config, selector):
+    # the central points, and calls of one f2 each, as run_sweep makes them:
+    # there a_k reads one memoized block that every row shares (none at
+    # f2 = 0), b_q and d_q one stacked build, and a row at f1 = 0 keeps its
+    # unit columns.  Each row is also bit for bit its batch of one.
     layout = build_layout(config)
     state = reference_state(config, selector, layout)
-    assert displaced_energies(config, state, CENTRAL_POINTS) == per_state_direct_energies(
-        config, state, CENTRAL_POINTS, layout
-    )
+    limit = direct_check_limit(config, layout)
+    sweeps = [[(f1, f2) for f1 in (-limit, -0.6, -0.25, 0.0, 0.3, 0.8, limit)] for f2 in (0.0, -0.5 * limit, limit)]
+    for points in (CENTRAL_POINTS, *sweeps):
+        batch = displaced_energies(config, state, points)
+        assert batch == per_state_direct_energies(config, state, points, layout)
+        alone = [displaced_energies(config, state, [point])[0] for point in points]
+        assert np.array(batch).tobytes() == np.array(alone).tobytes()
 
 
 def test_central_states_are_the_reference_selectors():

@@ -25,7 +25,9 @@ from fockbox.fockspace import (
     StateVector,
     basis_state,
     basis_sum,
+    displaced_columns,
     displacement_block,
+    displacement_blocks,
     expectation,
     leakage_admissible,
     max_admissible_amplitude,
@@ -34,7 +36,7 @@ from fockbox.fockspace import (
     word_gram,
     word_weights,
 )
-from fockbox.displace import Displacement
+from fockbox.displace import Displacement, work_frame_size
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, constant, realize
 from fockbox.model import default_config
 from fockbox.probe import run_verification
@@ -95,6 +97,19 @@ def term_factors(state: StateVector) -> list[np.ndarray]:
         distinct = np.eye(dim)[:, source] if source.ndim == 1 else source
         factors.append(distinct[:, columns])
     return factors
+
+
+def copy_stacks(state: StateVector, blocks: list[dict[int, np.ndarray]]) -> dict[int, np.ndarray]:
+    """The stacks of monomial_values for copies of the state that carry
+    blocks[b][p] on the ladder at position p: on every ladder some copy
+    displaces, each copy's columns, the state's own where it has no block
+    there (unit columns at levels)."""
+    stacks = {}
+    for p in sorted({p for b in blocks for p in b}):
+        source = state.ladders[p][1]
+        own = np.eye(state.layout.dims[p])[:, source] if source.ndim == 1 else source
+        stacks[p] = np.stack([displaced_columns(b[p], source) if p in b else own for b in blocks])
+    return stacks
 
 
 def dense_state(state: StateVector, magnitude: bool = False) -> np.ndarray:
@@ -346,10 +361,11 @@ def test_a_batch_of_no_copies_has_no_rows():
     op = realize(poly, layout)
     ladders = tuple((np.zeros(2, dtype=int), np.eye(4)[:, :1]) for _ in layout.dims)
     for state in (basis_sum(layout, [(0, 1, 0), (1, 0, 0)], [0.6, 0.8]), StateVector(layout, np.ones(2), ladders)):
-        values = fockspace.monomial_values(op, state, [])
+        values = fockspace.monomial_values(op, state, copies=0)
         assert values.shape == (0, 2) and values.dtype == np.complex128
-    # a state of no terms has zero values, with blocks or without
-    values = fockspace.monomial_values(op, basis_sum(layout, [], []), [{1: displacement_block(3, 0.4)}, {}])
+    # a state of no terms has zero values, with stacks or without
+    empty = basis_sum(layout, [], [])
+    values = fockspace.monomial_values(op, empty, copy_stacks(empty, [{1: displacement_block(3, 0.4)}, {}]), 2)
     assert values.shape == (2, 2) and not values.any()
 
 
@@ -391,7 +407,7 @@ def test_pairs_on_wide_ladders_are_those_of_their_unit_columns(cutoff, words, st
     }
     assert set(zip(*(a.tolist() for a in fockspace._pairs(op, levels, len(steps))))) == joined
     values = fockspace.monomial_values(op, state)[0]
-    unit = fockspace.monomial_values(op, state, [{p: np.eye(cutoff + 1) for p in range(8)}])[0]
+    unit = fockspace.monomial_values(op, state, copy_stacks(state, [{p: np.eye(cutoff + 1) for p in range(8)}]))[0]
     assert values.tobytes() == unit.tobytes() and np.count_nonzero(values) >= 2
 
 
@@ -404,7 +420,7 @@ def test_basis_sums_share_their_support_and_copies_carry_blocks():
     assert [list(levels) for _, levels in state.ladders] == [[0, 1], [1, 2], [0]]
     assert [list(columns) for columns, _ in state.ladders] == [[0, 0, 1], [0, 1, 0], [0, 0, 0]]
     assert basis_sum(layout, [(0, 1, 0)], [1.0]).ladders is basis_state(layout, {B1: 1}).ladders
-    values = fockspace.monomial_values(op, state, [{1: u}, {}])
+    values = fockspace.monomial_values(op, state, copy_stacks(state, [{1: u}, {}]), 2)
     assert values[1] == expectation(op, state)
     assert values[0] == pytest.approx(expectation(op, state), rel=1e-15)
     # apply keeps the column indices and takes the block's columns at the levels
@@ -415,7 +431,7 @@ def test_basis_sums_share_their_support_and_copies_carry_blocks():
     assert values[0].tobytes() == fockspace.monomial_values(op, displaced)[0].tobytes()
     # a copy of a displaced state carries its block on the displaced columns
     twice = Displacement(layout, {B1: u}).apply(displaced)
-    again = fockspace.monomial_values(op, displaced, [{1: u}, {}])
+    again = fockspace.monomial_values(op, displaced, copy_stacks(displaced, [{1: u}, {}]), 2)
     assert again[0].tobytes() == fockspace.monomial_values(op, twice)[0].tobytes()
     assert again[1].tobytes() == values[0].tobytes()
     with pytest.raises(LayoutError, match="one amplitude per basis state"):
@@ -533,6 +549,19 @@ def test_displacement_block_ulp_apart_amplitudes_differ():
     assert low.tobytes() != high.tobytes()
 
 
+@pytest.mark.parametrize("cutoff, columns", [(16, None), (64, None), (work_frame_size(64) - 1, 33)])
+@pytest.mark.parametrize("depth", [1, 7, 25])
+def test_a_stacked_build_is_the_single_blocks_bit_for_bit(cutoff, columns, depth):
+    # negative, zero and positive amplitudes, each |f| of the odd grids twice
+    limit = max_admissible_amplitude(cutoff)
+    grids = [[-limit], [0.0], [0.7 * limit]] if depth == 1 else [np.linspace(-limit, limit, depth)]
+    for amplitudes in grids:
+        stack = displacement_blocks(cutoff, amplitudes, columns)
+        assert stack.shape == (depth, cutoff + 1, cutoff + 1 if columns is None else columns)
+        for block, f in zip(stack, amplitudes):
+            assert block.tobytes() == displacement_block(cutoff, f, columns).tobytes()
+
+
 def test_displacement_block_columns_are_the_leading_columns():
     full = displacement_block(40, 1.3)
     for columns in (1, 9, 41):
@@ -581,6 +610,7 @@ def test_every_lru_cache_is_bounded():
         "fockbox.coeffs._realized_parts",
         "fockbox.coeffs._reference",
         "fockbox.fockspace._basis_support",
+        "fockbox.fockspace._pair_plan",
     } == set(caches)
     assert all(size is not None for size in caches.values()), caches
     assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE
@@ -615,6 +645,9 @@ def test_every_lru_cache_is_bounded():
     # keyed on a layout and a support: the reference states of a layout use
     # four, and every seeded state shares one
     assert caches["fockbox.fockspace._basis_support"] == fockspace.BASIS_SUPPORT_CACHE == 16
+    # keyed on an operator, a state and its stacked ladders: a sweep batch
+    # reads 5 plans and adds 2, a verify run computes 8 and reads none twice
+    assert caches["fockbox.fockspace._pair_plan"] == fockspace.PAIR_PLAN_CACHE == 8
     # one entry per distinct cutoff
     assert caches["fockbox.fockspace.max_admissible_amplitude"] == fockspace.ADMISSIBLE_AMPLITUDE_CACHE == 16
 
