@@ -267,8 +267,9 @@ def displaced_energies(config: ModelConfig, state: StateVector, points: Sequence
     columns once, where every row shares the ladder's amplitude, and
     otherwise each row's columns from one stacked build over the call's
     amplitudes (displacement_blocks), shared by the ladders of one cutoff
-    that move with the same amplitude.  A row whose amplitude is 0.0 keeps
-    the state's columns on that ladder, unit columns at levels."""
+    that move with the same amplitude.  A row at amplitude 0.0 reads the
+    exact identity block there, so its columns are the state's own; a
+    ladder that every row leaves at 0.0 carries no stack."""
     if not points:
         return []
     layout = state.layout
@@ -276,21 +277,12 @@ def displaced_energies(config: ModelConfig, state: StateVector, points: Sequence
     amplitudes = np.array(points, dtype=float)
     built, stacks = {}, {}
     for lad, index in config.displaced_ladders():
-        position, cutoff = layout.position(lad), layout.cutoff(lad)
-        f, source = amplitudes[:, index], state.ladders[position][1]
-        moved = f != 0.0
-        if np.all(f == f[0]):
-            if moved[0]:
-                stacks[position] = displaced_columns(displacement_block(cutoff, f[0]), source)[None]
+        position, cutoff, f = layout.position(lad), layout.cutoff(lad), amplitudes[:, index]
+        if not f.any():
             continue
         if (cutoff, index) not in built:
-            built[cutoff, index] = displacement_blocks(cutoff, f[moved])
-        stack = displaced_columns(built[cutoff, index], source)
-        if not moved.all():
-            own = np.equal.outer(np.arange(cutoff + 1), source).astype(float) if source.ndim == 1 else source
-            stack, displaced = np.repeat(own[None], len(f), axis=0), stack
-            stack[moved] = displaced
-        stacks[position] = stack
+            built[cutoff, index] = displacement_block(cutoff, f[0])[None] if all(f == f[0]) else displacement_blocks(cutoff, f)
+        stacks[position] = displaced_columns(built[cutoff, index], state.ladders[position][1])
     return [weighted_sum(H.terms, values).real for values in monomial_values(H, state, stacks, len(points))]
 
 

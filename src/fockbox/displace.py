@@ -222,13 +222,11 @@ def _frame_gap(
     c is the Gram v+ word v (word_gram) of the window columns v of U.  c - e
     is formed as (((c - e_0) - f e_1) - f^2 e_2) ..., so each subtraction
     cancels the leading part of what is left and the gap keeps its own
-    relative precision, even where it is far below the rounding of c."""
+    relative precision, even where it is far below the rounding of c.  At
+    amplitude 0.0, U = 1 exactly, so c is e_0 and the gap exactly zero."""
     window, dim = _window(cutoff), work_frame_size(cutoff)
     layers = _shift_layers(window, daggers)
-    if amplitude == 0.0:
-        c = layers[0]
-    else:
-        c = word_gram(displacement_block(dim - 1, amplitude, window), word_weights(dim, daggers))
+    c = word_gram(displacement_block(dim - 1, amplitude, window), word_weights(dim, daggers))
     e, gap = 0.0, c
     for k, layer in enumerate(layers):
         e = e + amplitude**k * layer
@@ -544,7 +542,7 @@ class InterchangeChecker:
 
 # Keyed on (cutoff, amplitude): b_q and d_q share one entry, and composition
 # reads the entry unitarity filled at the same grid point.  One verify run
-# fills 6 on the built-in config and 18 on the two-mode README config.
+# fills 7 on the built-in config and 21 on the two-mode README config.
 @lru_cache(maxsize=32)
 def _factor_defects(cutoff: int, amplitude: float) -> tuple[float, float]:
     """(max|U+ U - 1|, max|U(f) U(-f) - 1|) of one ladder's factor U(f),
@@ -560,8 +558,7 @@ def _summed_defect(config: ModelConfig, params: DisplacementParams, layout: Fock
     """One of the _factor_defects, summed over the displaced ladders."""
     total = 0.0
     for lad, f in displaced_amplitudes(config, params).items():
-        if f != 0.0:
-            total += _factor_defects(layout.cutoff(lad), f)[index]
+        total += _factor_defects(layout.cutoff(lad), f)[index]
     return total
 
 

@@ -96,11 +96,11 @@ FAMILIES = ("a", "b", "d")
 # takes 72 MB and the sizing about 8 s and 380 MB on a 2-vCPU x86-64 machine.
 CUTOFF_CAP = 1000
 LEAKAGE_TAIL_BOUND = 1e-12
-# A verify run on the built-in config computes 7 displacement blocks: the
-# full ones and the work-frame column blocks at the 3 positive grid
-# amplitudes on cutoff 16 (a negative amplitude reads the block of |f|, and
-# an undisplaced ladder needs none) and the probe that sizes the frames.
-# The two-mode README config computes 21, and a 32-entry cache computes
+# A verify run on the built-in config computes 9 displacement blocks: the
+# full ones and the work-frame column blocks at the grid amplitudes 0, 0.25,
+# 0.5 and 1 on cutoff 16 (a negative amplitude reads the block of |f|, and
+# amplitude 0 is the exact identity) and the probe that sizes the frames.
+# The two-mode README config computes 27, and a 32-entry cache computes
 # each of them once.
 DISPLACEMENT_BLOCK_CACHE = 32
 # (levels, columns) shapes of the blocks: 3 on the built-in config (the
@@ -112,7 +112,7 @@ PHASE_PATTERN_CACHE = 16
 # two-mode README config.
 X_BASIS_CACHE = 16
 # Words of up to four symbols on the sizes of the ladders, their windows and
-# their work frames: a verify run asks for 37 on the built-in config, 78 on
+# their work frames: a verify run asks for 37 on the built-in config, 89 on
 # the two-mode README config and 45 on twelve ladders of cutoff 16.
 WORD_WEIGHTS_CACHE = 128
 # Layouts hold a few distinct cutoffs, and the work frames and the wide
@@ -520,7 +520,8 @@ def displacement_block(cutoff: int, amplitude: float, columns: int | None = None
     reads the block of |f|: C is even in f and S odd, so U(-f) is the
     parity image U(|f|) (-1)^(r - c).  NumPy's cos is exactly even and its
     sin exactly odd, so the image equals a direct diagonalization at -f
-    entry for entry, up to the sign of an entry that is exactly zero.
+    entry for entry, up to the sign of an entry that is exactly zero.  At
+    amplitude 0.0 the block is np.eye(levels, columns), not a rounded V V^T.
     """
     levels, columns = _block_shape(cutoff, columns)
     amplitude = float(amplitude)
@@ -568,7 +569,7 @@ def _block_stack(levels: int, amplitudes: np.ndarray, columns: int) -> np.ndarra
     displacement_block builds one.  Every step but the matmuls is
     elementwise, and numpy's matmul runs one GEMM of the same shapes per
     block, so a block does not depend on its stack: each is the stack of
-    one (_displacement_block) bit for bit."""
+    one (_displacement_block) bit for bit, and exactly the identity at 0.0."""
     mu, v = _x_basis(levels)
     theta = amplitudes[:, None] * mu
     c = (v * np.cos(theta)[:, None]) @ v[:columns].T
@@ -576,6 +577,8 @@ def _block_stack(levels: int, amplitudes: np.ndarray, columns: int) -> np.ndarra
     even, sign, _ = _phase_pattern(levels, columns)
     stack = np.where(even, c, s)
     stack *= sign
+    if not amplitudes.all():
+        stack[amplitudes == 0.0] = np.eye(levels, columns)
     return stack
 
 

@@ -140,8 +140,10 @@ def run_verification(
     extra = () if extra_state is None else (extra_state,)
     checks.extend(central_identity_checks(config, layout, state_selectors=CENTRAL_STATES + extra))
 
+    # the quadrature gap, relative to the largest coefficient once that exceeds 1
     symbolic = ladderalg.integrate_box(interaction_density_polynomial(config), config.box_length)
-    gap = ladderalg.coefficient_gap(symbolic, interaction_quadrature(config))
+    scale = max([1.0] + [abs(t.coefficient) for t in symbolic.terms])
+    gap = ladderalg.coefficient_gap(symbolic, interaction_quadrature(config)) / scale
     checks.append(ResidualCheck("hamiltonian_quadrature", None, None, gap, QUADRATURE_TOL))
     # every monomial's adjoint is in H with the conjugate coefficient, and
     # every monomial conserves charge

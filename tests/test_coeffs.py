@@ -363,8 +363,9 @@ def test_one_pass_coefficients_equal_the_per_group_expectations(config, selector
 def test_batched_direct_energies_equal_the_per_state_expectations(config, selector):
     # the central points, and calls of one f2 each, as run_sweep makes them:
     # there a_k reads one memoized block that every row shares (none at
-    # f2 = 0), b_q and d_q one stacked build, and a row at f1 = 0 keeps its
-    # unit columns.  Each row is also bit for bit its batch of one.
+    # f2 = 0), b_q and d_q one stacked build, and a row at f1 = 0 reads the
+    # exact identity there, its unit columns.  Each row is also bit for bit
+    # its batch of one.
     layout = build_layout(config)
     state = reference_state(config, selector, layout)
     limit = direct_check_limit(config, layout)

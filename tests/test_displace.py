@@ -292,6 +292,22 @@ def test_shift_layers_expand_the_shifted_word_on_the_window():
             assert np.all(np.abs(got - shifted) <= 16 * np.finfo(np.float64).eps * size), daggers
 
 
+@pytest.mark.parametrize("cutoff", [16, 64])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_the_frame_gap_at_amplitude_zero_is_exactly_zero(cutoff, zero):
+    # U(0) is the exact identity, so its conjugation of a word is the word's
+    # own window, e_0 of _shift_layers, bit for bit
+    window = displace._window(cutoff)
+    displace._frame_gap.cache_clear()
+    for length in range(5):
+        for daggers in itertools.product((False, True), repeat=length):
+            gap, c, (e_max, gap_max, c_max) = displace._frame_gap(cutoff, zero, daggers)
+            layer = displace._shift_layers(window, daggers)[0]
+            assert c.tobytes() == layer.tobytes(), daggers
+            assert not np.any(gap) and gap_max == 0.0
+            assert e_max == c_max == float(np.max(np.abs(layer)))
+
+
 def _window_sum_max_per_sample(blocks, scalar):
     """The unbatched form: one sample's (m_l, m_l) window blocks and scalar."""
     off_max = 0.0

@@ -562,6 +562,24 @@ def test_a_stacked_build_is_the_single_blocks_bit_for_bit(cutoff, columns, depth
             assert block.tobytes() == displacement_block(cutoff, f, columns).tobytes()
 
 
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("cutoff, columns", [(16, None), (16, 5), (64, None), (work_frame_size(64) - 1, 33)])
+def test_a_block_at_amplitude_zero_is_the_exact_identity(cutoff, columns, zero):
+    # not the rounded V V^T of the eigenbasis: a zero row of a stack too,
+    # with the other rows still the single blocks
+    eye = np.eye(cutoff + 1, cutoff + 1 if columns is None else columns)
+    fockspace._displacement_block.cache_clear()
+    assert displacement_block(cutoff, zero, columns).tobytes() == eye.tobytes()
+    amplitudes = [0.5, zero, -0.5, -zero, 0.25, zero]
+    stack = displacement_blocks(cutoff, amplitudes, columns)
+    for block, f in zip(stack, amplitudes):
+        if f == 0.0:
+            assert block.tobytes() == eye.tobytes()
+        else:
+            assert block.tobytes() == displacement_block(cutoff, f, columns).tobytes()
+    assert displacement_blocks(cutoff, [zero, -zero], columns).tobytes() == np.stack([eye, eye]).tobytes()
+
+
 def test_displacement_block_columns_are_the_leading_columns():
     full = displacement_block(40, 1.3)
     for columns in (1, 9, 41):
@@ -613,13 +631,15 @@ def test_every_lru_cache_is_bounded():
         "fockbox.fockspace._pair_plan",
     } == set(caches)
     assert all(size is not None for size in caches.values()), caches
-    assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE
+    # blocks: a verify run computes 9 on the built-in config and 27 on the
+    # two-mode README config
+    assert caches["fockbox.fockspace._displacement_block"] == fockspace.DISPLACEMENT_BLOCK_CACHE == 32
     assert caches["fockbox.fockspace._x_basis"] == fockspace.X_BASIS_CACHE
     # (levels, columns) block shapes: 3 on the built-in config, 9 on the
     # two-mode README config, 2 in one wide benchmark pass
     assert caches["fockbox.fockspace._phase_pattern"] == fockspace.PHASE_PATTERN_CACHE == 16
-    # (cutoff, amplitude) factors: a verify run fills 6 on the built-in
-    # config and 18 on the two-mode README config; a wide benchmark pass
+    # (cutoff, amplitude) factors: a verify run fills 7 on the built-in
+    # config and 21 on the two-mode README config; a wide benchmark pass
     # misses 58 times, 2 per amplitude pair and fewer at the corners, and
     # reads each entry only at its own pair
     assert caches["fockbox.displace._factor_defects"] == 32
@@ -634,7 +654,7 @@ def test_every_lru_cache_is_bounded():
     # (window, word) keys: at most 31 words per window, 15 keys on the
     # built-in config and 34 on the two-mode README config
     assert caches["fockbox.displace._shift_layers"] == 128
-    # the words of a run: 37 on the built-in config, 78 on the two-mode
+    # the words of a run: 37 on the built-in config, 89 on the two-mode
     # README config
     assert caches["fockbox.fockspace.word_weights"] == fockspace.WORD_WEIGHTS_CACHE == 128
     # keyed on the config and its layout, one of each per run

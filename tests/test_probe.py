@@ -228,6 +228,22 @@ def test_run_verification_covers_reference_state_set():
     assert len(extra) == len(checks) + 25
 
 
+def test_quadrature_row_is_relative_to_the_largest_coefficient():
+    # with lambda1 = lambda2 = 1e8 the interaction's coefficients reach
+    # 6.7e6, and the quadrature's absolute gap, 3.2e-9, is their rounding
+    config = ModelConfig(lambda1=1e8, lambda2=1e8)
+    checks = run_verification(config)
+    row = next(c for c in checks if c.name == "hamiltonian_quadrature")
+    assert row.tolerance == probe.QUADRATURE_TOL
+    assert row.residual < 1e-15
+    assert all(c.passed for c in checks)
+    # below a largest coefficient of 1 the gap stays absolute
+    plain = default_config()
+    rows = [c for c in run_verification(plain) if c.name == "hamiltonian_quadrature"]
+    symbolic = probe.ladderalg.integrate_box(probe.interaction_density_polynomial(plain), plain.box_length)
+    assert rows[0].residual == probe.ladderalg.coefficient_gap(symbolic, probe.interaction_quadrature(plain))
+
+
 def test_a_spelling_of_a_central_state_adds_no_rows(monkeypatch):
     config = default_config()
     layout = build_layout(config)
