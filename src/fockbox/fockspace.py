@@ -20,8 +20,9 @@ states.  One contraction, monomial_values, takes a state and, per ladder
 that a batch of copies displaces, one stack of the copies' columns, or one
 set of columns that every copy shares: the direct energies at many
 amplitudes are one batch, and an expectation a batch of one.  Which pairs
-a monomial joins and where each reads its factors is planned once per
-operator, state and set of stacked ladders (_pair_plan).  The stacks come
+a monomial joins and where each reads its factors is planned per operator,
+state and set of stacked ladders (_pair_plan), and kept for a batch with
+stacks, which a sweep contracts again call after call.  The stacks come
 from one stacked block build per call (displacement_blocks), of which the
 memoized single block is the stack of one.
 
@@ -89,12 +90,6 @@ _one_blas_thread()
 
 FAMILIES = ("a", "b", "d")
 
-# The largest cutoff a ladder may have, the bound on what a layout can make
-# the checks allocate: the work frames of cutoff N are sized on a probe of
-# r^2 + 8 r + 20 levels for the reach r = sqrt(N / 2) + f_max
-# (displace.work_frame_size), 2,990 at cutoff 1,000, where each dense matrix
-# takes 72 MB and the sizing about 8 s and 380 MB on a 2-vCPU x86-64 machine.
-CUTOFF_CAP = 1000
 LEAKAGE_TAIL_BOUND = 1e-12
 # A verify run on the built-in config computes 9 displacement blocks: the
 # full ones and the work-frame column blocks at the grid amplitudes 0, 0.25,
@@ -121,11 +116,12 @@ ADMISSIBLE_AMPLITUDE_CACHE = 16
 # Supports of basis sums, keyed on the layout and the occupations: the
 # reference states of a layout use four, every seeded state the same one.
 BASIS_SUPPORT_CACHE = 16
-# Pair plans, keyed on an operator, a state and the positions of its
-# stacks.  A sweep batch on the built-in config reads 5 (vacuum, one_a,
-# one_b and seeded:7 twice, each a direct batch against H) and adds 2 for
-# its fresh seeded:<n> (its direct batch and its coefficients); a verify run
-# computes 8, one per reference state for each, and reads none twice.
+# Pair plans of batches with stacks, keyed on an operator, a state and the
+# positions of its stacks.  A sweep batch on the built-in config reads 5
+# (vacuum, one_a, one_b and seeded:7 twice, each a direct batch against H)
+# and adds 1 for its fresh seeded:<n>; a verify run stores 4, one per
+# reference state, and reads none twice.  A batch without stacks
+# (coefficients, expectation) contracts a state once, so its plan is not kept.
 PAIR_PLAN_CACHE = 8
 
 
@@ -171,8 +167,6 @@ class FockLayout:
             raise LayoutError("duplicate ladder in layout")
         if any(c < 1 for c in self.cutoffs):
             raise LayoutError("cutoffs must be >= 1")
-        if any(c > CUTOFF_CAP for c in self.cutoffs):
-            raise LayoutError(f"cutoffs must be <= {CUTOFF_CAP}")
 
     @cached_property
     def dims(self) -> tuple[int, ...]:
@@ -385,7 +379,8 @@ def monomial_values(
         if x.ndim != 3 or len(x) not in (1, copies) or x.shape[1:] != (dim, source.shape[-1]):
             raise LayoutError(f"ladder {position} takes a (1 or {copies}, {dim}, {source.shape[-1]}) stack, not {x.shape}")
         grams[position] = _column_grams(op.word_stacks[position], x).reshape(len(x), -1)
-    m, s, t, gathers = _pair_plan(op, state, tuple(sorted(stacks)))
+    plan = _pair_plan if stacks else _pair_plan.__wrapped__
+    m, s, t, gathers = plan(op, state, tuple(sorted(stacks)))
 
     def full(factor: np.ndarray) -> np.ndarray:
         # numpy drops the pair axis of a lone pair and multiplies a factor
@@ -408,10 +403,10 @@ def _pair_plan(op: OperatorMatrix, state: StateVector, stacked: tuple[int, ...])
     (_pairs) on the state's ladders of levels that carry no stack, and per
     ladder the flat index of each pair's factor, into the word weights
     (words, dim) on such a ladder and into a copy's (words, K, K) Grams on
-    any other.  Memoized on the operator and the state, both read by
-    identity, and the stacked positions, so a state's column indices and
-    levels must not change once it is contracted (a basis sum's are
-    read-only)."""
+    any other.  Memoized for batches with stacks on the operator and the
+    state, both read by identity, and the stacked positions, so a state's
+    column indices and levels must not change once it is contracted (a
+    basis sum's are read-only)."""
     levels = {
         position: source[columns]
         for position, (columns, source) in enumerate(state.ladders)
@@ -436,28 +431,16 @@ def _pairs(op: OperatorMatrix, levels: Mapping[int, np.ndarray], terms: int) -> 
     """(monomial, s, t) arrays of the pairs each monomial joins, ordered by
     monomial, t, then s: on every ladder in levels, which holds each term's
     level there, s's level is t's shifted by the monomial's word.  A term's
-    levels are the digits of its key, and t's partners have t's key plus the
-    monomial's shifts read alike.  A radix above the levels by the largest
-    shift makes a key spell one set of levels and keeps the key of a level
-    off the ladder negative.  Near int64's range the keys are renumbered,
-    each partners' key kept as its lag behind t's."""
+    key is its row of levels, viewed as one fixed-width value, and t's
+    partners are the terms whose row is t's plus the monomial's shifts."""
     monomials = len(op.terms)
     if not levels:
         m, t, s = np.indices((monomials, terms, terms)).reshape(3, -1)
         return m, s, t
-    key, shift, lag, stride, size = np.zeros(terms, dtype=np.int64), np.zeros(monomials, dtype=np.int64), 0, 1, 1
-    for position, level in levels.items():
-        radix = op.layout.dims[position] + max(abs(d) for d, _ in op.words[position])
-        if size * radix >= 2**62:
-            wanted = lag * stride + key + shift[:, None]
-            known = np.unique(key)
-            index = np.searchsorted(known, wanted).clip(max=len(known) - 1)
-            key, shift, stride, size = np.searchsorted(known, key), np.zeros_like(shift), 1, len(known)
-            lag = np.where(known[index] == wanted, index, -1) - key
-        key = key * radix + level
-        shift = shift * radix + op.word_stacks[position][0][op.word_indices[:, position]]
-        stride, size = stride * radix, size * radix
-    wanted = lag * stride + key + shift[:, None]
+    rows = np.stack(list(levels.values()), axis=-1, dtype=np.int64)
+    shifts = np.stack([op.word_stacks[p][0][op.word_indices[:, p]] for p in levels], axis=-1)
+    row = np.dtype((np.void, rows.itemsize * len(levels)))
+    key, wanted = rows.view(row)[..., 0], (rows + shifts[:, None]).view(row)[..., 0]
     order = np.argsort(key, kind="stable")
     first = np.searchsorted(key[order], wanted)
     count = np.searchsorted(key[order], wanted, side="right") - first

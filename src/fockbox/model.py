@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from . import ladderalg
-from .errors import ConfigError
+from .errors import ConfigError, LayoutError
 from .fockspace import FockLayout, LadderId, OperatorMatrix
 from .ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, mode_energy
 
@@ -154,9 +154,21 @@ def default_config() -> ModelConfig:
     return ModelConfig()
 
 
+# The largest cutoff a config may give a ladder, the bound on what a config
+# can make the checks allocate: the work frames of cutoff N are sized on a
+# probe of r^2 + 8 r + 20 levels for the reach r = sqrt(N / 2) + f_max
+# (displace.work_frame_size), 2,990 at cutoff 1,000, where each dense matrix
+# takes 72 MB and the sizing about 8 s and 380 MB on a 2-vCPU x86-64 machine.
+# A FockLayout built by hand takes any cutoff.
+CUTOFF_CAP = 1000
+
+
 def build_layout(config: ModelConfig) -> FockLayout:
     ladders = config.ladders()
-    return FockLayout(ladders, tuple(config.cutoff_for(l) for l in ladders))
+    cutoffs = tuple(config.cutoff_for(l) for l in ladders)
+    if any(c > CUTOFF_CAP for c in cutoffs):
+        raise LayoutError(f"cutoffs must be <= {CUTOFF_CAP}")
+    return FockLayout(ladders, cutoffs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import fockbox
 from fockbox import coeffs, fockspace
 from fockbox.errors import LayoutError
 from fockbox.fockspace import (
-    CUTOFF_CAP,
     FockLayout,
     LadderId,
     OperatorMatrix,
@@ -38,7 +37,7 @@ from fockbox.fockspace import (
 )
 from fockbox.displace import Displacement, work_frame_size
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, constant, realize
-from fockbox.model import default_config
+from fockbox.model import CUTOFF_CAP, ModelConfig, build_layout, default_config, hamiltonian_polynomial
 from fockbox.probe import run_verification
 from conftest import clear_package_caches, package_caches
 
@@ -122,6 +121,40 @@ def dense_state(state: StateVector, magnitude: bool = False) -> np.ndarray:
     return np.column_stack(columns) @ part(state.amplitudes)
 
 
+def radix_pairs(op: OperatorMatrix, levels: dict[int, np.ndarray], terms: int) -> tuple[np.ndarray, ...]:
+    """The pair matcher fockspace._pairs replaced, kept as its bitwise
+    oracle: a term's levels are the digits of one int64 key, and t's
+    partners have t's key plus the monomial's shifts read alike.  A radix
+    above the levels by the largest shift makes a key spell one set of
+    levels and keeps the key of a level off the ladder negative.  Near
+    int64's range the keys are renumbered, each partners' key kept as its
+    lag behind t's."""
+    monomials = len(op.terms)
+    if not levels:
+        m, t, s = np.indices((monomials, terms, terms)).reshape(3, -1)
+        return m, s, t
+    key, shift, lag, stride, size = np.zeros(terms, dtype=np.int64), np.zeros(monomials, dtype=np.int64), 0, 1, 1
+    for position, level in levels.items():
+        radix = op.layout.dims[position] + max(abs(d) for d, _ in op.words[position])
+        if size * radix >= 2**62:
+            wanted = lag * stride + key + shift[:, None]
+            known = np.unique(key)
+            index = np.searchsorted(known, wanted).clip(max=len(known) - 1)
+            key, shift, stride, size = np.searchsorted(known, key), np.zeros_like(shift), 1, len(known)
+            lag = np.where(known[index] == wanted, index, -1) - key
+        key = key * radix + level
+        shift = shift * radix + op.word_stacks[position][0][op.word_indices[:, position]]
+        stride, size = stride * radix, size * radix
+    wanted = lag * stride + key + shift[:, None]
+    order = np.argsort(key, kind="stable")
+    first = np.searchsorted(key[order], wanted)
+    count = np.searchsorted(key[order], wanted, side="right") - first
+    m, t = np.nonzero(count)
+    n = count[m, t]
+    start = np.repeat(first[m, t] - np.cumsum(n) + n, n)
+    return np.repeat(m, n), order[start + np.arange(len(start))], np.repeat(t, n)
+
+
 def row_major_occupations(layout: FockLayout) -> np.ndarray:
     """(dimension, ladders) occupations of the joint basis, last ladder fastest."""
     return np.indices(layout.dims).reshape(len(layout.dims), -1).T
@@ -181,11 +214,26 @@ def test_layout_dimension_is_exact_past_int64():
 
 def test_layout_bounds_each_cutoff():
     # the joint size is no bound: one ladder at 6,000 beside two at 16 gives
-    # 1.7e6 states, yet its work frames would diagonalize 17,670 levels
-    assert FockLayout((A2, B1, D1), (CUTOFF_CAP,) * 3).dimension == (CUTOFF_CAP + 1) ** 3
-    for cutoffs in ((CUTOFF_CAP + 1,), (16, 6000, 16)):
+    # 1.7e6 states, yet its work frames would diagonalize 17,670 levels.  The
+    # bound is on a config's cutoffs: build_layout rejects them, while a
+    # layout built by hand takes them.
+    assert build_layout(default_config().with_cutoff(CUTOFF_CAP)).dimension == (CUTOFF_CAP + 1) ** 3
+    for overrides in ({B1: CUTOFF_CAP + 1}, {B1: 6000}, {A2: 200, B1: 200, D1: CUTOFF_CAP + 1}):
+        config = ModelConfig(cutoff_overrides=overrides)
         with pytest.raises(LayoutError, match=f"<= {CUTOFF_CAP}"):
-            FockLayout((A2, B1, D1)[: len(cutoffs)], cutoffs)
+            build_layout(config)
+        layout = FockLayout(config.ladders(), tuple(config.cutoff_for(lad) for lad in config.ladders()))
+        assert max(layout.cutoffs) > CUTOFF_CAP
+
+
+def test_a_hand_built_layout_holds_states_on_a_ladder_past_the_bound():
+    # a ladder of 2,500 levels, as a displaced ladder at a large amplitude
+    # needs: its states and operators are built as on any other layout
+    config = default_config()
+    layout = FockLayout(config.ladders(), (2499, 16, 16))
+    top = basis_sum(layout, [(0, 0, 0), (2499, 1, 0), (2499, 0, 16)], [0.6, 0.0, 0.8])
+    assert [list(levels) for _, levels in top.ladders] == [[0, 2499], [0, 1], [0, 16]]
+    assert expectation(realize(hamiltonian_polynomial(config), layout), vacuum(layout)) == 0
 
 
 def test_layout_validation():
@@ -197,8 +245,6 @@ def test_layout_validation():
         FockLayout((A2, B1), (3,))
     with pytest.raises(LayoutError):
         FockLayout((), ())
-    with pytest.raises(LayoutError):
-        FockLayout((A2, B1, D1), (200, 200, CUTOFF_CAP + 1))  # over the cutoff bound
     with pytest.raises(LayoutError):
         small_layout().position(LadderId("b", 9))
 
@@ -372,25 +418,26 @@ def test_a_batch_of_no_copies_has_no_rows():
 @pytest.mark.parametrize(
     "cutoff, words, steps",
     [
-        # a shift on most ladders, so renumbering meets partners that are not
-        # there; the last term spells a2 + 1, a3 = 0, what a3+ would give past
-        # a3's top level if a3's radix had no room for the shift
+        # a shift on most ladders, so most partners are not there; the last
+        # term spells a2 + 1, a3 = 0, what a3+ would give past a3's top level
+        # if the levels were digits of one key with no room for the shift
         (
             300,
             [(), ((0, True), (7, False)), ((1, True), (1, True), (4, False)), ((2, True),)],
             [{}, {0: 1, 7: -1}, {1: 2, 4: -1}, {}, {0: 1}, {1: 2, 4: -1, 6: 1}, {7: -1}, {1: 1, 2: -300}],
         ),
-        # 512 levels and no shift after a1: a1's digit would weigh 2^63, so
-        # without renumbering its levels 5 and 7 would spell one key
+        # 512 levels and no shift after a1: as a digit of one int64 key,
+        # a1's level would weigh 2^63 and its levels 5 and 7 spell one key
         (511, [(), ((7, True), (7, False)), ((0, True), (0, True))], [{}, {0: 2}, {7: 1}, {}, {0: -1}]),
     ],
     ids=["shifts", "powers_of_two"],
 )
 def test_pairs_on_wide_ladders_are_those_of_their_unit_columns(cutoff, words, steps):
-    # eight wide ladders: the keys of the terms' levels would outgrow int64,
-    # so they are renumbered on the way.  A monomial joins exactly the pairs
-    # whose levels its word shifts apart, and unit columns on every ladder,
-    # which join every pair, give the same values bit for bit.
+    # eight wide ladders: the terms' levels, read as the digits of one key,
+    # would outgrow int64, and the radix oracle renumbers its keys on the
+    # way.  A row key holds them as they are.  A monomial joins exactly the
+    # pairs whose levels its word shifts apart, and unit columns on every
+    # ladder, which join every pair, give the same values bit for bit.
     layout = FockLayout(tuple(LadderId(f, i) for f in "ab" for i in range(1, 5)), (cutoff,) * 8)
     symbols = [tuple(LadderSymbol(layout.ladders[p], dagger) for p, dagger in word) for word in words]
     op = realize(LadderPolynomial.from_terms([LadderMonomial(1.0 - 0.5j, word) for word in symbols]), layout)
@@ -405,7 +452,9 @@ def test_pairs_on_wide_ladders_are_those_of_their_unit_columns(cutoff, words, st
         for s, t in itertools.product(range(len(steps)), repeat=2)
         if all(occupations[s][p] == occupations[t][p] + op.words[p][k][0] for p, k in enumerate(index))
     }
-    assert set(zip(*(a.tolist() for a in fockspace._pairs(op, levels, len(steps))))) == joined
+    pairs = fockspace._pairs(op, levels, len(steps))
+    assert set(zip(*(a.tolist() for a in pairs))) == joined
+    assert [a.tobytes() for a in pairs] == [a.tobytes() for a in radix_pairs(op, levels, len(steps))]
     values = fockspace.monomial_values(op, state)[0]
     unit = fockspace.monomial_values(op, state, copy_stacks(state, [{p: np.eye(cutoff + 1) for p in range(8)}]))[0]
     assert values.tobytes() == unit.tobytes() and np.count_nonzero(values) >= 2
@@ -611,6 +660,21 @@ def test_run_verification_is_identical_on_cold_and_warm_block_cache():
     assert words.misses == words.currsize < fockspace.WORD_WEIGHTS_CACHE
 
 
+def test_only_batches_with_stacks_keep_their_pair_plans():
+    # a state's coefficients are contracted once per state, so their plan
+    # is not kept; a verify run keeps the plan of each reference state's
+    # central-identity batch, which carries stacks
+    clear_package_caches()
+    config = default_config()
+    state = coeffs.reference_state(config, "seeded:7")
+    before = fockspace._pair_plan.cache_info().currsize
+    coeffs.coefficients(config, state)
+    assert fockspace._pair_plan.cache_info().currsize == before
+    clear_package_caches()
+    run_verification(config)
+    assert fockspace._pair_plan.cache_info().currsize == 4
+
+
 def test_every_lru_cache_is_bounded():
     caches = {name: cache.cache_parameters()["maxsize"] for name, cache in package_caches().items()}
     assert {
@@ -665,8 +729,9 @@ def test_every_lru_cache_is_bounded():
     # keyed on a layout and a support: the reference states of a layout use
     # four, and every seeded state shares one
     assert caches["fockbox.fockspace._basis_support"] == fockspace.BASIS_SUPPORT_CACHE == 16
-    # keyed on an operator, a state and its stacked ladders: a sweep batch
-    # reads 5 plans and adds 2, a verify run computes 8 and reads none twice
+    # keyed on an operator, a state and its stacked ladders, for batches
+    # with stacks: a sweep batch reads 5 plans and adds 1, a verify run
+    # stores 4 and reads none twice
     assert caches["fockbox.fockspace._pair_plan"] == fockspace.PAIR_PLAN_CACHE == 8
     # one entry per distinct cutoff
     assert caches["fockbox.fockspace.max_admissible_amplitude"] == fockspace.ADMISSIBLE_AMPLITUDE_CACHE == 16

@@ -5,9 +5,10 @@ import pytest
 
 from fockbox.displace import DisplacementParams, displaced_amplitudes
 from fockbox.errors import ConfigError, LayoutError
-from fockbox.fockspace import CUTOFF_CAP, LadderId, expectation, max_admissible_amplitude, vacuum
+from fockbox.fockspace import LadderId, expectation, max_admissible_amplitude, vacuum
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol
 from fockbox.model import (
+    CUTOFF_CAP,
     ModelConfig,
     build_H,
     build_layout,

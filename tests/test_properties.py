@@ -34,7 +34,7 @@ from fockbox.fockspace import (
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, realize, shift
 from fockbox.model import ModelConfig, build_layout, default_config
 from test_displace import dense_interchange_residuals, kron_factors
-from test_fockspace import copy_stacks, dense, dense_state, kron_oracle, row_major_occupations, word_matrix
+from test_fockspace import copy_stacks, dense, dense_state, kron_oracle, radix_pairs, row_major_occupations, word_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -392,6 +392,102 @@ def test_occupation_contraction_matches_the_oracle_and_its_batches(case):
             shared = fockspace.monomial_values(op, source, {**stacks, p: stack[:1]}, len(blocks))
             repeated = {**stacks, p: np.repeat(stack[:1], len(blocks), axis=0)}
             assert shared.tobytes() == fockspace.monomial_values(op, source, repeated, len(blocks)).tobytes()
+
+
+# Twenty ladders, a1, b1, d1, a2, ... b7, for the pair matcher's layouts.
+PAIR_LADDERS = tuple(LadderId(f, i) for i in range(1, 8) for f in "abd")[:20]
+
+
+@st.composite
+def pair_cases(draw):
+    """A layout of 1-20 ladders with cutoffs 1-600, a polynomial of up to
+    six monomials with words of up to four symbols, so that some shifts
+    leave a ladder, a basis sum of 0-12 terms drawn from at most five
+    supports near one base, clipped so that levels sit at 0 and at the
+    cutoff, and the ladders whose levels decide the pairs, those of the
+    ladders a batch would not stack."""
+    ladders = PAIR_LADDERS[: draw(st.integers(min_value=1, max_value=20))]
+    cutoffs = tuple(draw(st.integers(min_value=1, max_value=600)) for _ in ladders)
+    symbol = st.builds(LadderSymbol, st.sampled_from(ladders), st.booleans())
+    monomial = st.builds(LadderMonomial, st.just(1.0), st.lists(symbol, max_size=4).map(tuple))
+    polynomial = draw(st.lists(monomial, min_size=1, max_size=6).map(LadderPolynomial.from_terms))
+    base = [draw(st.one_of(st.just(0), st.just(c), st.integers(min_value=0, max_value=c))) for c in cutoffs]
+    step = st.dictionaries(st.integers(min_value=0, max_value=len(ladders) - 1), st.integers(min_value=-2, max_value=2), max_size=3)
+    pool = [
+        tuple(min(max(n + steps.get(p, 0), 0), c) for p, (n, c) in enumerate(zip(base, cutoffs)))
+        for steps in draw(st.lists(step, min_size=1, max_size=5))
+    ]
+    occupations = draw(st.lists(st.sampled_from(pool), max_size=12))
+    stacked = draw(st.sets(st.integers(min_value=0, max_value=len(ladders) - 1)))
+    keyed = [p for p in range(len(ladders)) if p not in stacked]
+    return FockLayout(ladders, cutoffs), polynomial, occupations, keyed
+
+
+# Twenty ladders of 601 levels: read as the digits of one key, a term's
+# levels would span 601^20, about 2^185, far past 2^62, so the radix oracle
+# renumbers its keys; the words raise, lower and shift past the top level.
+_a1, _b1, _d1, _a2 = PAIR_LADDERS[:4]
+_b7 = PAIR_LADDERS[-1]
+WIDE_PAIR_CASE = (
+    FockLayout(PAIR_LADDERS, (600,) * 20),
+    LadderPolynomial.from_terms(
+        LadderMonomial(1.0, word)
+        for word in [
+            (),
+            (LadderSymbol(_a1, True),),
+            (LadderSymbol(_b1, True), LadderSymbol(_b7, False)),
+            (LadderSymbol(_d1, True), LadderSymbol(_d1, True), LadderSymbol(_a2, False)),
+        ]
+    ),
+    [
+        (0, 600, 5, 1, *[300] * 15, 9),
+        (1, 600, 5, 1, *[300] * 15, 9),
+        (0, 600, 7, 0, *[300] * 15, 9),
+        (0, 600, 5, 1, *[300] * 15, 9),
+        (1, 600, 7, 0, *[300] * 15, 9),
+        (0, 599, 5, 1, *[300] * 15, 10),
+    ],
+    list(range(20)),
+)
+
+
+# Twenty-four terms on three supports, each repeated eight times: numpy
+# sorts up to 16 keys by insertion, stable whatever the kind asked for, so
+# only a longer sum shows that equal rows keep their term order.
+REPEATED_TERMS_CASE = (
+    FockLayout(PAIR_LADDERS[:3], (4, 4, 600)),
+    LadderPolynomial.from_terms(
+        LadderMonomial(1.0, word)
+        for word in [(), (LadderSymbol(_a1, True),), (LadderSymbol(_a1, False), LadderSymbol(_d1, True))]
+    ),
+    [(0, 2, 600), (1, 2, 600), (1, 2, 599)] * 8,
+    [0, 2],
+)
+
+
+@PROPERTY_SETTINGS
+@given(pair_cases())
+@example(WIDE_PAIR_CASE)
+@example(REPEATED_TERMS_CASE)
+def test_pairs_are_the_brute_force_joins_and_the_radix_oracles(case):
+    # the pairs (m, s, t) whose levels on the keyed ladders monomial m's
+    # words shift from t's to s's, ordered by m, t, then s; with no keyed
+    # ladder every pair joins
+    layout, poly, occupations, keyed = case
+    op = realize(poly, layout)
+    terms = len(occupations)
+    state = fockspace.basis_sum(layout, occupations, np.ones(terms))
+    levels = {p: source[columns] for p, (columns, source) in enumerate(state.ladders) if p in keyed}
+    joined = [
+        (m, s, t)
+        for m, (_, index) in enumerate(op.terms)
+        for t in range(terms)
+        for s in range(terms)
+        if all(occupations[s][p] == occupations[t][p] + op.words[p][index[p]][0] for p in keyed)
+    ]
+    pairs = fockspace._pairs(op, levels, terms)
+    assert list(zip(*(a.tolist() for a in pairs))) == joined
+    assert [(a.dtype, a.tobytes()) for a in pairs] == [(a.dtype, a.tobytes()) for a in radix_pairs(op, levels, terms)]
 
 
 # b1 moves with f1 and a2 with f2, as b_q and a_k do in the model
