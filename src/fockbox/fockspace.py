@@ -356,7 +356,8 @@ def monomial_values(
     G_m,l[s, t] the Gram of monomial m's word on ladder l between terms s
     and t, for copies of a state.  stacks[p] replaces the distinct columns
     of the ladder at position p: a (copies, dim, K) stack, copy b's columns
-    being stacks[p][b], or a (1, dim, K) stack that every copy shares.  So a
+    being stacks[p][b], or a (1, dim, K) stack that every copy shares; a
+    position the layout does not have raises LayoutError.  So a
     copy carries a displaced ladder as Displacement.apply would put it there
     (displaced_columns), and a shared ladder's Grams are formed once.  A
     ladder of levels with no stack decides which pairs a monomial joins,
@@ -369,6 +370,9 @@ def monomial_values(
     if state.layout != op.layout:
         raise LayoutError("operator and state live on different layouts")
     stacks, c = stacks or {}, state.amplitudes
+    for position in stacks:
+        if position not in range(len(op.layout.dims)):
+            raise LayoutError(f"the layout has no ladder at position {position!r} to take a stack")
     if not copies:
         return np.zeros((0, len(op.terms)), dtype=np.complex128)
     grams = {}

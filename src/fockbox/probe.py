@@ -61,9 +61,7 @@ QUADRATURE_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
 CHARGE_COMMUTATOR_TOL = 1e-10
 
-DEMO_F1_START = 0.0
-DEMO_F1_STOP = 10.0
-DEMO_F1_STEP = 0.5
+DEMO_F1_VALUES = tuple(0.5 * i for i in range(21))
 MAX_SWEEP_ROWS = 10_000
 
 
@@ -323,10 +321,6 @@ def parse_f1_range(text: str) -> list[float]:
 # subcommands
 
 
-def _resolve_config(args) -> ModelConfig:
-    return load_config(args.config) if args.config else default_config()
-
-
 def _missing_dirs(path: str) -> list[str]:
     """The directories creating path would add, deepest first."""
     missing = []
@@ -335,17 +329,6 @@ def _missing_dirs(path: str) -> list[str]:
         missing.append(path)
         path = os.path.dirname(path)
     return missing
-
-
-def _out_dir(args) -> str:
-    """Create the --out directory once the arguments, the reference state
-    among them, are known to be valid, but before the checks and sweeps
-    run, so an unusable one fails early."""
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use --out {args.out!r}: {exc.strerror or exc}") from exc
-    return args.out
 
 
 def _print_check_summary(checks: list[ResidualCheck]) -> list[ResidualCheck]:
@@ -359,13 +342,9 @@ def _print_check_summary(checks: list[ResidualCheck]) -> list[ResidualCheck]:
     return failures
 
 
-def cmd_verify(args) -> int:
-    config = _resolve_config(args)
-    layout = build_layout(config)
-    reference(config, args.state, layout)
-    out = _out_dir(args)
+def cmd_verify(args, config: ModelConfig, layout: FockLayout) -> int:
     checks = run_verification(config, layout, args.state)
-    path = os.path.join(out, "report.csv")
+    path = os.path.join(args.out, "report.csv")
     write_report_csv(path, checks)
     failures = _print_check_summary(checks)
     adjudication = next(c for c in checks if c.name.startswith("quartic_coefficient["))
@@ -374,13 +353,10 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_coeffs(args) -> int:
-    config = _resolve_config(args)
-    layout = build_layout(config)
+def cmd_coeffs(args, config: ModelConfig, layout: FockLayout) -> int:
     _, cs = reference(config, args.state, layout)
-    out = _out_dir(args)
     closed = vacuum_closed_forms(config) if args.state == "vacuum" else None
-    path = os.path.join(out, "coefficients.csv")
+    path = os.path.join(args.out, "coefficients.csv")
     write_coefficients_csv(path, cs, closed)
     for name in COEFFICIENT_NAMES:
         line = f"{name} = {format_float(getattr(cs, name))}"
@@ -392,14 +368,10 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = _resolve_config(args)
-    layout = build_layout(config)
+def cmd_sweep(args, config: ModelConfig, layout: FockLayout) -> int:
     spec = SweepSpec(tuple(parse_f1_range(args.f1)), args.f2, args.state)
-    reference(config, args.state, layout)
-    out = _out_dir(args)
     result = run_sweep(config, spec, layout)
-    path = os.path.join(out, "sweep.csv")
+    path = os.path.join(args.out, "sweep.csv")
     write_sweep_csv(path, result)
     direct_rows = sum(1 for r in result.rows if r.energy_direct is not None)
     print(f"rows: {len(result.rows)}  with direct comparison: {direct_rows}")
@@ -414,8 +386,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_demo(args) -> int:
-    config = _resolve_config(args)
+def cmd_demo(args, config: ModelConfig, layout: FockLayout) -> int:
     if config.lambda1 <= 0.0:
         raise ConfigError("the descent demo needs a positive cubic coupling")
     if config.k_index != 2 * config.q_index:
@@ -423,19 +394,16 @@ def cmd_demo(args) -> int:
             "the descent demo needs the neutral displacement mode at twice the"
             " charged mode (k = 2q), or the cubic overlap integral vanishes"
         )
-    layout = build_layout(config)
-    out = _out_dir(args)
     _, cs = reference(config, "vacuum", layout)
     threshold = descent_threshold(cs)
     f2 = -2.0 * threshold
-    f1_values = parse_f1_range(f"{DEMO_F1_START}:{DEMO_F1_STOP}:{DEMO_F1_STEP}")
 
-    result = run_sweep(config, SweepSpec(tuple(f1_values), f2), layout)
+    result = run_sweep(config, SweepSpec(DEMO_F1_VALUES, f2), layout)
     checks = run_verification(config, layout)
 
-    write_report_csv(os.path.join(out, "report.csv"), checks)
-    write_coefficients_csv(os.path.join(out, "coefficients.csv"), cs, vacuum_closed_forms(config))
-    write_sweep_csv(os.path.join(out, "sweep.csv"), result)
+    write_report_csv(os.path.join(args.out, "report.csv"), checks)
+    write_coefficients_csv(os.path.join(args.out, "coefficients.csv"), cs, vacuum_closed_forms(config))
+    write_sweep_csv(os.path.join(args.out, "sweep.csv"), result)
 
     first, last = result.rows[0], result.rows[-1]
     print(f"threshold |f2| for descent: {format_float(threshold)}")
@@ -501,7 +469,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     new_dirs = _missing_dirs(args.out)
     try:
-        return args.func(args)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use --out {args.out!r}: {exc.strerror or exc}") from exc
+        config = load_config(args.config) if args.config else default_config()
+        return args.func(args, config, build_layout(config))
     except FockboxError as exc:
         # a failed run leaves behind no --out it created, unless it wrote there
         for path in new_dirs:

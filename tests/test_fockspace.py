@@ -415,6 +415,27 @@ def test_a_batch_of_no_copies_has_no_rows():
     assert values.shape == (2, 2) and not values.any()
 
 
+def test_a_stack_must_name_a_ladder_of_the_layout_and_fit_it():
+    layout = small_layout()
+    op = realize(word(B1, True, False), layout)
+    state = basis_sum(layout, [(0, 1, 0), (0, 2, 0)], [0.6, 0.8])
+    stack = copy_stacks(state, [{1: displacement_block(3, 0.4)}])[1]
+    assert stack.shape == (1, 4, 2)
+    plain = fockspace.monomial_values(op, state)
+    assert fockspace.monomial_values(op, state, {1: stack}).tobytes() != plain.tobytes()
+    # a stack at a position the layout does not have is not dropped
+    for position in (7, 3, -1):
+        with pytest.raises(LayoutError, match=f"no ladder at position {position}"):
+            fockspace.monomial_values(op, state, {position: stack})
+    # a stack of another shape than the ladder's distinct columns, for one
+    # copy or for a batch of copies it does not match
+    for stacks, copies in (({1: stack[:, :, :1]}, 1), ({1: stack[0]}, 1), ({1: np.concatenate([stack] * 3)}, 2)):
+        shape = stacks[1].shape
+        message = f"ladder 1 takes a (1 or {copies}, 4, 2) stack, not {shape}"
+        with pytest.raises(LayoutError, match=re.escape(message)):
+            fockspace.monomial_values(op, state, stacks, copies)
+
+
 @pytest.mark.parametrize(
     "cutoff, words, steps",
     [

@@ -279,6 +279,14 @@ def test_cli_rejects_unusable_configs(tmp_path, capsys):
     capsys.readouterr()
     assert main(["coeffs", "--config", tight, "--state", "bogus", "--out", str(tmp_path / "o3")]) == 2
     assert "state selector" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(FREE_CONFIG_TEXT.replace("lambda1", "# \xe9\nlambda1", 1).encode("latin-1"))
+    assert main(["coeffs", "--config", str(latin1), "--out", str(tmp_path / "o4")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+    # main creates --out before it reads the config, and removes it again
+    for name in ("o1", "o2", "o3", "o4"):
+        assert not (tmp_path / name).exists()
 
 
 def test_cli_rejects_a_cutoff_past_the_bound(tmp_path, capsys):
@@ -313,6 +321,7 @@ def test_cli_demo_requires_descent_geometry(tmp_path, capsys):
     )
     assert main(["demo", "--config", no_cubic, "--out", str(tmp_path / "o1")]) == 2
     assert "cubic coupling" in capsys.readouterr().err
+    assert not (tmp_path / "o1").exists()
     off_resonance = write_config(
         tmp_path,
         FREE_CONFIG_TEXT.replace("lambda1 = 0.0", "lambda1 = 1.0")
@@ -321,6 +330,7 @@ def test_cli_demo_requires_descent_geometry(tmp_path, capsys):
     )
     assert main(["demo", "--config", off_resonance, "--out", str(tmp_path / "o2")]) == 2
     assert "k = 2q" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
 
 
 def test_cli_sweep_writes_rows(tmp_path, capsys):
