@@ -22,10 +22,17 @@ admissible amplitude.  The window's top level matters most: a displaced
 level m reaches about (sqrt(m) + |f|)^2, far past the displaced vacuum.
 A shift gap depends only on the cutoff, the amplitude and the word, and is
 memoized on them (_frame_gap), so the check families at one grid point, and
-the grid points that share a ladder amplitude, compute each gap once.  In
-the same way a factor's unitarity and composition defects depend only on its
-cutoff and amplitude (_factor_defects): b_q and d_q share them, and
-composition reads what unitarity computed.  The x samples and the field
+the grid points that share a ladder amplitude, compute each gap once.  The
+memo keeps, beside the gap and the conjugated word, the gap's summary: its
+largest entry, its largest off-diagonal entry and its diagonal.  The window
+norms read a one-term ladder's residual from that summary, since scaling a
+real gap by a sample's coefficient keeps its largest off-diagonal entry in
+place; only ladders with several terms sum a stack over the x samples.  The
+shifted word e = prod_i (x_i + f) itself is formed only for the interchange's
+bound, in its own memo on the same key (_frame_maxima).  In the same way a
+factor's unitarity and composition defects depend only on its cutoff and
+amplitude (_factor_defects): b_q and d_q share them, and composition reads
+what unitarity computed.  The x samples and the field
 terms' plane-wave coefficients depend only on the config (_field_terms).
 
 Verification-mode routines enforce the coherent-leakage policy on the
@@ -36,6 +43,7 @@ LeakageError.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -209,50 +217,90 @@ def work_frame_size(cutoff: int) -> int:
 
 
 # Keyed on (cutoff, amplitude, word): one verify run asks for 56 gaps on the
-# built-in config, 98 on twelve ladders (modes 1-4 per field) and 151 on the
-# two-mode README config, and computes each of them once.
+# built-in config, 98 on twelve and on sixteen ladders (modes 1-4 and 1-6
+# per field) and 151 on the two-mode README config, and computes each of
+# them once.  A wide benchmark pass computes 174, 6 per drawn amplitude pair,
+# and reads each only at its own pair.
 @lru_cache(maxsize=160)
 def _frame_gap(
     cutoff: int, amplitude: float, daggers: tuple[bool, ...]
-) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float]]:
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float, np.ndarray]]:
     """(c - e, c) on the window of a ladder with this cutoff, read-only, and
-    (max|e|, max|c - e|, max|c|), for c = U+ word U on the ladder's work
+    the gap's summary (_gap_summary), for c = U+ word U on the ladder's work
     frame and e = prod_i (x_i + f) = sum_k f^k e_k (see _shift_layers).
 
     c is the Gram v+ word v (word_gram) of the window columns v of U.  c - e
     is formed as (((c - e_0) - f e_1) - f^2 e_2) ..., so each subtraction
     cancels the leading part of what is left and the gap keeps its own
     relative precision, even where it is far below the rounding of c.  At
-    amplitude 0.0, U = 1 exactly, so c is e_0 and the gap exactly zero."""
+    amplitude 0.0, U = 1 exactly, so c is e_0 and the gap exactly zero.
+    e itself is formed only by the interchange (_frame_maxima)."""
     window, dim = _window(cutoff), work_frame_size(cutoff)
-    layers = _shift_layers(window, daggers)
     c = word_gram(displacement_block(dim - 1, amplitude, window), word_weights(dim, daggers))
-    e, gap = 0.0, c
-    for k, layer in enumerate(layers):
-        e = e + amplitude**k * layer
+    gap = c
+    for k, layer in enumerate(_shift_layers(window, daggers)):
         gap = gap - amplitude**k * layer
     gap.setflags(write=False)
     c.setflags(write=False)
-    return gap, c, tuple(float(np.max(np.abs(block))) for block in (e, gap, c))
+    return gap, c, _gap_summary(gap)
 
 
-def _window_sum_max(blocks: Mapping[LadderId, np.ndarray], scalars: np.ndarray) -> np.ndarray:
-    """Exact windowed max norm of sum_l blocks[l][b] (x) identity + scalars[b]
-    for each b, from a (B, m_l, m_l) stack of window blocks per ladder.
+def _gap_summary(gap: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(max|gap|, the largest off-diagonal |gap|, the diagonal) of a real
+    window block, from one |gap| pass.  A 1 x 1 window has 0.0 off the
+    diagonal, and a NaN entry stays NaN in every maximum that covers it."""
+    magnitudes = np.abs(gap)
+    gap_max = float(magnitudes.max())
+    np.fill_diagonal(magnitudes, 0.0)
+    return gap_max, float(magnitudes.max()), np.diagonal(gap)
+
+
+# Keyed as _frame_gap: the interchange's words cover every key the shift
+# checks ask for, so a verify run fills the same 56, 98 and 151 entries; the
+# wide benchmark, which runs no interchange, none.
+@lru_cache(maxsize=160)
+def _frame_maxima(cutoff: int, amplitude: float, daggers: tuple[bool, ...]) -> tuple[float, float, float]:
+    """(max|e|, max|c - e|, max|c|) of _frame_gap's blocks on the same key,
+    with e = sum_k f^k e_k summed in the order of _shift_layers."""
+    _, c, (gap_max, _, _) = _frame_gap(cutoff, amplitude, daggers)
+    e = 0.0
+    for k, layer in enumerate(_shift_layers(_window(cutoff), daggers)):
+        e = e + amplitude**k * layer
+    return float(np.max(np.abs(e))), gap_max, float(np.max(np.abs(c)))
+
+
+def _scaled_summary(scale: np.ndarray, summary: tuple[float, float, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """_stack_summary of the stack scale[b] * gap, read from the gap's
+    summary without forming the stack.  Rounding a real product is monotone
+    in |gap_ij|, and so is NumPy's modulus of the complex product
+    (kr gap_ij, ki gap_ij), so the largest off-diagonal entry of the stack
+    is the product with the gap's largest off-diagonal entry, bit for bit."""
+    _, off, diag = summary
+    return np.abs(scale * off), scale[:, None] * diag
+
+
+def _stack_summary(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(largest off-diagonal |block[b]|, diagonal of block[b]) for each b of
+    a (B, m, m) stack of window blocks."""
+    magnitudes = np.abs(block)
+    np.einsum("bii->bi", magnitudes)[...] = 0.0
+    return magnitudes.max(axis=(1, 2)), np.diagonal(block, axis1=1, axis2=2)
+
+
+def _window_sum_max(summaries: list[tuple[np.ndarray, np.ndarray]], scalars: np.ndarray) -> np.ndarray:
+    """Exact windowed max norm of sum_l B_l[b] (x) identity + scalars[b] for
+    each b, from each ladder's (off, diag) summary of its (B, m_l, m_l)
+    window blocks B_l (_stack_summary, _scaled_summary).
 
     Entries off-diagonal in one ladder come from that ladder's block alone;
     diagonal entries are sums of per-ladder diagonals plus the scalar, and
-    the maximum over the projected box is taken by explicit outer addition.
+    the maximum over the projected box is taken by explicit outer addition,
+    over the ladders in the order given.
     """
     off_max = np.zeros(len(scalars))
     diag_total = np.asarray(scalars, dtype=np.complex128)[:, None]
-    for block in blocks.values():
-        if not np.any(block):
-            continue
-        magnitudes = np.abs(block)
-        np.einsum("bii->bi", magnitudes)[...] = 0.0
-        off_max = np.maximum(off_max, magnitudes.max(axis=(1, 2)))
-        diag = np.diagonal(block, axis1=1, axis2=2)
+    for off, diag in summaries:
+        off_max = np.maximum(off_max, off)
         diag_total = (diag_total[:, :, None] + diag[:, None, :]).reshape(len(scalars), -1)
     return np.maximum(off_max, np.abs(diag_total).max(axis=1))
 
@@ -270,7 +318,7 @@ def check_ladder_shifts(
     checks = []
     for lad, cutoff in zip(layout.ladders, layout.cutoffs):
         for dagger, suffix in ((False, ""), (True, "_dag")):
-            _, _, (_, residual, _) = _frame_gap(cutoff, amplitudes.get(lad, 0.0), (dagger,))
+            _, _, (residual, _, _) = _frame_gap(cutoff, amplitudes.get(lad, 0.0), (dagger,))
             checks.append(
                 ResidualCheck(f"ladder_shift[{lad}{suffix}]", params.f1, params.f2, residual, LADDER_SHIFT_TOL)
             )
@@ -298,9 +346,14 @@ def check_free_hamiltonian_shift(
     shifts, vacua = [], []
     for sector, energies, vacuum_shift in sectors:
         number = {lad: _frame_gap(layout.cutoff(lad), amplitudes.get(lad, 0.0), (True, False)) for lad, _ in energies}
-        # energy (U+ a+a U - (a+ + f)(a + f)) per ladder, a batch of one
-        blocks = {lad: (energy * number[lad][0])[None] for lad, energy in energies}
-        residual = float(_window_sum_max(blocks, np.zeros(1))[0])
+        # energy (U+ a+a U - (a+ + f)(a + f)) per ladder with a nonzero
+        # gap, a batch of one
+        summaries = []
+        for lad, energy in energies:
+            _, _, gap_summary = number[lad]
+            if gap_summary[0] != 0.0:
+                summaries.append(_scaled_summary(np.array([energy]), gap_summary))
+        residual = float(_window_sum_max(summaries, np.zeros(1))[0])
         shifts.append(ResidualCheck(f"free_shift[{sector}]", f1, f2, residual, FREE_SHIFT_TOL))
         # <0| U+ a+a U |0> is the corner of each ladder's conjugated a+a
         value = 0.0
@@ -349,22 +402,31 @@ def check_field_shift(
         ("charged", phi, n1, params.f1),
         ("charged_dagger", phi_dag, n1, params.f1),
     ):
-        # One (x sample, row, column) stack per ladder, summed term by term
-        # in the order a single sample's block would be.  Each gap already
-        # subtracts its own ladder's amplitude, so the scalar compares the
-        # sum of those shifts with the closed-form profile.
-        blocks: dict[LadderId, np.ndarray] = {}
+        # Each ladder's terms with their gaps.  Each gap already subtracts
+        # its own ladder's amplitude, so the scalar compares the sum of those
+        # shifts with the closed-form profile.
+        ladders: dict[LadderId, list[tuple[np.ndarray, np.ndarray, tuple]]] = {}
         shifts = np.zeros(len(xs), dtype=np.complex128)
         for sym, kappa in terms:
             shift = amplitudes.get(sym.ladder, 0.0)
-            gap, _, _ = _frame_gap(layout.cutoff(sym.ladder), shift, (sym.dagger,))
-            contrib = kappa[:, None, None] * gap
-            if sym.ladder in blocks:
-                blocks[sym.ladder] = blocks[sym.ladder] + contrib
-            else:
-                blocks[sym.ladder] = contrib
+            gap, _, gap_summary = _frame_gap(layout.cutoff(sym.ladder), shift, (sym.dagger,))
+            ladders.setdefault(sym.ladder, []).append((kappa, gap, gap_summary))
             shifts = shifts + kappa * shift
-        residuals = _window_sum_max(blocks, shifts - amplitude * profile(xs))
+        # A ladder with one term is read from its gap's summary; one with
+        # several sums an (x sample, row, column) stack term by term, in the
+        # order a single sample's block would be.  A ladder whose gaps are
+        # all exactly zero adds nothing.
+        summaries = []
+        for entries in ladders.values():
+            if all(gap_summary[0] == 0.0 for _, _, gap_summary in entries):
+                continue
+            if len(entries) == 1:
+                ((kappa, _, gap_summary),) = entries
+                summaries.append(_scaled_summary(kappa, gap_summary))
+            else:
+                stacks = [kappa[:, None, None] * gap for kappa, gap, _ in entries]
+                summaries.append(_stack_summary(functools.reduce(np.add, stacks)))
+        residuals = _window_sum_max(summaries, shifts - amplitude * profile(xs))
         for j, residual in enumerate(residuals):
             checks.append(
                 ResidualCheck(
@@ -436,9 +498,9 @@ class InterchangeChecker:
                + [sum_m kappa_m(x) (x)_l e_{m,l} - S(x)].
 
     The first part is bounded by sum_m |kappa_m| times the telescoped
-    per-ladder gaps, which does not depend on x.  The second expands every
-    shift into words, each weighted by the amplitudes of the symbols it
-    drops, subtracts S(x) word by word, and is bounded by
+    per-ladder gaps (_frame_maxima), which does not depend on x.  The
+    second expands every shift into words, each weighted by the amplitudes
+    of the symbols it drops, subtracts S(x) word by word, and is bounded by
     sum_W |Delta_W(x)| prod_l max|W_l|.  Words and their windowed blocks do
     not depend on the amplitudes, so they are built once; the blocks come
     from _shift_layers, which the shift gaps (_frame_gap) share.
@@ -518,7 +580,7 @@ class InterchangeChecker:
             shifts = [amplitudes.get(lad, 0.0) for lad in system.ladders]
             conjugation_gap = 0.0
             for modulus, w in zip(system.moduli, system.lhs_words):
-                per_ladder = [_frame_gap(n, f, daggers)[2] for n, f, daggers in zip(cutoffs, shifts, w) if daggers]
+                per_ladder = [_frame_maxima(n, f, daggers) for n, f, daggers in zip(cutoffs, shifts, w) if daggers]
                 conjugation_gap += modulus * _telescoped(per_ladder)
             factors = np.column_stack(
                 [np.tile(shifts, (len(self.x_samples), 1)), params.f1 * self._n1x, params.f2 * self._n2x]

@@ -299,13 +299,35 @@ def test_the_frame_gap_at_amplitude_zero_is_exactly_zero(cutoff, zero):
     # own window, e_0 of _shift_layers, bit for bit
     window = displace._window(cutoff)
     displace._frame_gap.cache_clear()
+    displace._frame_maxima.cache_clear()
     for length in range(5):
         for daggers in itertools.product((False, True), repeat=length):
-            gap, c, (e_max, gap_max, c_max) = displace._frame_gap(cutoff, zero, daggers)
+            gap, c, (gap_max, off_max, diag) = displace._frame_gap(cutoff, zero, daggers)
             layer = displace._shift_layers(window, daggers)[0]
             assert c.tobytes() == layer.tobytes(), daggers
-            assert not np.any(gap) and gap_max == 0.0
+            assert not np.any(gap) and gap_max == off_max == 0.0 and not np.any(diag)
+            e_max, gap_max, c_max = displace._frame_maxima(cutoff, zero, daggers)
+            assert gap_max == 0.0
             assert e_max == c_max == float(np.max(np.abs(layer)))
+
+
+@pytest.mark.parametrize("cutoff", [1, 16, 64])
+def test_frame_gap_summary_and_maxima_read_the_gap(cutoff):
+    # the summary and the interchange's maxima are the maxima of the blocks
+    # the memo holds; e is formed from _shift_layers as the gap subtracts it
+    window = displace._window(cutoff)
+    amplitude = -0.75 * max_admissible_amplitude(cutoff)
+    for daggers in ((False,), (True,), (True, False), (False, True, True)):
+        gap, c, (gap_max, off_max, diag) = displace._frame_gap(cutoff, amplitude, daggers)
+        off = np.abs(gap - np.diag(np.diag(gap)))
+        assert gap_max == float(np.max(np.abs(gap))) and off_max == float(np.max(off))
+        assert diag.tobytes() == np.diag(gap).tobytes() and not diag.flags.writeable
+        e = sum(amplitude**k * layer for k, layer in enumerate(displace._shift_layers(window, daggers)))
+        assert displace._frame_maxima(cutoff, amplitude, daggers) == (
+            float(np.max(np.abs(e))),
+            gap_max,
+            float(np.max(np.abs(c))),
+        )
 
 
 def _window_sum_max_per_sample(blocks, scalar):
@@ -323,42 +345,86 @@ def _window_sum_max_per_sample(blocks, scalar):
 
 def test_batched_window_sum_max_equals_the_per_sample_loop():
     # Diagonal-heavy blocks put every maximum on a three-term diagonal sum,
-    # whose rounding depends on the order of the additions.
+    # whose rounding depends on the order of the additions.  b1's stack is
+    # one real gap times a phase per sample, summarized without forming it;
+    # a zero block adds nothing, summarized or skipped.
     rng = np.random.default_rng(11)
     batch = 16
+    gap = rng.normal(size=(4, 4)) + np.diag(rng.uniform(1.0, 1e3, size=4))
+    kappa = rng.normal(size=batch) + 1j * rng.normal(size=batch)
     blocks = {
         A2: rng.normal(size=(batch, 9, 9)) + 1j * rng.normal(size=(batch, 9, 9)),
-        B1: rng.normal(size=(batch, 4, 4)) + 1j * rng.normal(size=(batch, 4, 4)),
+        B1: kappa[:, None, None] * gap,
         D1: rng.normal(size=(batch, 5, 5)),
     }
-    for block in blocks.values():
-        block += np.eye(block.shape[1]) * rng.uniform(1.0, 1e3, size=(batch, 1, 1))
+    for lad in (A2, D1):
+        blocks[lad] += np.eye(blocks[lad].shape[1]) * rng.uniform(1.0, 1e3, size=(batch, 1, 1))
     blocks[LadderId("a", 3)] = np.zeros((batch, 6, 6))
     scalars = rng.normal(size=batch) * 1e-3
-    batched = displace._window_sum_max(blocks, scalars)
-    assert batched.shape == (batch,)
-    for b in range(batch):
-        single = _window_sum_max_per_sample({lad: block[b] for lad, block in blocks.items()}, scalars[b])
-        assert batched[b] == single
+    summaries = [displace._stack_summary(block) for block in blocks.values()]
+    summaries[1] = displace._scaled_summary(kappa, displace._gap_summary(gap))
+    for given in (summaries, summaries[:3]):
+        batched = displace._window_sum_max(given, scalars)
+        assert batched.shape == (batch,)
+        for b in range(batch):
+            single = _window_sum_max_per_sample({lad: block[b] for lad, block in blocks.items()}, scalars[b])
+            assert batched[b] == single
 
 
 def test_window_sum_max_keeps_a_nan():
     block = np.zeros((2, 3, 3))
     block[1, 0, 0] = np.nan
     block[:, 0, 1] = 1.0
-    out = displace._window_sum_max({A2: block}, np.zeros(2))
+    out = displace._window_sum_max([displace._stack_summary(block)], np.zeros(2))
     assert out[0] == 1.0 and math.isnan(out[1])
+    # a gap with a NaN on or off its diagonal, scaled per sample
+    for row, column in ((0, 0), (2, 1)):
+        gap = np.eye(3)
+        gap[row, column] = np.nan
+        summary = displace._scaled_summary(np.array([1.0, 1j]), displace._gap_summary(gap))
+        assert np.all(np.isnan(displace._window_sum_max([summary], np.zeros(2))))
 
 
-@pytest.mark.parametrize(
-    "cutoff, params",
-    [(16, DisplacementParams(1.0, -1.0)), (16, DisplacementParams(0.0, 0.5)), (64, DisplacementParams(-4.5, 3.0))],
-)
+_LIMIT_64 = max_admissible_amplitude(64)
+# (cutoff of the built-in config, or the two-mode config, params): the
+# four cutoff-64 corners; on the two-mode config displaced b1, d1 and a2
+# of cutoffs 15, 16 and 20, whose windows have three sizes; and cutoff 1,
+# whose 1 x 1 windows have no off-diagonal entries
+ORACLE_CASES = [
+    (16, DisplacementParams(1.0, -1.0)),
+    (16, DisplacementParams(0.0, 0.5)),
+    (64, DisplacementParams(-4.5, 3.0)),
+    *[(64, DisplacementParams(s1 * _LIMIT_64, s2 * _LIMIT_64)) for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)],
+    ("two_mode", DisplacementParams(1.0, -1.0)),
+    ("two_mode", DisplacementParams(max_admissible_amplitude(15), -max_admissible_amplitude(20))),
+    (1, DisplacementParams(max_admissible_amplitude(1), -max_admissible_amplitude(1))),
+]
+
+
+def _oracle_config(cutoff):
+    return README_TWO_MODE if cutoff == "two_mode" else default_config().with_cutoff(cutoff)
+
+
+def _dense_gap(layout, amplitudes, lad, daggers):
+    """U+ word U minus its shift on lad's window, for a one-symbol word or
+    a+ a, formed on lad's work frame from U's window columns and explicit
+    blocks: word - f for a or a+, a+ a - f (a+ + a) - f^2 for a+ a."""
+    f = amplitudes.get(lad, 0.0)
+    m, dim = displace._window(layout.cutoff(lad)), work_frame_size(layout.cutoff(lad))
+    block = chain(dim - 1, daggers)
+    v = np.eye(dim)[:, :m] if f == 0.0 else displacement_block(dim - 1, f, m)
+    gap = v.T @ (block @ v) - block[:m, :m]
+    if len(daggers) == 1:
+        return gap - f * np.eye(m)
+    hops = chain(dim - 1, (True,)) + chain(dim - 1, (False,))
+    return (gap - f * hops[:m, :m]) - f**2 * np.eye(m)
+
+
+@pytest.mark.parametrize("cutoff, params", ORACLE_CASES)
 def test_field_shift_equals_the_per_x_loop(cutoff, params):
-    config = default_config().with_cutoff(cutoff)
+    config = _oracle_config(cutoff)
     layout = build_layout(config)
     amplitudes = displaced_amplitudes(config, params)
-    m, dim = displace._window(cutoff), work_frame_size(cutoff)
     xs = box_points(config.box_length, X_SAMPLE_COUNT)
     n1, n2 = shift_profiles(config)
     fa = field_algebra(config)
@@ -374,15 +440,32 @@ def test_field_shift_equals_the_per_x_loop(cutoff, params):
             blocks, scalar = {}, 0.0
             for t in poly.terms:
                 (sym,) = t.symbols
-                f = amplitudes.get(sym.ladder, 0.0)
-                block = chain(dim - 1, (sym.dagger,))
-                v = np.eye(dim)[:, :m] if f == 0.0 else displacement_block(dim - 1, f, m)
-                gap = (v.T @ (block @ v) - block[:m, :m]) - f * np.eye(m)
+                gap = _dense_gap(layout, amplitudes, sym.ladder, (sym.dagger,))
                 kappa = t.coefficient * t.phase(x, config.box_length)
                 blocks[sym.ladder] = blocks[sym.ladder] + kappa * gap if sym.ladder in blocks else kappa * gap
-                scalar = scalar + kappa * f
+                scalar = scalar + kappa * amplitudes.get(sym.ladder, 0.0)
             expected.append(_window_sum_max_per_sample(blocks, scalar - shift_of_x(float(x))))
     assert [c.residual for c in check_field_shift(config, params, layout)] == expected
+
+
+@pytest.mark.parametrize("cutoff, params", ORACLE_CASES)
+def test_free_shift_equals_the_dense_window_norm(cutoff, params):
+    # one sector's residual is the window norm of the sum of its ladders'
+    # energy (U+ a+ a U - (a+ + f)(a + f))
+    config = _oracle_config(cutoff)
+    layout = build_layout(config)
+    amplitudes = displaced_amplitudes(config, params)
+    expected = []
+    for neutral in (True, False):
+        blocks = {
+            lad: energy * _dense_gap(layout, amplitudes, lad, (True, False))
+            for lad, energy in config.mode_energies()
+            if (lad.family == "a") == neutral
+        }
+        expected.append(_window_sum_max_per_sample(blocks, 0.0))
+    shifts = [c for c in check_free_hamiltonian_shift(config, params, layout) if c.name.startswith("free_shift[")]
+    assert [c.name for c in shifts] == ["free_shift[neutral]", "free_shift[charged]"]
+    assert [c.residual for c in shifts] == expected
 
 
 def test_field_shift_fails_a_wrong_profile_amplitude(monkeypatch):
@@ -608,9 +691,9 @@ def test_interchange_fails_a_wrong_binomial_weight(monkeypatch):
 
 @pytest.fixture
 def fresh_frames():
-    """Shift gaps and factor defects are memoized across calls: a test that
-    patches the block provider sees its patch only in what is computed after
-    it, and must leave none of that behind."""
+    """Shift gaps, their interchange maxima and factor defects are memoized
+    across calls: a test that patches the block provider sees its patch only
+    in what is computed after it, and must leave none of that behind."""
     clear_package_caches()
     yield
     clear_package_caches()
@@ -640,12 +723,15 @@ def test_interchange_nan_block_gives_a_failing_nan(monkeypatch, fresh_frames):
 def test_one_verification_computes_each_frame_gap_once(fresh_frames):
     # built-in config: 7 grid amplitudes on cutoff 16, shared by a2 and
     # b1/d1, and 8 words at each; the two-mode config adds cutoffs 15 and 20
-    # and the undisplaced a3.  No gap is evicted and computed again.
+    # and the undisplaced a3.  The interchange's words cover the shift
+    # checks' words, so its maxima fill the same keys.  No gap or maxima
+    # entry is evicted and computed again.
     for config, gaps in ((default_config(), 56), (README_TWO_MODE, 151)):
-        displace._frame_gap.cache_clear()
+        clear_package_caches()
         run_verification(config)
-        info = displace._frame_gap.cache_info()
-        assert info.misses == info.currsize == gaps < info.maxsize
+        for memo in (displace._frame_gap, displace._frame_maxima):
+            info = memo.cache_info()
+            assert info.misses == info.currsize == gaps < info.maxsize, memo
 
 
 def test_every_frame_check_passes_across_the_cutoff_64_range():

@@ -708,6 +708,7 @@ def test_every_lru_cache_is_bounded():
         "fockbox.fockspace._x_basis",
         "fockbox.displace.work_frame_size",
         "fockbox.displace._frame_gap",
+        "fockbox.displace._frame_maxima",
         "fockbox.displace._shift_layers",
         "fockbox.fockspace.max_admissible_amplitude",
         "fockbox.coeffs._realized_parts",
@@ -733,9 +734,14 @@ def test_every_lru_cache_is_bounded():
     # one size per cutoff, and a layout has a few distinct cutoffs
     assert caches["fockbox.displace.work_frame_size"] == 16
     # (cutoff, amplitude, word) keys: a verify run computes 56 gaps on the
-    # built-in config, 98 on twelve ladders and 151 on the two-mode README
-    # config
+    # built-in config, 98 on twelve and on sixteen ladders and 151 on the
+    # two-mode README config; a wide benchmark pass computes 174, 6 per
+    # drawn amplitude pair and 6 for its four corners, and reads each only
+    # at its own pair
     assert caches["fockbox.displace._frame_gap"] == 160
+    # the interchange's maxima of the same gaps: a verify run fills the same
+    # 56, 98 and 151 keys, and a wide benchmark pass none
+    assert caches["fockbox.displace._frame_maxima"] == 160
     # (window, word) keys: at most 31 words per window, 15 keys on the
     # built-in config and 34 on the two-mode README config
     assert caches["fockbox.displace._shift_layers"] == 128

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fockbox import coeffs, fockspace, probe
+from fockbox import coeffs, displace, fockspace, probe
 from fockbox.coeffs import COEFFICIENT_NAMES, coefficients, reference_state, vacuum_closed_forms
 from fockbox.displace import Displacement, DisplacementParams, InterchangeChecker, work_frame_size
 from fockbox.errors import ConfigError
@@ -205,6 +205,57 @@ def test_interchange_bound_covers_the_dense_residual(params):
     dense, floors = dense_interchange_residuals(config, params)
     for c, exact, floor in zip(checks, dense, floors, strict=True):
         assert exact <= c.residual + floor + np.finfo(np.float64).smallest_normal, (c.name, exact, c.residual)
+
+
+# Finite floats of every scale, with exact zeros, subnormals and values near
+# 1e+-300 drawn often.
+SCALED_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e-300, -3e-300, 1e300, -7e300, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def scaled_gaps(draw):
+    """A real (m, m) gap, possibly with a pair of entries of equal magnitude
+    and opposite sign and a NaN on or off the diagonal; a complex (8,)
+    kappa and a real energy."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    gap = np.array(draw(st.lists(SCALED_ENTRIES, min_size=m * m, max_size=m * m))).reshape(m, m)
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    if draw(st.booleans()):
+        (i, j), (k, l) = draw(cell), draw(cell)
+        gap[k, l] = -gap[i, j]
+    nan = draw(st.sampled_from(["none", "diagonal", "off"]))
+    if nan == "diagonal":
+        i = draw(st.integers(0, m - 1))
+        gap[i, i] = np.nan
+    elif nan == "off" and m > 1:
+        i, j = draw(st.permutations(range(m)))[:2]
+        gap[i, j] = np.nan
+    kappa = np.array([complex(draw(SCALED_ENTRIES), draw(SCALED_ENTRIES)) for _ in range(8)])
+    return gap, kappa, draw(SCALED_ENTRIES)
+
+
+@PROPERTY_SETTINGS
+@example((np.array([[1.0, -3.0], [3.0, np.nan]]), np.full(8, 1e300 - 1e-300j), 5e-324))
+@given(scaled_gaps())
+def test_a_scaled_gap_summary_is_its_stack_zeroed_and_maxed(case):
+    # a one-term ladder's window summary, read from its gap's summary, is
+    # bit for bit what the scaled stack gives with its diagonal zeroed, for a
+    # complex coefficient per sample and for a real energy
+    gap, kappa, energy = case
+    summary = displace._gap_summary(gap)
+    for scale in (kappa, np.array([energy])):
+        with np.errstate(over="ignore"):  # products near 1e300 overflow to inf
+            stack = scale[:, None, None] * gap
+            magnitudes = np.abs(stack)
+            off, diag = displace._scaled_summary(scale, summary)
+        np.einsum("bii->bi", magnitudes)[...] = 0.0
+        assert np.array_equal(off, magnitudes.max(axis=(1, 2)), equal_nan=True), (off, magnitudes)
+        assert diag.tobytes() == np.diagonal(stack, axis1=1, axis2=2).tobytes()
+        norms = displace._window_sum_max([(off, diag)], np.zeros(len(scale)))
+        assert np.isnan(norms).tolist() == [bool(np.isnan(gap).any())] * len(scale), norms
 
 
 ORACLE_LADDERS = (LadderId("a", 2), LadderId("b", 1), LadderId("d", 1))
