@@ -44,7 +44,6 @@ from .ladderalg import LadderPolynomial
 from .model import (
     ModelConfig,
     build_H,
-    build_layout,
     cubic_interaction_polynomial,
     field_algebra,
     free_polynomial,
@@ -86,7 +85,7 @@ def _canonical_selector(selector: str) -> str:
     )
 
 
-def reference_state(config: ModelConfig, selector: str, layout: FockLayout | None = None) -> StateVector:
+def reference_state(config: ModelConfig, selector: str, layout: FockLayout) -> StateVector:
     """vacuum | one_a | one_b | seeded[:<int>] -> normalized StateVector.
 
     one_a / one_b put a single quantum in the displaced neutral / charged-b
@@ -94,7 +93,6 @@ def reference_state(config: ModelConfig, selector: str, layout: FockLayout | Non
     occupation at most 2, in row-major order, from a fixed generator
     (default seed 7): one product term per basis state.
     """
-    layout = layout or build_layout(config)
     selector = _canonical_selector(selector)
     if selector == "vacuum":
         return vacuum(layout)
@@ -238,14 +236,11 @@ def coefficients(config: ModelConfig, state: StateVector) -> CoefficientSet:
 REFERENCE_CACHE = 16
 
 
-def reference(
-    config: ModelConfig, selector: str, layout: FockLayout | None = None
-) -> tuple[StateVector, CoefficientSet]:
+def reference(config: ModelConfig, selector: str, layout: FockLayout) -> tuple[StateVector, CoefficientSet]:
     """The reference state of selector (reference_state) and its
     coefficients, built and contracted once per config, layout and state:
     every spelling of a selector reads one entry.  The state's amplitudes
     are read-only, as its support is."""
-    layout = layout or build_layout(config)
     return _reference(config, layout, _canonical_selector(selector))
 
 
@@ -359,14 +354,13 @@ def vacuum_closed_forms(config: ModelConfig) -> dict[str, float]:
 
 def central_identity_checks(
     config: ModelConfig,
-    layout: FockLayout | None = None,
-    state_selectors: Sequence[str] = CENTRAL_STATES,
+    layout: FockLayout,
+    state_selectors: Sequence[str],
 ) -> list[ResidualCheck]:
     """Polynomial energy vs direct displaced expectation, per state and
     amplitude pair, plus one summary row naming which quartic weight
     (unit / times4 / both) actually matches the direct values.  Each state
     is checked once, named by its canonical selector."""
-    layout = layout or build_layout(config)
     points = [(f1, f2) for f1 in CENTRAL_F_VALUES for f2 in CENTRAL_F_VALUES]
     selectors = dict.fromkeys(map(_canonical_selector, state_selectors))
     for f1, f2 in points:

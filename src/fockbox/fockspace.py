@@ -328,13 +328,11 @@ def _basis_support(layout: FockLayout, occupations: tuple[tuple[int, ...], ...])
     return tuple(ladders)
 
 
-def basis_state(layout: FockLayout, occupations: Mapping[LadderId, int] | Sequence[int]) -> StateVector:
-    if isinstance(occupations, Mapping):
-        occs = [0] * len(layout.ladders)
-        for lad, n in occupations.items():
-            occs[layout.position(lad)] = n
-    else:
-        occs = list(occupations)
+def basis_state(layout: FockLayout, occupations: Mapping[LadderId, int]) -> StateVector:
+    """The basis state with each named ladder at its level, the rest empty."""
+    occs = [0] * len(layout.ladders)
+    for lad, n in occupations.items():
+        occs[layout.position(lad)] = n
     return basis_sum(layout, [occs], [1.0])
 
 
@@ -373,8 +371,6 @@ def monomial_values(
     for position in stacks:
         if position not in range(len(op.layout.dims)):
             raise LayoutError(f"the layout has no ladder at position {position!r} to take a stack")
-    if not copies:
-        return np.zeros((0, len(op.terms)), dtype=np.complex128)
     grams = {}
     for position, ((_, source), dim) in enumerate(zip(state.ladders, op.layout.dims)):
         x = stacks.get(position, source[None] if source.ndim == 2 else None)
@@ -520,17 +516,17 @@ def displacement_block(cutoff: int, amplitude: float, columns: int | None = None
     return _displacement_block(levels, amplitude, columns)
 
 
-def displacement_blocks(cutoff: int, amplitudes: Sequence[float], columns: int | None = None) -> np.ndarray:
-    """(n, levels, columns) stack of displacement_block(cutoff, f, columns)
-    for the n amplitudes, bit for bit: one stacked build (_block_stack)
-    over their distinct |f|, each negative one's parity image taken as
+def displacement_blocks(cutoff: int, amplitudes: Sequence[float]) -> np.ndarray:
+    """(n, levels, levels) stack of displacement_block(cutoff, f) for the n
+    amplitudes, bit for bit: one stacked build (_block_stack) over their
+    distinct |f|, each negative one's parity image taken as
     displacement_block takes it.  Not memoized, and writable."""
-    levels, columns = _block_shape(cutoff, columns)
+    levels, _ = _block_shape(cutoff, None)
     amplitudes = np.asarray(amplitudes, dtype=float)
     magnitudes = np.abs(amplitudes).tolist()
     distinct = {f: i for i, f in enumerate(dict.fromkeys(magnitudes))}
-    stack = _block_stack(levels, np.array(list(distinct)), columns)[[distinct[f] for f in magnitudes]]
-    stack[amplitudes < 0.0] *= _phase_pattern(levels, columns)[2]
+    stack = _block_stack(levels, np.array(list(distinct)), levels)[[distinct[f] for f in magnitudes]]
+    stack[amplitudes < 0.0] *= _phase_pattern(levels, levels)[2]
     return stack
 
 

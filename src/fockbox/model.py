@@ -278,9 +278,9 @@ def hamiltonian_polynomial(config: ModelConfig) -> LadderPolynomial:
     return LadderPolynomial(terms)
 
 
-def build_H(config: ModelConfig, layout: FockLayout | None = None) -> OperatorMatrix:
+def build_H(config: ModelConfig, layout: FockLayout) -> OperatorMatrix:
     """The Hamiltonian realized on the layout."""
-    return ladderalg.realize(hamiltonian_polynomial(config), layout or build_layout(config))
+    return ladderalg.realize(hamiltonian_polynomial(config), layout)
 
 
 def charge(monomial: LadderMonomial) -> int:

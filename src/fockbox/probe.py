@@ -110,14 +110,11 @@ def write_coefficients_csv(path: str, cs: CoefficientSet, closed_forms: dict[str
 # full verification sweep
 
 
-def run_verification(
-    config: ModelConfig, layout: FockLayout | None = None, extra_state: str | None = None
-) -> list[ResidualCheck]:
+def run_verification(config: ModelConfig, layout: FockLayout, extra_state: str | None = None) -> list[ResidualCheck]:
     """Every identity check on the standard grid, the central energy identity
     over the full reference-state test set, and the Hamiltonian structure
     checks.  extra_state appends one more state to the central-identity set,
     unless it is a spelling of one of them."""
-    layout = layout or build_layout(config)
     extreme = max(abs(f) for f in VERIFY_GRID)
     require_admissible(config, DisplacementParams(extreme, extreme), layout)
     if extra_state is not None:
@@ -136,7 +133,7 @@ def run_verification(
             checks.append(check_composition(config, params, layout))
 
     extra = () if extra_state is None else (extra_state,)
-    checks.extend(central_identity_checks(config, layout, state_selectors=CENTRAL_STATES + extra))
+    checks.extend(central_identity_checks(config, layout, CENTRAL_STATES + extra))
 
     # the quadrature gap, relative to the largest coefficient once that exceeds 1
     symbolic = ladderalg.integrate_box(interaction_density_polynomial(config), config.box_length)
@@ -175,10 +172,9 @@ class SweepResult:
     descent_certified: bool
 
 
-def direct_check_limit(config: ModelConfig, layout: FockLayout | None = None) -> float:
+def direct_check_limit(config: ModelConfig, layout: FockLayout) -> float:
     """Largest |amplitude| every displaced ladder holds under the leakage
     policy; sweeps attempt direct comparisons only inside it."""
-    layout = layout or build_layout(config)
     return min(max_admissible_amplitude(layout.cutoff(lad)) for lad, _ in config.displaced_ladders())
 
 
@@ -235,7 +231,7 @@ class SweepSpec:
             raise ConfigError("a sweep needs at least 3 distinct f1 values for its quadratic fit")
 
 
-def run_sweep(config: ModelConfig, spec: SweepSpec, layout: FockLayout | None = None) -> SweepResult:
+def run_sweep(config: ModelConfig, spec: SweepSpec, layout: FockLayout) -> SweepResult:
     """Energy polynomial along f1 at fixed f2, with direct expectations on
     every row whose amplitudes stay inside the direct-check limit.
 
@@ -243,7 +239,6 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, layout: FockLayout | None = 
     coefficient is negative, it matches A4 + f2 A5, and every direct
     comparison that could be computed agrees with the polynomial.
     """
-    layout = layout or build_layout(config)
     state, cs = reference(config, spec.state_selector, layout)
     limit = direct_check_limit(config, layout)
 

@@ -16,6 +16,7 @@ import pytest
 
 from fockbox import ladderalg
 from fockbox.coeffs import (
+    CENTRAL_STATES,
     central_identity_checks,
     coefficients,
     descent_threshold,
@@ -135,7 +136,7 @@ def test_acceptance_3_field_shift_and_interchange(grid24, capsys):
 def test_acceptance_4_central_identity(capsys):
     config = default_config()
     layout = build_layout(config)
-    checks = central_identity_checks(config, layout)
+    checks = central_identity_checks(config, layout, CENTRAL_STATES)
     rows = [c for c in checks if c.name.startswith("central_identity[")]
     states = {c.name for c in rows}
     assert len(states) == 4

@@ -92,10 +92,11 @@ def test_seeded_terms_take_the_draws_of_the_full_layout_mask(config):
 
 def test_reference_state_rejects_bad_selectors():
     config = default_config().with_cutoff(3)
+    layout = build_layout(config)
     with pytest.raises(ConfigError):
-        reference_state(config, "excited")
+        reference_state(config, "excited", layout)
     with pytest.raises(ConfigError):
-        reference_state(config, "seeded:x")
+        reference_state(config, "seeded:x", layout)
 
 
 def test_every_spelling_of_a_selector_reads_one_memo_entry():
@@ -119,8 +120,9 @@ def test_every_spelling_of_a_selector_reads_one_memo_entry():
 
 def test_a_memoized_state_is_read_only():
     config = default_config().with_cutoff(4)
+    layout = build_layout(config)
     for selector in ("vacuum", "seeded:3"):
-        state, _ = coeffs.reference(config, selector)
+        state, _ = coeffs.reference(config, selector, layout)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
         for columns, levels in state.ladders:
@@ -300,7 +302,7 @@ def test_twelve_ladder_config_runs_without_the_joint_space():
         if selector == "vacuum":
             for name, want in closed.items():
                 assert within_rounding(getattr(cs, name), want), (name, getattr(cs, name), want)
-    checks = central_identity_checks(config, layout)
+    checks = central_identity_checks(config, layout, CENTRAL_STATES)
     assert len(checks) == 4 * 25 + 1
     assert all(c.passed and c.residual <= 1e-13 for c in checks), max(c.residual for c in checks)
     assert checks[-1].name == "quartic_coefficient[unit]"

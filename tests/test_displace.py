@@ -13,6 +13,7 @@ from fockbox.fockspace import (
     LadderId,
     StateVector,
     basis_state,
+    basis_sum,
     displacement_block,
     expectation,
     max_admissible_amplitude,
@@ -102,7 +103,8 @@ def test_displacement_is_unitary_and_factorizes():
     np.testing.assert_allclose(charged @ neutral, u, atol=1e-13)
     np.testing.assert_allclose(neutral @ charged, u, atol=1e-13)
     # apply is that product: its columns on the basis states are U's
-    columns = np.column_stack([dense_state(disp.apply(basis_state(layout, n))) for n in row_major_occupations(layout)])
+    basis = [basis_sum(layout, [n], [1.0]) for n in row_major_occupations(layout)]
+    columns = np.column_stack([dense_state(disp.apply(state)) for state in basis])
     np.testing.assert_allclose(columns, u, rtol=0.0, atol=1e-15)
 
 
@@ -168,7 +170,7 @@ def test_apply_keeps_the_norm_on_a_large_layout():
 
 def test_apply_rejects_foreign_layout():
     config = default_config()
-    disp = displacement(config, DisplacementParams(0.1, 0.1))
+    disp = displacement(config, DisplacementParams(0.1, 0.1), build_layout(config))
     other = build_layout(config.with_cutoff(4))
     with pytest.raises(LayoutError):
         disp.apply(vacuum(other))
@@ -477,14 +479,15 @@ def test_field_shift_fails_a_wrong_profile_amplitude(monkeypatch):
         return n1, ShiftProfile(1.001 * n2.amplitude, n2.wavenumber)
 
     monkeypatch.setattr(displace, "shift_profiles", scaled_profiles)
-    checks = check_field_shift(default_config(), DisplacementParams(0.5, 0.5))
+    config = default_config()
+    checks = check_field_shift(config, DisplacementParams(0.5, 0.5), build_layout(config))
     assert {c.name for c in checks if not c.passed} == {f"field_shift[neutral][x{j}]" for j in (0, 2, 4, 6)}
 
 
 @pytest.mark.parametrize("params", GRID_POINTS)
 def test_interchange_residuals(params):
     config = default_config()
-    checker = InterchangeChecker(config)
+    checker = InterchangeChecker(config, build_layout(config))
     checks = checker.run(params)
     assert len(checks) == 2 * 8
     for c in checks:
@@ -496,7 +499,7 @@ def test_interchange_exact_zero_without_neutral_displacement():
     # every expansion coefficient is an exact float zero; the cubic bound
     # carries the rounding of the charged conjugations
     config = default_config()
-    checker = InterchangeChecker(config)
+    checker = InterchangeChecker(config, build_layout(config))
     for params in (DisplacementParams(0.0, 0.0), DisplacementParams(0.5, 0.0)):
         checks = checker.run(params)
         assert all(c.residual == 0.0 for c in checks if "quartic" in c.name)
@@ -547,9 +550,10 @@ def test_composition_fails_a_provider_without_the_parity_image(monkeypatch, fres
     monkeypatch.setattr(
         displace, "displacement_block", lambda cutoff, f, columns=None: displacement_block(cutoff, abs(f), columns)
     )
-    params = DisplacementParams(0.5, -0.25)
-    assert check_unitarity(default_config(), params).passed
-    assert not check_composition(default_config(), params).passed
+    config, params = default_config(), DisplacementParams(0.5, -0.25)
+    layout = build_layout(config)
+    assert check_unitarity(config, params, layout).passed
+    assert not check_composition(config, params, layout).passed
 
 
 def _frame_block(cutoff, amplitude, symbols, conjugated):
@@ -671,7 +675,7 @@ def dense_interchange_residuals(config, params):
 )
 def test_interchange_matches_dense_oracle(cutoff, params):
     config = default_config().with_cutoff(cutoff)
-    checks = InterchangeChecker(config).run(params)
+    checks = InterchangeChecker(config, build_layout(config)).run(params)
     dense, _ = dense_interchange_residuals(config, params)
     assert len(checks) == len(dense) == 16
     for c, exact in zip(checks, dense):
@@ -685,7 +689,8 @@ def test_interchange_fails_a_wrong_binomial_weight(monkeypatch):
     # and vanishes with n2(x) at the odd ones
     comb = math.comb
     monkeypatch.setattr(displace.math, "comb", lambda n, k: comb(n, k) + ((n, k) == (4, 2)))
-    checks = InterchangeChecker(default_config()).run(DisplacementParams(1.0, 1.0))
+    config = default_config()
+    checks = InterchangeChecker(config, build_layout(config)).run(DisplacementParams(1.0, 1.0))
     assert {c.name for c in checks if not c.passed} == {f"interchange[quartic][x{j}]" for j in (0, 2, 4, 6)}
 
 
@@ -703,7 +708,8 @@ def test_interchange_fails_a_conjugation_at_a_wrong_amplitude(monkeypatch, fresh
     monkeypatch.setattr(
         displace, "displacement_block", lambda cutoff, f, columns=None: displacement_block(cutoff, 1.001 * f, columns)
     )
-    checks = InterchangeChecker(default_config()).run(DisplacementParams(0.5, 0.0))
+    config = default_config()
+    checks = InterchangeChecker(config, build_layout(config)).run(DisplacementParams(0.5, 0.0))
     assert not any(c.passed for c in checks if "cubic" in c.name)
     assert all(c.passed for c in checks if "quartic" in c.name)
 
@@ -715,7 +721,8 @@ def test_interchange_nan_block_gives_a_failing_nan(monkeypatch, fresh_frames):
         return block
 
     monkeypatch.setattr(displace, "displacement_block", poisoned)
-    checks = InterchangeChecker(default_config()).run(DisplacementParams(0.5, 0.5))
+    config = default_config()
+    checks = InterchangeChecker(config, build_layout(config)).run(DisplacementParams(0.5, 0.5))
     assert len(checks) == 16
     assert all(math.isnan(c.residual) and not c.passed for c in checks)
 
@@ -728,7 +735,7 @@ def test_one_verification_computes_each_frame_gap_once(fresh_frames):
     # entry is evicted and computed again.
     for config, gaps in ((default_config(), 56), (README_TWO_MODE, 151)):
         clear_package_caches()
-        run_verification(config)
+        run_verification(config, build_layout(config))
         for memo in (displace._frame_gap, displace._frame_maxima):
             info = memo.cache_info()
             assert info.misses == info.currsize == gaps < info.maxsize, memo
@@ -764,7 +771,8 @@ cutoff_overrides = a2=20, b1=15
 
 
 def test_interchange_on_the_two_mode_config():
-    checks = InterchangeChecker(parse_config(TWO_MODE_CONFIG)).run(DisplacementParams(1.0, -1.0))
+    config = parse_config(TWO_MODE_CONFIG)
+    checks = InterchangeChecker(config, build_layout(config)).run(DisplacementParams(1.0, -1.0))
     assert [c.name for c in checks] == [
         f"interchange[{name}][x{j}]" for name in ("quartic", "cubic") for j in range(X_SAMPLE_COUNT)
     ]

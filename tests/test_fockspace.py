@@ -285,7 +285,7 @@ def test_number_operator_and_projector():
     assert np.array_equal(n_b, np.kron(np.kron(eye, raising_block(3) @ lowering_block(3)), eye))
     # it counts the quanta of every basis state
     for occupations in row_major_occupations(layout):
-        assert expectation(number, basis_state(layout, occupations)) == pytest.approx(occupations[1], rel=1e-15)
+        assert expectation(number, basis_sum(layout, [occupations], [1.0])) == pytest.approx(occupations[1], rel=1e-15)
     # distinct basis states are orthonormal terms, though one ladder's
     # columns are not: |000> and |001> share a2's and b1's
     low = basis_sum(layout, layout.occupations(1), [1.0, 2.0, 3.0, 4.0])
@@ -519,7 +519,7 @@ def test_state_vector_basics():
     with pytest.raises(LayoutError):
         StateVector(layout, np.zeros((2, 1), dtype=complex), ladders)
     with pytest.raises(LayoutError):
-        basis_state(layout, (0, 0, 4))
+        basis_sum(layout, [(0, 0, 4)], [1.0])
     with pytest.raises(LayoutError):
         basis_state(layout, {LadderId("b", 9): 1})
     state = basis_state(layout, {B1: 2, D1: 1})
@@ -619,15 +619,16 @@ def test_displacement_block_ulp_apart_amplitudes_differ():
     assert low.tobytes() != high.tobytes()
 
 
-@pytest.mark.parametrize("cutoff, columns", [(16, None), (64, None), (work_frame_size(64) - 1, 33)])
+# a stack has all of its blocks' columns, the single block's default (None)
+@pytest.mark.parametrize("cutoff, columns", [(16, None), (64, None)])
 @pytest.mark.parametrize("depth", [1, 7, 25])
 def test_a_stacked_build_is_the_single_blocks_bit_for_bit(cutoff, columns, depth):
     # negative, zero and positive amplitudes, each |f| of the odd grids twice
     limit = max_admissible_amplitude(cutoff)
     grids = [[-limit], [0.0], [0.7 * limit]] if depth == 1 else [np.linspace(-limit, limit, depth)]
     for amplitudes in grids:
-        stack = displacement_blocks(cutoff, amplitudes, columns)
-        assert stack.shape == (depth, cutoff + 1, cutoff + 1 if columns is None else columns)
+        stack = displacement_blocks(cutoff, amplitudes)
+        assert stack.shape == (depth, cutoff + 1, cutoff + 1)
         for block, f in zip(stack, amplitudes):
             assert block.tobytes() == displacement_block(cutoff, f, columns).tobytes()
 
@@ -635,19 +636,18 @@ def test_a_stacked_build_is_the_single_blocks_bit_for_bit(cutoff, columns, depth
 @pytest.mark.parametrize("zero", [0.0, -0.0])
 @pytest.mark.parametrize("cutoff, columns", [(16, None), (16, 5), (64, None), (work_frame_size(64) - 1, 33)])
 def test_a_block_at_amplitude_zero_is_the_exact_identity(cutoff, columns, zero):
-    # not the rounded V V^T of the eigenbasis: a zero row of a stack too,
-    # with the other rows still the single blocks
-    eye = np.eye(cutoff + 1, cutoff + 1 if columns is None else columns)
+    # not the rounded V V^T of the eigenbasis, with or without columns: a
+    # zero row of a stack, which has every column, too, with the other rows
+    # still the single blocks
+    eye = np.eye(cutoff + 1)
     fockspace._displacement_block.cache_clear()
-    assert displacement_block(cutoff, zero, columns).tobytes() == eye.tobytes()
+    assert displacement_block(cutoff, zero, columns).tobytes() == eye[:, :columns].tobytes()
     amplitudes = [0.5, zero, -0.5, -zero, 0.25, zero]
-    stack = displacement_blocks(cutoff, amplitudes, columns)
+    stack = displacement_blocks(cutoff, amplitudes)
     for block, f in zip(stack, amplitudes):
-        if f == 0.0:
-            assert block.tobytes() == eye.tobytes()
-        else:
-            assert block.tobytes() == displacement_block(cutoff, f, columns).tobytes()
-    assert displacement_blocks(cutoff, [zero, -zero], columns).tobytes() == np.stack([eye, eye]).tobytes()
+        expected = eye if f == 0.0 else displacement_block(cutoff, f)
+        assert block.tobytes() == expected.tobytes()
+    assert displacement_blocks(cutoff, [zero, -zero]).tobytes() == np.stack([eye, eye]).tobytes()
 
 
 def test_displacement_block_columns_are_the_leading_columns():
@@ -670,7 +670,8 @@ def test_displacement_block_is_read_only():
 
 def test_run_verification_is_identical_on_cold_and_warm_block_cache():
     def summary():
-        return [(c.name, c.f1, c.f2, c.residual) for c in run_verification(default_config())]
+        config = default_config()
+        return [(c.name, c.f1, c.f2, c.residual) for c in run_verification(config, build_layout(config))]
 
     clear_package_caches()
     cold = summary()
@@ -687,12 +688,13 @@ def test_only_batches_with_stacks_keep_their_pair_plans():
     # central-identity batch, which carries stacks
     clear_package_caches()
     config = default_config()
-    state = coeffs.reference_state(config, "seeded:7")
+    layout = build_layout(config)
+    state = coeffs.reference_state(config, "seeded:7", layout)
     before = fockspace._pair_plan.cache_info().currsize
     coeffs.coefficients(config, state)
     assert fockspace._pair_plan.cache_info().currsize == before
     clear_package_caches()
-    run_verification(config)
+    run_verification(config, layout)
     assert fockspace._pair_plan.cache_info().currsize == 4
 
 
@@ -865,7 +867,8 @@ def test_import_runs_every_openblas_on_one_thread():
 _SCIPY_PROBE = """
 import json, sys
 import fockbox
-fockbox.run_verification(fockbox.default_config())
+config = fockbox.default_config()
+fockbox.run_verification(config, fockbox.build_layout(config))
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

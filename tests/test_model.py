@@ -81,8 +81,9 @@ def test_displaced_ladders_are_b_q_d_q_then_a_k():
         (a4, -0.5),
     ]
     # d2's override is the smallest cutoff among the displaced ladders
-    assert direct_check_limit(config) == max_admissible_amplitude(9)
-    assert direct_check_limit(config) < max_admissible_amplitude(config.cutoff_default)
+    limit = direct_check_limit(config, build_layout(config))
+    assert limit == max_admissible_amplitude(9)
+    assert limit < max_admissible_amplitude(config.cutoff_default)
 
 
 def test_mode_sets_normalized():
@@ -297,7 +298,8 @@ def test_cached_hamiltonian_is_bitwise_a_fresh_build(config):
 
 
 def test_cached_hamiltonian_is_read_only():
-    h = build_H(default_config())
+    config = default_config()
+    h = build_H(config, build_layout(config))
     for words in h.words:
         for _, weights in words:
             with pytest.raises(ValueError):

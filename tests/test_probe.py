@@ -232,14 +232,14 @@ def test_quadrature_row_is_relative_to_the_largest_coefficient():
     # with lambda1 = lambda2 = 1e8 the interaction's coefficients reach
     # 6.7e6, and the quadrature's absolute gap, 3.2e-9, is their rounding
     config = ModelConfig(lambda1=1e8, lambda2=1e8)
-    checks = run_verification(config)
+    checks = run_verification(config, build_layout(config))
     row = next(c for c in checks if c.name == "hamiltonian_quadrature")
     assert row.tolerance == probe.QUADRATURE_TOL
     assert row.residual < 1e-15
     assert all(c.passed for c in checks)
     # below a largest coefficient of 1 the gap stays absolute
     plain = default_config()
-    rows = [c for c in run_verification(plain) if c.name == "hamiltonian_quadrature"]
+    rows = [c for c in run_verification(plain, build_layout(plain)) if c.name == "hamiltonian_quadrature"]
     symbolic = probe.ladderalg.integrate_box(probe.interaction_density_polynomial(plain), plain.box_length)
     assert rows[0].residual == probe.ladderalg.coefficient_gap(symbolic, probe.interaction_quadrature(plain))
 
@@ -307,9 +307,9 @@ def test_structural_rows_catch_a_non_hermitian_charged_monomial(monkeypatch):
     stray = LadderMonomial(0.25, (LadderSymbol(b, True), LadderSymbol(b, True), LadderSymbol(a, False)))
     honest = probe.hamiltonian_polynomial
     monkeypatch.setattr(probe, "hamiltonian_polynomial", lambda c: LadderPolynomial(honest(c).terms + (stray,)))
-    monkeypatch.setattr(probe, "central_identity_checks", lambda *args, **kwargs: [])
+    monkeypatch.setattr(probe, "central_identity_checks", lambda *args: [])
     monkeypatch.setattr(probe, "VERIFY_GRID", (0.0,))
-    rows = {c.name: c for c in run_verification(config)}
+    rows = {c.name: c for c in run_verification(config, build_layout(config))}
     assert rows["hamiltonian_hermiticity"].residual == 0.25
     assert rows["charge_commutator"].residual == 0.5
     assert not rows["hamiltonian_hermiticity"].passed and not rows["charge_commutator"].passed
@@ -508,6 +508,16 @@ def test_readme_config_example_is_admissible():
     config = parse_config(block)
     extreme = max(abs(f) for f in VERIFY_GRID)
     require_admissible(config, DisplacementParams(extreme, extreme), build_layout(config))
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", library, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    c2, expected_c2 = map(float, capsys.readouterr().out.split())
+    # the fitted f1^2 coefficient of the vacuum energy is A4 + f2 A5
+    assert c2 == pytest.approx(expected_c2, rel=1e-9)
 
 
 def test_cli_coeffs_writes_finite_closed_forms_near_the_float64_limit(tmp_path, capsys):

@@ -201,7 +201,7 @@ def test_interchange_bound_covers_the_dense_residual(params):
     # floor; at subnormal amplitudes the bound's products underflow to zero
     # and may sit a few subnormal units under it
     config = default_config().with_cutoff(BOUND_CUTOFF)
-    checks = InterchangeChecker(config).run(params)
+    checks = InterchangeChecker(config, build_layout(config)).run(params)
     dense, floors = dense_interchange_residuals(config, params)
     for c, exact, floor in zip(checks, dense, floors, strict=True):
         assert exact <= c.residual + floor + np.finfo(np.float64).smallest_normal, (c.name, exact, c.residual)
