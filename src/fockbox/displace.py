@@ -24,11 +24,13 @@ A shift gap depends only on the cutoff, the amplitude and the word, and is
 memoized on them (_frame_gap), so the check families at one grid point, and
 the grid points that share a ladder amplitude, compute each gap once.  The
 memo keeps, beside the gap and the conjugated word, the gap's summary: its
-largest entry, its largest off-diagonal entry and its diagonal.  The window
-norms read a one-term ladder's residual from that summary, since scaling a
-real gap by a sample's coefficient keeps its largest off-diagonal entry in
-place; only ladders with several terms sum a stack over the x samples.  The
-shifted word e = prod_i (x_i + f) itself is formed only for the interchange's
+largest entry, its largest off-diagonal entry and its diagonal.  The free
+and field shifts are one norm, that of sum_t kappa_t gap_t (x) 1 plus a
+scalar per sample, and both take it from one primitive (_shift_norms).  It
+reads a one-term ladder from its gap's summary, since scaling a real gap by
+a sample's coefficient keeps its largest off-diagonal entry in place; only
+ladders with several terms sum a stack over the x samples.  The shifted
+word e = prod_i (x_i + f) itself is formed only for the interchange's
 bound, in its own memo on the same key (_frame_maxima).  In the same way a
 factor's unitarity and composition defects depend only on its cutoff and
 amplitude (_factor_defects): b_q and d_q share them, and composition reads
@@ -225,19 +227,20 @@ def work_frame_size(cutoff: int) -> int:
 # them once.  A wide benchmark pass computes 174, 6 per drawn amplitude pair,
 # and reads each only at its own pair.
 @lru_cache(maxsize=160)
-def _frame_gap(
-    cutoff: int, amplitude: float, daggers: tuple[bool, ...]
-) -> tuple[np.ndarray, np.ndarray, tuple[float, float, np.ndarray]]:
+def _frame_gap(cutoff: int, amplitude: float, daggers: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(c - e, c) on the window of a ladder with this cutoff, read-only, and
-    the gap's summary (_gap_summary), for c = U+ word U on the ladder's work
-    frame and e = prod_i (x_i + f) = sum_k f^k e_k (see _shift_layers).
+    the gap's summary, for c = U+ word U on the ladder's work frame and
+    e = prod_i (x_i + f) = sum_k f^k e_k (see _shift_layers).
 
     c is the Gram v+ word v (word_gram) of the window columns v of U.  c - e
     is formed as (((c - e_0) - f e_1) - f^2 e_2) ..., so each subtraction
     cancels the leading part of what is left and the gap keeps its own
     relative precision, even where it is far below the rounding of c.  At
     amplitude 0.0, U = 1 exactly, so c is e_0 and the gap exactly zero.
-    e itself is formed only by the interchange (_frame_maxima)."""
+    e itself is formed only by the interchange (_frame_maxima).
+
+    The summary is (max|gap|, the largest off-diagonal |gap|, the diagonal);
+    a 1 x 1 window has 0.0 off the diagonal, and a NaN stays NaN in both maxima."""
     window, dim = _window(cutoff), work_frame_size(cutoff)
     c = word_gram(displacement_block(dim - 1, amplitude, window), word_weights(dim, daggers))
     gap = c
@@ -245,16 +248,8 @@ def _frame_gap(
         gap = gap - amplitude**k * layer
     gap.setflags(write=False)
     c.setflags(write=False)
-    return gap, c, _gap_summary(gap)
-
-
-def _gap_summary(gap: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(max|gap|, the largest off-diagonal |gap|, the diagonal) of a real
-    window block: its _stack_summary as a stack of one, and the larger of
-    the off-diagonal and diagonal maxima.  A 1 x 1 window has 0.0 off the
-    diagonal, and a NaN entry stays NaN in every maximum that covers it."""
     (off,), (diag,) = _stack_summary(gap[None])
-    return float(np.maximum(off, np.abs(diag).max())), float(off), diag
+    return gap, c, (float(np.maximum(off, np.abs(diag).max())), float(off), diag)
 
 
 # Keyed as _frame_gap: the interchange's words cover every key the shift
@@ -271,16 +266,6 @@ def _frame_maxima(cutoff: int, amplitude: float, daggers: tuple[bool, ...]) -> t
     return float(np.max(np.abs(e))), gap_max, float(np.max(np.abs(c)))
 
 
-def _scaled_summary(scale: np.ndarray, summary: tuple[float, float, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """_stack_summary of the stack scale[b] * gap, read from the gap's
-    summary without forming the stack.  Rounding a real product is monotone
-    in |gap_ij|, and so is NumPy's modulus of the complex product
-    (kr gap_ij, ki gap_ij), so the largest off-diagonal entry of the stack
-    is the product with the gap's largest off-diagonal entry, bit for bit."""
-    _, off, diag = summary
-    return np.abs(scale * off), scale[:, None] * diag
-
-
 def _stack_summary(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(largest off-diagonal |block[b]|, diagonal of block[b]) for each b of
     a (B, m, m) stack of window blocks."""
@@ -292,7 +277,7 @@ def _stack_summary(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _window_sum_max(summaries: list[tuple[np.ndarray, np.ndarray]], scalars: np.ndarray) -> np.ndarray:
     """Exact windowed max norm of sum_l B_l[b] (x) identity + scalars[b] for
     each b, from each ladder's (off, diag) summary of its (B, m_l, m_l)
-    window blocks B_l (_stack_summary, _scaled_summary).
+    window blocks B_l (_stack_summary, _shift_norms).
 
     Entries off-diagonal in one ladder come from that ladder's block alone;
     diagonal entries are sums of per-ladder diagonals plus the scalar, and
@@ -305,6 +290,32 @@ def _window_sum_max(summaries: list[tuple[np.ndarray, np.ndarray]], scalars: np.
         off_max = np.maximum(off_max, off)
         diag_total = (diag_total[:, :, None] + diag[:, None, :]).reshape(len(scalars), -1)
     return np.maximum(off_max, np.abs(diag_total).max(axis=1))
+
+
+def _shift_norms(terms: list[tuple[LadderId, np.ndarray, tuple]], scalars: np.ndarray) -> np.ndarray:
+    """Exact windowed max norm of sum_t kappa_t[b] gap_t (x) identity +
+    scalars[b] for each sample b, for terms (ladder, kappa per sample, frame
+    gap from _frame_gap) grouped by ladder in the order given.  A ladder whose
+    gaps are all exactly zero adds nothing; one with a single term is read
+    from its gap's summary, and one with several sums an (x sample, row,
+    column) stack term by term, in the order a single sample's block would."""
+    ladders: dict[LadderId, list] = {}
+    for lad, kappa, frame_gap in terms:
+        ladders.setdefault(lad, []).append((kappa, frame_gap))
+    summaries = []
+    for entries in ladders.values():
+        if all(summary[0] == 0.0 for _, (_, _, summary) in entries):
+            continue
+        if len(entries) == 1:
+            # Rounding a real product is monotone in |gap_ij|, and so is
+            # NumPy's modulus of the complex product (kr gap_ij, ki gap_ij), so
+            # the scaled largest off-diagonal entry is the stack's, bit for bit.
+            ((kappa, (_, _, (_, off, diag))),) = entries
+            summaries.append((np.abs(kappa * off), kappa[:, None] * diag))
+        else:
+            stacks = [kappa[:, None, None] * gap for kappa, (gap, _, _) in entries]
+            summaries.append(_stack_summary(functools.reduce(np.add, stacks)))
+    return _window_sum_max(summaries, scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +354,15 @@ def check_free_hamiltonian_shift(
     )
     shifts, vacua = [], []
     for sector, energies, vacuum_shift in sectors:
-        number = {lad: _frame_gap(layout.cutoff(lad), amplitudes.get(lad, 0.0), (True, False)) for lad, _ in energies}
-        # energy (U+ a+a U - (a+ + f)(a + f)) per ladder with a nonzero
-        # gap, a batch of one
-        summaries = []
-        for lad, energy in energies:
-            _, _, gap_summary = number[lad]
-            if gap_summary[0] != 0.0:
-                summaries.append(_scaled_summary(np.array([energy]), gap_summary))
-        residual = float(_window_sum_max(summaries, np.zeros(1))[0])
+        gaps = [_frame_gap(layout.cutoff(lad), amplitudes.get(lad, 0.0), (True, False)) for lad, _ in energies]
+        # energy (U+ a+a U - (a+ + f)(a + f)) per ladder, a batch of one
+        terms = [(lad, np.array([energy]), gap) for (lad, energy), gap in zip(energies, gaps)]
+        residual = float(_shift_norms(terms, np.zeros(1))[0])
         shifts.append(ResidualCheck(f"free_shift[{sector}]", f1, f2, residual, FREE_SHIFT_TOL))
         # <0| U+ a+a U |0> is the corner of each ladder's conjugated a+a
         value = 0.0
-        for lad, energy in energies:
-            value += energy * float(number[lad][1][0, 0])
+        for (_, energy), (_, c, _) in zip(energies, gaps):
+            value += energy * float(c[0, 0])
         vacua.append(ResidualCheck(f"free_shift_vacuum[{sector}]", f1, f2, abs(value - vacuum_shift), FREE_SHIFT_TOL))
     return shifts + vacua
 
@@ -397,31 +403,14 @@ def check_field_shift(config: ModelConfig, params: DisplacementParams, layout: F
         ("charged", phi, n1, params.f1),
         ("charged_dagger", phi_dag, n1, params.f1),
     ):
-        # Each ladder's terms with their gaps.  Each gap already subtracts
-        # its own ladder's amplitude, so the scalar compares the sum of those
-        # shifts with the closed-form profile.
-        ladders: dict[LadderId, list[tuple[np.ndarray, np.ndarray, tuple]]] = {}
-        shifts = np.zeros(len(xs), dtype=np.complex128)
+        # Each gap already subtracts its own ladder's amplitude, so the
+        # scalar compares the sum of those shifts with the closed-form profile.
+        gap_terms, shifts = [], np.zeros(len(xs), dtype=np.complex128)
         for sym, kappa in terms:
             shift = amplitudes.get(sym.ladder, 0.0)
-            gap, _, gap_summary = _frame_gap(layout.cutoff(sym.ladder), shift, (sym.dagger,))
-            ladders.setdefault(sym.ladder, []).append((kappa, gap, gap_summary))
+            gap_terms.append((sym.ladder, kappa, _frame_gap(layout.cutoff(sym.ladder), shift, (sym.dagger,))))
             shifts = shifts + kappa * shift
-        # A ladder with one term is read from its gap's summary; one with
-        # several sums an (x sample, row, column) stack term by term, in the
-        # order a single sample's block would be.  A ladder whose gaps are
-        # all exactly zero adds nothing.
-        summaries = []
-        for entries in ladders.values():
-            if all(gap_summary[0] == 0.0 for _, _, gap_summary in entries):
-                continue
-            if len(entries) == 1:
-                ((kappa, _, gap_summary),) = entries
-                summaries.append(_scaled_summary(kappa, gap_summary))
-            else:
-                stacks = [kappa[:, None, None] * gap for kappa, gap, _ in entries]
-                summaries.append(_stack_summary(functools.reduce(np.add, stacks)))
-        residuals = _window_sum_max(summaries, shifts - amplitude * profile(xs))
+        residuals = _shift_norms(gap_terms, shifts - amplitude * profile(xs))
         for j, residual in enumerate(residuals):
             checks.append(
                 ResidualCheck(

@@ -310,13 +310,6 @@ _OPTIONAL_KEYS = ("cutoff_overrides",)
 _REQUIRED_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name not in _OPTIONAL_KEYS)
 
 
-def _parse_int_list(text: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {key}: {text!r}") from exc
-
-
 def _parse_overrides(text: str) -> tuple[tuple[LadderId, int], ...]:
     pairs = []
     for tok in text.split(","):
@@ -332,6 +325,15 @@ def _parse_overrides(text: str) -> tuple[tuple[LadderId, int], ...]:
         except Exception as exc:
             raise ConfigError(f"cannot parse cutoff override {tok!r}") from exc
     return tuple(pairs)
+
+
+# Each key's conversion, by its ModelConfig field's annotation (a string here).
+_CONVERSIONS = {
+    "float": float,
+    "int": int,
+    "tuple[int, ...]": lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
+    "tuple[tuple[LadderId, int], ...]": _parse_overrides,
+}
 
 
 def parse_config(text: str) -> ModelConfig:
@@ -357,22 +359,15 @@ def parse_config(text: str) -> ModelConfig:
     missing = [k for k in _REQUIRED_KEYS if k not in raw]
     if missing:
         raise ConfigError(f"missing keys: {', '.join(missing)}")
-    try:
-        kwargs = dict(
-            box_length=float(raw["box_length"]),
-            mass_neutral=float(raw["mass_neutral"]),
-            mass_charged=float(raw["mass_charged"]),
-            lambda1=float(raw["lambda1"]),
-            lambda2=float(raw["lambda2"]),
-            q_index=int(raw["q_index"]),
-            k_index=int(raw["k_index"]),
-            cutoff_default=int(raw["cutoff_default"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value: {exc}") from exc
-    kwargs["neutral_modes"] = _parse_int_list(raw["neutral_modes"], "neutral_modes")
-    kwargs["charged_modes"] = _parse_int_list(raw["charged_modes"], "charged_modes")
-    kwargs["cutoff_overrides"] = _parse_overrides(raw.get("cutoff_overrides", ""))
+    kwargs = {}
+    for field in fields(ModelConfig):
+        if field.name in raw:
+            try:
+                kwargs[field.name] = _CONVERSIONS[field.type](raw[field.name])
+            except ValueError as exc:
+                if field.type == "tuple[int, ...]":
+                    raise ConfigError(f"cannot parse {field.name}: {raw[field.name]!r}") from exc
+                raise ConfigError(f"bad numeric value: {exc}") from exc
     return ModelConfig(**kwargs)
 
 

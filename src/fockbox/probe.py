@@ -174,7 +174,8 @@ class SweepResult:
 
 def direct_check_limit(config: ModelConfig, layout: FockLayout) -> float:
     """Largest |amplitude| every displaced ladder holds under the leakage
-    policy; sweeps attempt direct comparisons only inside it."""
+    policy: a sweep compares every row inside it directly, and a row past it
+    on a ladder whose cutoff admits it too."""
     return min(max_admissible_amplitude(layout.cutoff(lad)) for lad, _ in config.displaced_ladders())
 
 
@@ -233,17 +234,19 @@ class SweepSpec:
 
 def run_sweep(config: ModelConfig, spec: SweepSpec, layout: FockLayout) -> SweepResult:
     """Energy polynomial along f1 at fixed f2, with direct expectations on
-    every row whose amplitudes stay inside the direct-check limit.
+    every row whose amplitude on each displaced ladder is one that ladder's
+    cutoff admits: the per-ladder leakage policy of require_admissible.
 
     descent_certified asserts three facts at once: the fitted quadratic
     coefficient is negative, it matches A4 + f2 A5, and every direct
     comparison that could be computed agrees with the polynomial.
     """
     state, cs = reference(config, spec.state_selector, layout)
-    limit = direct_check_limit(config, layout)
+    # each displaced ladder's index in (f1, f2) and the largest |f| its cutoff admits
+    limits = [(index, max_admissible_amplitude(layout.cutoff(lad))) for lad, index in config.displaced_ladders()]
 
     f2 = spec.f2
-    polynomial = []
+    polynomial, inside = [], []
     for f1 in spec.f1_values:
         try:
             e_poly = energy_polynomial(cs, f1, f2)
@@ -252,7 +255,7 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, layout: FockLayout) -> Sweep
         if not math.isfinite(e_poly):
             raise ConfigError(f"the energy polynomial overflows float64 at f1 = {f1!r}, f2 = {f2!r}")
         polynomial.append(e_poly)
-    inside = [max(abs(f1), abs(f2)) <= limit for f1 in spec.f1_values]
+        inside.append(all(abs((f1, f2)[index]) <= limit for index, limit in limits))
     direct = iter(displaced_energies(config, state, [(f1, f2) for f1, ok in zip(spec.f1_values, inside) if ok]))
     rows = []
     for f1, e_poly, ok in zip(spec.f1_values, polynomial, inside):

@@ -345,32 +345,55 @@ def _window_sum_max_per_sample(blocks, scalar):
     return max(off_max, float(np.max(np.abs(diag_total))))
 
 
+def crafted_gap(gap):
+    """A real window block as _frame_gap returns it, with no conjugated word:
+    (gap, None, (max|gap|, largest off-diagonal |gap|, diagonal)), the
+    summary taken from the block directly."""
+    off = np.abs(gap)
+    np.fill_diagonal(off, 0.0)
+    return gap, None, (float(np.max(np.abs(gap))), float(np.max(off)), np.diag(gap))
+
+
+def shift_norms_per_sample(terms, scalars):
+    """_shift_norms by the dense per-sample oracle: each sample's block per
+    ladder, its terms summed in order."""
+    norms = []
+    for b, scalar in enumerate(scalars):
+        blocks = {}
+        for lad, kappa, (gap, _, _) in terms:
+            blocks[lad] = blocks[lad] + kappa[b] * gap if lad in blocks else kappa[b] * gap
+        norms.append(_window_sum_max_per_sample(blocks, scalar))
+    return norms
+
+
 def test_batched_window_sum_max_equals_the_per_sample_loop():
     # Diagonal-heavy blocks put every maximum on a three-term diagonal sum,
-    # whose rounding depends on the order of the additions.  b1's stack is
-    # one real gap times a phase per sample, summarized without forming it;
-    # a zero block adds nothing, summarized or skipped.
+    # whose rounding depends on the order of the additions.  a2 and d1 sum
+    # several terms into a complex and a real stack; b1's one term, a real
+    # gap times a phase per sample, is read from the gap's summary; a3's
+    # gaps are all zero, and it adds nothing, given or left out.
     rng = np.random.default_rng(11)
     batch = 16
-    gap = rng.normal(size=(4, 4)) + np.diag(rng.uniform(1.0, 1e3, size=4))
-    kappa = rng.normal(size=batch) + 1j * rng.normal(size=batch)
-    blocks = {
-        A2: rng.normal(size=(batch, 9, 9)) + 1j * rng.normal(size=(batch, 9, 9)),
-        B1: kappa[:, None, None] * gap,
-        D1: rng.normal(size=(batch, 5, 5)),
-    }
-    for lad in (A2, D1):
-        blocks[lad] += np.eye(blocks[lad].shape[1]) * rng.uniform(1.0, 1e3, size=(batch, 1, 1))
-    blocks[LadderId("a", 3)] = np.zeros((batch, 6, 6))
+
+    def phases():
+        return rng.normal(size=batch) + 1j * rng.normal(size=batch)
+
+    terms = [
+        (A2, phases(), rng.normal(size=(9, 9))),
+        (B1, phases(), rng.normal(size=(4, 4)) + np.diag(rng.uniform(1.0, 1e3, size=4))),
+        (D1, rng.normal(size=batch), rng.normal(size=(5, 5))),
+        (A2, rng.uniform(1.0, 1e3, size=batch), np.eye(9)),
+        (LadderId("a", 3), phases(), np.zeros((6, 6))),
+        (A2, phases(), rng.normal(size=(9, 9))),
+        (D1, rng.uniform(1.0, 1e3, size=batch), np.eye(5)),
+        (LadderId("a", 3), phases(), np.zeros((6, 6))),
+    ]
+    terms = [(lad, kappa, crafted_gap(gap)) for lad, kappa, gap in terms]
     scalars = rng.normal(size=batch) * 1e-3
-    summaries = [displace._stack_summary(block) for block in blocks.values()]
-    summaries[1] = displace._scaled_summary(kappa, displace._gap_summary(gap))
-    for given in (summaries, summaries[:3]):
-        batched = displace._window_sum_max(given, scalars)
+    for given in (terms, [t for t in terms if t[0] != LadderId("a", 3)]):
+        batched = displace._shift_norms(given, scalars)
         assert batched.shape == (batch,)
-        for b in range(batch):
-            single = _window_sum_max_per_sample({lad: block[b] for lad, block in blocks.items()}, scalars[b])
-            assert batched[b] == single
+        assert batched.tolist() == shift_norms_per_sample(given, scalars)
 
 
 def test_window_sum_max_keeps_a_nan():
@@ -379,12 +402,14 @@ def test_window_sum_max_keeps_a_nan():
     block[:, 0, 1] = 1.0
     out = displace._window_sum_max([displace._stack_summary(block)], np.zeros(2))
     assert out[0] == 1.0 and math.isnan(out[1])
-    # a gap with a NaN on or off its diagonal, scaled per sample
+    # a gap with a NaN on or off its diagonal, scaled per sample, as the one
+    # term of its ladder and as one of two
     for row, column in ((0, 0), (2, 1)):
         gap = np.eye(3)
         gap[row, column] = np.nan
-        summary = displace._scaled_summary(np.array([1.0, 1j]), displace._gap_summary(gap))
-        assert np.all(np.isnan(displace._window_sum_max([summary], np.zeros(2))))
+        for count in (1, 2):
+            terms = [(B1, np.array([1.0, 1j]), crafted_gap(gap))] * count
+            assert np.all(np.isnan(displace._shift_norms(terms, np.zeros(2))))
 
 
 _LIMIT_64 = max_admissible_amplitude(64)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import clear_package_caches
+from test_model import README_TWO_MODE
 from fockbox import coeffs
 from fockbox.coeffs import coefficients, descent_threshold, reference_state, vacuum_closed_forms
 from fockbox.displace import DisplacementParams, InterchangeChecker, ResidualCheck, require_admissible
@@ -145,6 +146,21 @@ def test_run_sweep_gates_direct_rows():
     assert result.expected_c2 == pytest.approx(result.c2, rel=1e-9)
     assert result.fit_residual <= 1e-9
     assert not result.descent_certified  # c2 > 0 on this side of the threshold
+
+
+def test_run_sweep_decides_each_row_per_ladder():
+    # On the two-mode config b1, d1 and a2 (cutoffs 15, 16 and 20) admit up
+    # to 1.046, 1.146 and 1.532: f2 = 1.3 lies past the smallest cutoff's
+    # limit, yet a2 holds it, so every row whose f1 b1 holds is compared.
+    layout = build_layout(README_TWO_MODE)
+    assert direct_check_limit(README_TWO_MODE, layout) < 1.3 < max_admissible_amplitude(20)
+    spec = SweepSpec((-1.0, -0.5, 0.0, 0.5, 1.0, 1.1), 1.3, "seeded:7")
+    result = run_sweep(README_TWO_MODE, spec, layout)
+    assert [r.energy_direct is not None for r in result.rows] == [True] * 5 + [False]
+    assert all(r.residual <= 1e-10 for r in result.rows[:5])
+    # past a2's own limit no row is compared
+    result = run_sweep(README_TWO_MODE, SweepSpec((-1.0, 0.0, 1.0), 1.6), layout)
+    assert all(r.energy_direct is None for r in result.rows)
 
 
 def test_run_sweep_certifies_descent_past_threshold():

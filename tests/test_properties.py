@@ -33,7 +33,7 @@ from fockbox.fockspace import (
 )
 from fockbox.ladderalg import LadderMonomial, LadderPolynomial, LadderSymbol, realize, shift
 from fockbox.model import ModelConfig, build_layout, default_config
-from test_displace import dense_interchange_residuals, kron_factors
+from test_displace import crafted_gap, dense_interchange_residuals, kron_factors, shift_norms_per_sample
 from test_fockspace import copy_stacks, dense, dense_state, kron_oracle, radix_pairs, row_major_occupations, word_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -207,6 +207,8 @@ def test_interchange_bound_covers_the_dense_residual(params):
         assert exact <= c.residual + floor + np.finfo(np.float64).smallest_normal, (c.name, exact, c.residual)
 
 
+ORACLE_LADDERS = (LadderId("a", 2), LadderId("b", 1), LadderId("d", 1))
+
 # Finite floats of every scale, with exact zeros, subnormals and values near
 # 1e+-300 drawn often.
 SCALED_ENTRIES = st.one_of(
@@ -241,24 +243,60 @@ def scaled_gaps(draw):
 @example((np.array([[1.0, -3.0], [3.0, np.nan]]), np.full(8, 1e300 - 1e-300j), 5e-324))
 @given(scaled_gaps())
 def test_a_scaled_gap_summary_is_its_stack_zeroed_and_maxed(case):
-    # a one-term ladder's window summary, read from its gap's summary, is
-    # bit for bit what the scaled stack gives with its diagonal zeroed, for a
-    # complex coefficient per sample and for a real energy
+    # a one-term ladder's window norm, read from its gap's summary, is bit
+    # for bit what the scaled stack gives with its diagonal zeroed, for a
+    # complex coefficient per sample and for a real energy.  A summary with
+    # its diagonal, or its off-diagonal maximum, zeroed shows each part alone.
     gap, kappa, energy = case
-    summary = displace._gap_summary(gap)
+    frame_gap = crafted_gap(gap)
+    gap_max, off, diag = frame_gap[2]
+    parts = [frame_gap, (gap, None, (gap_max, off, np.zeros_like(diag))), (gap, None, (gap_max, 0.0, diag))]
     for scale in (kappa, np.array([energy])):
+        zeros = np.zeros(len(scale))
         with np.errstate(over="ignore"):  # products near 1e300 overflow to inf
             stack = scale[:, None, None] * gap
             magnitudes = np.abs(stack)
-            off, diag = displace._scaled_summary(scale, summary)
-        np.einsum("bii->bi", magnitudes)[...] = 0.0
-        assert np.array_equal(off, magnitudes.max(axis=(1, 2)), equal_nan=True), (off, magnitudes)
-        assert diag.tobytes() == np.diagonal(stack, axis1=1, axis2=2).tobytes()
-        norms = displace._window_sum_max([(off, diag)], np.zeros(len(scale)))
+            np.einsum("bii->bi", magnitudes)[...] = 0.0
+            stack_off, stack_diag = magnitudes.max(axis=(1, 2)), np.diagonal(stack, axis1=1, axis2=2)
+            norms, off_norms, diag_norms = (displace._shift_norms([(ORACLE_LADDERS[0], scale, p)], zeros) for p in parts)
+            expected = displace._window_sum_max([(stack_off, stack_diag)], zeros)
+        assert np.array_equal(off_norms, stack_off, equal_nan=True), (off_norms, magnitudes)
+        assert np.array_equal(diag_norms, np.abs(stack_diag).max(axis=1), equal_nan=True), (diag_norms, stack)
+        assert np.array_equal(norms, expected, equal_nan=True), (norms, expected)
         assert np.isnan(norms).tolist() == [bool(np.isnan(gap).any())] * len(scale), norms
 
 
-ORACLE_LADDERS = (LadderId("a", 2), LadderId("b", 1), LadderId("d", 1))
+@st.composite
+def shift_terms(draw):
+    """Terms (ladder, kappa per sample, crafted frame gap) on 1 to 3 ladders
+    with windows of 1 to 4 levels and 1 to 3 terms each, in a drawn order,
+    some of their gaps exactly zero, and a complex scalar per sample."""
+    samples = draw(st.integers(min_value=1, max_value=4))
+    part = st.floats(min_value=-1e3, max_value=1e3)
+    entry = st.one_of(st.just(0.0), part)
+    terms = []
+    for lad in ORACLE_LADDERS[: draw(st.integers(min_value=1, max_value=3))]:
+        m = draw(st.integers(min_value=1, max_value=4))
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            gap = np.zeros((m, m))
+            if draw(st.booleans()):
+                gap = np.array(draw(st.lists(entry, min_size=m * m, max_size=m * m))).reshape(m, m)
+            kappa = np.array([complex(draw(part), draw(part)) for _ in range(samples)])
+            terms.append((lad, kappa, crafted_gap(gap)))
+    terms = draw(st.permutations(terms))
+    scalars = np.array([complex(draw(part), draw(part)) for _ in range(samples)])
+    return terms, scalars
+
+
+@PROPERTY_SETTINGS
+@given(shift_terms())
+def test_shift_norms_equal_the_dense_per_sample_oracle(case):
+    # one-term ladders read from their summaries, several-term ladders'
+    # stacks and skipped zero ladders all give the dense norm, bit for bit
+    terms, scalars = case
+    assert displace._shift_norms(terms, scalars).tolist() == shift_norms_per_sample(terms, scalars)
+
+
 # Each entry is a short sum of products, a few roundings each, measured
 # against the largest sum of the magnitudes of its terms.
 ORACLE_RTOL = 64 * np.finfo(np.float64).eps
